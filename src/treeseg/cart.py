@@ -313,8 +313,13 @@ def assign_leaf_batch(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
             ids[idx] = node.segment_id
         else:
             mask = X[idx, node.rule.feature] <= node.rule.threshold
-            walk.append((node.left, idx[mask]))
-            walk.append((node.right, idx[~mask]))
+            # Only walk into children that some rows reach: routing few
+            # rows then costs time in proportion to depth, not tree size.
+            left, right = idx[mask], idx[~mask]
+            if left.size:
+                walk.append((node.left, left))
+            if right.size:
+                walk.append((node.right, right))
     return ids
 
 

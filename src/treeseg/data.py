@@ -335,12 +335,3 @@ class Scaler:
         safe_std = np.where(self.std == 0.0, 1.0, self.std)
         return (feats - self.mean) / safe_std
 
-
-def standardize_fit(train: Dataset) -> Scaler:
-    """Fit a Scaler on the training features."""
-    return Scaler.fit(train.features)
-
-
-def standardize_apply(scaler: Scaler, data: Dataset) -> Dataset:
-    """Apply a fitted Scaler to a Dataset's features; response untouched."""
-    return Dataset(scaler.transform(data.features), data.response, data.feature_names)

@@ -5,10 +5,19 @@ term — with hyperparameters learned by maximizing the log marginal
 likelihood in log-space. Leaves are small enough that the exact O(m^3)
 solve is affordable, which is the entire point of segmenting first.
 
-Prediction paths avoid matrix-matrix BLAS calls on purpose: reductions are
-written in elementwise/broadcast form so that predicting one record and
+Fitting follows GPML (Rasmussen & Williams 2006, Alg. 5.1): the training
+Gram and squared distances are built once per leaf with BLAS, each
+likelihood evaluation factors K once, takes K^-1 from the factor with
+LAPACK potri and reads the whole gradient off W = alpha alpha^T - K^-1.
+The checks at the initial and the optimized parameters need only the
+value and alpha, so they skip the inverse.
+
+A fitted model keeps alpha, not the Cholesky factor. Prediction paths avoid
+matrix-matrix BLAS calls on purpose: the cross-kernel and the reductions
+are written in elementwise/broadcast form so that predicting one record and
 predicting a batch produce bitwise-identical numbers regardless of batch
-size or chunking.
+size or chunking. Posterior means need only alpha and that cross-kernel;
+the factor is built (and cached) only when gp_predict asks for a variance.
 """
 
 from __future__ import annotations
@@ -172,9 +181,18 @@ def _sqdist_cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _combine(gram: np.ndarray, sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
+def _rbf(sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
     ell2 = params.rbf_lengthscale * params.rbf_lengthscale
-    return params.linear_variance * gram + params.rbf_variance * np.exp(sqdist * (-0.5 / ell2))
+    K_rbf = sqdist * (-0.5 / ell2)
+    np.exp(K_rbf, out=K_rbf)
+    K_rbf *= params.rbf_variance
+    return K_rbf
+
+
+def _combine(gram: np.ndarray, sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
+    K = _rbf(sqdist, params)
+    K += params.linear_variance * gram
+    return K
 
 
 def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -186,50 +204,84 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     return _combine(_linear_cross(A, B), _sqdist_cross(A, B), params)
 
 
+def _training_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Gram and squared-distance matrices of the training rows, built with BLAS.
+
+    Squared distances come from |a|^2 + |b|^2 - 2 a.b, clamped at zero; the
+    norms are the Gram's own diagonal, so the diagonal is exactly zero and
+    both matrices are exactly symmetric. Fit and load both go through here,
+    so a stored jitter reproduces the fit's covariance.
+    """
+    gram = X @ X.T
+    norms = gram.diagonal().copy()
+    sqdist = norms[:, None] + norms[None, :]
+    sqdist -= 2.0 * gram
+    np.maximum(sqdist, 0.0, out=sqdist)
+    return gram, sqdist
+
+
 _JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
-def _factorize(K: np.ndarray, noise_variance: float) -> tuple[np.ndarray, float]:
-    """Cholesky of K + (noise + jitter) I, escalating jitter until it works."""
+def _factorize(K: np.ndarray, noise_variance: float,
+               ladder: tuple[float, ...] = _JITTER_LADDER) -> tuple[np.ndarray, float]:
+    """Cholesky of K + (noise + jitter) I, escalating jitter until it works.
+
+    Overwrites the diagonal of K.
+    """
     m = K.shape[0]
-    diag = np.arange(m)
-    Kn = K.copy()
-    for jitter in _JITTER_LADDER:
-        Kn[diag, diag] = K[diag, diag] + noise_variance + jitter
+    base = K.diagonal().copy()
+    for jitter in ladder:
+        np.fill_diagonal(K, base + noise_variance + jitter)
         try:
-            return np.linalg.cholesky(Kn), jitter
+            return np.linalg.cholesky(K), jitter
         except np.linalg.LinAlgError:
             continue
     raise LeafFitError(
-        f"covariance factorization failed at jitter {_JITTER_LADDER[-1]:g} "
+        f"covariance factorization failed at jitter {ladder[-1]:g} "
         f"(m={m}); leaf is numerically ill-conditioned")
 
 
-def _lml_terms(params: KernelParams, gram: np.ndarray, sqdist: np.ndarray,
-               y: np.ndarray):
-    """Log marginal likelihood, its log-space gradient, and solve artifacts."""
-    m = y.shape[0]
-    K = _combine(gram, sqdist, params)
-    L, jitter = _factorize(K, params.noise_variance)
+def _solve(K: np.ndarray, noise_variance: float, y: np.ndarray):
+    """Factor K + noise I (K is overwritten); LML value, factor, alpha, jitter."""
+    L, jitter = _factorize(K, noise_variance)
     alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
     value = float(-0.5 * (y @ alpha) - np.log(np.diag(L)).sum()
-                  - 0.5 * m * math.log(2.0 * math.pi))
+                  - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
+    return value, L, alpha, jitter
 
-    Kinv = scipy.linalg.cho_solve((L, True), np.eye(m), check_finite=False)
+
+def _lml_terms(params: KernelParams, gram: np.ndarray, sqdist: np.ndarray,
+               y: np.ndarray) -> tuple[float, np.ndarray]:
+    """Log marginal likelihood and its log-space gradient (GPML Alg. 5.1)."""
+    K_rbf = _rbf(sqdist, params)
+    K = params.linear_variance * gram + K_rbf  # the same bits as _combine
+    value, L, alpha, _ = _solve(K, params.noise_variance, y)
+    del K
+
+    # K^-1 in place over the factor: L.T is the Fortran-ordered upper factor,
+    # so potri writes the inverse into L's lower triangle and leaves the
+    # zeros above it.
+    W, info = scipy.linalg.lapack.dpotri(L.T, lower=0, overwrite_c=1)
+    if info != 0:
+        raise LeafFitError(f"covariance inverse failed (potri info {info})")
+    W = W.T
+    trace_kinv = float(np.trace(W))
+    # Weights for symmetric dK: vdot(W, dK) = sum((alpha alpha^T - K^-1) * dK)
+    # with K^-1 taken from its lower triangle only.
+    W *= -2.0
+    diag = np.arange(W.shape[0])
+    W[diag, diag] *= 0.5
+    W += np.outer(alpha, alpha)
+
     ell2 = params.rbf_lengthscale * params.rbf_lengthscale
-    K_lin = params.linear_variance * gram
-    K_rbf = params.rbf_variance * np.exp(sqdist * (-0.5 / ell2))
-
-    def direction(dK: np.ndarray) -> float:
-        return 0.5 * float(alpha @ (dK @ alpha) - (Kinv * dK).sum())
-
-    grad = np.array([
-        direction(K_lin),                       # d/d log linear_variance
-        direction(K_rbf),                       # d/d log rbf_variance
-        direction(K_rbf * (sqdist / ell2)),     # d/d log rbf_lengthscale
-        0.5 * params.noise_variance * float(alpha @ alpha - np.trace(Kinv)),
+    grad = 0.5 * np.array([
+        params.linear_variance * np.vdot(W, gram),  # d/d log linear_variance
+        np.vdot(W, K_rbf),                          # d/d log rbf_variance
+        np.vdot(W, K_rbf * sqdist) / ell2,          # d/d log rbf_lengthscale
+        params.noise_variance * (float(alpha @ alpha) - trace_kinv),
     ])
-    return value, grad, L, alpha, jitter
+    return value, grad
 
 
 def log_marginal_likelihood(params: KernelParams, X: np.ndarray,
@@ -245,8 +297,18 @@ def log_marginal_likelihood(params: KernelParams, X: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be 2-D and y 1-D with matching row counts")
-    value, grad, _, _, _ = _lml_terms(params, _linear_cross(X, X), _sqdist_cross(X, X), y)
-    return value, grad
+    return _lml_terms(params, *_training_parts(X), y)
+
+
+def covariance_factor(params: KernelParams, X: np.ndarray, jitter: float) -> np.ndarray:
+    """Lower Cholesky factor of K(X, X) + (noise + jitter) I over training rows.
+
+    Built from the same training Gram as the fit, so a fitted model's jitter
+    reproduces the fit's factor. Raises LeafFitError when K is not
+    numerically positive definite at that jitter.
+    """
+    K = _combine(*_training_parts(X), params)
+    return _factorize(K, params.noise_variance, ladder=(jitter,))[0]
 
 
 @dataclass
@@ -254,11 +316,15 @@ class GPModel:
     params: KernelParams
     training_inputs: np.ndarray  # m x d, standardized by the caller
     alpha: np.ndarray            # (K + noise I)^-1 (y - y_mean)
-    chol_factor: np.ndarray      # lower-triangular L with L L^T = K + noise I (+ jitter)
     y_mean: float
     jitter: float
     log_marginal: float
-    n_iterations: int = 0
+    n_iterations: int = 0        # L-BFGS iterations
+    n_evaluations: int = 0       # L-BFGS objective evaluations
+    converged: bool = False      # L-BFGS reported success
+    # Lower-triangular L with L L^T = K + (noise + jitter) I. Only gp_predict
+    # needs it; it builds and caches it on first use.
+    chol_factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return gp_predict_mean_batch(self, X)
@@ -294,20 +360,26 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
 
     y_mean = float(y.mean())
     yc = y - y_mean
-    gram = _linear_cross(X, X)
-    sqdist = _sqdist_cross(X, X)
+    inputs = np.array(X, dtype=np.float64, order="C", copy=True)
+    inputs.setflags(write=False)
+    gram, sqdist = _training_parts(inputs)
 
-    value0, _, _, _, _ = _lml_terms(init, gram, sqdist, yc)
+    def value_only(params: KernelParams) -> tuple[float, np.ndarray, float]:
+        value, _, alpha, jitter = _solve(_combine(gram, sqdist, params),
+                                         params.noise_variance, yc)
+        return value, alpha, jitter
 
-    n_iterations = 0
     best = init
+    value, alpha, jitter = value_only(init)
+    n_iterations = n_evaluations = 0
+    converged = False
     if max_iters > 0:
         def objective(z: np.ndarray):
             try:
-                value, grad, _, _, _ = _lml_terms(KernelParams.from_log(z), gram, sqdist, yc)
+                lml, grad = _lml_terms(KernelParams.from_log(z), gram, sqdist, yc)
             except LeafFitError:
                 return 1e25, np.zeros(4)
-            return -value, -grad
+            return -lml, -grad
 
         bounds = [(_LOG_LOWER, _LOG_UPPER)] * 3 + [(_NOISE_LOG_LOWER, _LOG_UPPER)]
         z0 = np.clip(init.to_log(), [b[0] for b in bounds], [b[1] for b in bounds])
@@ -315,22 +387,23 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
             objective, z0, jac=True, method="L-BFGS-B", bounds=bounds,
             options={"maxiter": max_iters, "gtol": 1e-5})
         n_iterations = int(result.nit)
+        n_evaluations = int(result.nfev)
+        converged = bool(result.success)
         candidate = KernelParams.from_log(result.x)
         try:
-            value1, _, _, _, _ = _lml_terms(candidate, gram, sqdist, yc)
+            trial = value_only(candidate)
         except LeafFitError:
-            value1 = -np.inf
-        if value1 >= value0:
+            trial = None
+        if trial is not None and trial[0] >= value:
             best = candidate
+            value, alpha, jitter = trial
 
-    value, _, L, alpha, jitter = _lml_terms(best, gram, sqdist, yc)
-    inputs = np.array(X, dtype=np.float64, copy=True)
-    inputs.setflags(write=False)
     alpha = alpha.copy()
     alpha.setflags(write=False)
     return GPModel(params=best, training_inputs=inputs, alpha=alpha,
-                   chol_factor=L, y_mean=y_mean, jitter=float(jitter),
-                   log_marginal=value, n_iterations=n_iterations)
+                   y_mean=y_mean, jitter=float(jitter), log_marginal=value,
+                   n_iterations=n_iterations, n_evaluations=n_evaluations,
+                   converged=converged)
 
 
 def gp_predict_mean_batch(model: GPModel, X: np.ndarray) -> np.ndarray:
@@ -354,13 +427,17 @@ def gp_predict(model: GPModel, x: np.ndarray) -> tuple[float, float]:
     """Posterior mean and variance at a single point.
 
     The mean goes through the same code path as batch prediction (a one-row
-    batch). The variance is k(x,x) - |L^-1 k(X,x)|^2, clamped at zero.
+    batch). The variance is k(x,x) - |L^-1 k(X,x)|^2, clamped at zero; the
+    factor L is built on the first call and cached on the model.
     """
     x = np.asarray(x, dtype=np.float64).ravel()
     if x.shape[0] != model.training_inputs.shape[1]:
         raise ValueError(f"expected {model.training_inputs.shape[1]} feature values")
     row = x[None, :]
     mean = float(gp_predict_mean_batch(model, row)[0])
+    if model.chol_factor is None:
+        model.chol_factor = covariance_factor(model.params, model.training_inputs,
+                                              model.jitter)
     k_star = kernel_matrix(model.params, model.training_inputs, row)[:, 0]
     z = scipy.linalg.solve_triangular(model.chol_factor, k_star, lower=True,
                                       check_finite=False)

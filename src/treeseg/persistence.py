@@ -7,10 +7,13 @@ bit-exactly; keys are sorted so saving the same model twice produces
 byte-identical files. Loading re-checks structural invariants and rejects
 documents written by a newer schema.
 
-The GP Cholesky factor is not stored: it is recomputed from the stored
-inputs/parameters on load, through the same kernel code path, which yields
-the identical factor. Posterior means depend only on the stored alpha
-vector, so round-tripped predictions are exactly equal either way.
+GP leaves store their kernel parameters, training inputs, alpha vector and
+jitter, not the Cholesky factor. Loading factorizes the stored covariance
+once, through the same training-Gram code as the fit, only to reject a
+document whose covariance is not positive definite, then discards the
+factor. Posterior means depend only on alpha and the broadcast
+cross-kernel, so round-tripped predictions are bit-identical without it;
+`leaf_models.gp_predict` rebuilds the factor on demand for variances.
 """
 
 from __future__ import annotations
@@ -22,8 +25,8 @@ import numpy as np
 
 from . import cart
 from .data import Scaler
-from .leaf_models import (ConstantModel, GPModel, KernelParams, LinearModel,
-                          kernel_matrix)
+from .leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
+                          LinearModel, covariance_factor)
 from .pipeline import FitConfig, LeafFitStatus, OutlierConfig, SegmentedModel
 
 SCHEMA_VERSION = 1
@@ -86,7 +89,9 @@ def _leaf_model_doc(model) -> dict:
                 "y_mean": model.y_mean,
                 "jitter": model.jitter,
                 "log_marginal": model.log_marginal,
-                "n_iterations": model.n_iterations}
+                "n_iterations": model.n_iterations,
+                "n_evaluations": model.n_evaluations,
+                "converged": model.converged}
     raise PersistenceError(f"cannot serialize leaf model of type {type(model).__name__}")
 
 
@@ -116,19 +121,18 @@ def _leaf_model_from_doc(doc: dict, n_features: int):
         if alpha.shape != (X.shape[0],):
             raise PersistenceError("gp alpha length does not match its training inputs")
         jitter = float(doc["jitter"])
-        K = kernel_matrix(params, X, X)
-        diag = np.arange(X.shape[0])
-        K[diag, diag] = K[diag, diag] + params.noise_variance + jitter
         try:
-            L = np.linalg.cholesky(K)
-        except np.linalg.LinAlgError as exc:
+            covariance_factor(params, X, jitter)  # validation only; not kept
+        except LeafFitError as exc:
             raise PersistenceError("stored gp covariance is not positive definite") from exc
         X.setflags(write=False)
         alpha.setflags(write=False)
-        return GPModel(params=params, training_inputs=X, alpha=alpha, chol_factor=L,
+        return GPModel(params=params, training_inputs=X, alpha=alpha,
                        y_mean=float(doc["y_mean"]), jitter=jitter,
                        log_marginal=float(doc["log_marginal"]),
-                       n_iterations=int(doc.get("n_iterations", 0)))
+                       n_iterations=int(doc.get("n_iterations", 0)),
+                       n_evaluations=int(doc.get("n_evaluations", 0)),
+                       converged=bool(doc.get("converged", False)))
     raise PersistenceError(f"unknown leaf model type {kind!r}")
 
 

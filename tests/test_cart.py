@@ -257,6 +257,23 @@ class TestRouting:
         means_single = np.array([cart.predict_mean(tree, q) for q in Q])
         assert np.array_equal(means_batch, means_single)
 
+    def test_batch_routing_matches_pointer_walk_on_deep_tree(self, rng):
+        X = rng.normal(size=(400, 3))
+        y = np.sin(2.0 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(size=400) * 0.1
+        tree = cart.build_tree(make_dataset(X, y), leaf_size=5)
+        assert tree.n_leaves > 30
+        Q = np.vstack([rng.normal(size=(200, 3)), X[:50]])
+        singles = np.array([cart.assign_leaf(tree, q) for q in Q])
+        assert np.array_equal(cart.assign_leaf_batch(tree, Q), singles)
+        for q, sid in zip(Q[:40], singles):
+            assert cart.assign_leaf_batch(tree, q[None, :]).tolist() == [sid]
+
+    def test_batch_routing_of_zero_rows(self, rng):
+        X = rng.normal(size=(60, 2))
+        tree = cart.build_tree(make_dataset(X, rng.normal(size=60)), leaf_size=5)
+        ids = cart.assign_leaf_batch(tree, np.empty((0, 2)))
+        assert ids.shape == (0,) and ids.dtype == np.int64
+
     def test_dimension_mismatch(self):
         tree = cart.build_tree(make_dataset(np.zeros((4, 2)), np.arange(4.0)), leaf_size=4)
         with pytest.raises(cart.CartError):

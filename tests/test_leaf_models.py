@@ -5,16 +5,21 @@ a closed-form single-point marginal likelihood, central finite differences
 for the gradient, and a direct normal-equations ridge solve for the linear
 degeneracy. None of them share code with the production implementation.
 """
+import json
 import math
 
 import numpy as np
 import pytest
 
+from treeseg import cart
+from treeseg.data import Dataset
 from treeseg.leaf_models import (ConstantModel, GPModel, KernelParams,
-                                 LeafFitError, LinearModel, fit_constant,
-                                 fit_gp, fit_ols, gp_predict,
+                                 LeafFitError, LinearModel, covariance_factor,
+                                 fit_constant, fit_gp, fit_ols, gp_predict,
                                  gp_predict_mean_batch, kernel_matrix,
                                  log_marginal_likelihood)
+from treeseg.persistence import PersistenceError, load_model, save_model
+from treeseg.pipeline import FitConfig, fit_segmented
 
 
 def naive_kernel(params, A, B):
@@ -36,6 +41,37 @@ def naive_lml(params, X, y):
     _, logdet = np.linalg.slogdet(K)
     return float(-0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet
                  - 0.5 * m * math.log(2.0 * math.pi))
+
+
+def dense_kernel(params, A, B):
+    """Vectorized reference kernel from explicit coordinate differences."""
+    diff = A[:, None, :] - B[None, :, :]
+    sq = (diff * diff).sum(axis=2)
+    return (params.linear_variance * (A[:, None, :] * B[None, :, :]).sum(axis=2)
+            + params.rbf_variance * np.exp(-sq / (2.0 * params.rbf_lengthscale**2)))
+
+
+def dense_lml(params, X, y, jitter=0.0):
+    m = X.shape[0]
+    K = dense_kernel(params, X, X) + (params.noise_variance + jitter) * np.eye(m)
+    _, logdet = np.linalg.slogdet(K)
+    return float(-0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet
+                 - 0.5 * m * math.log(2.0 * math.pi))
+
+
+def central_difference_error(params, X, y, h=1e-5):
+    """Relative max error of the analytic gradient against central differences."""
+    _, grad = log_marginal_likelihood(params, X, y)
+    z = params.to_log()
+    fd = np.empty(4)
+    for i in range(4):
+        zp, zm = z.copy(), z.copy()
+        zp[i] += h
+        zm[i] -= h
+        up, _ = log_marginal_likelihood(KernelParams.from_log(zp), X, y)
+        dn, _ = log_marginal_likelihood(KernelParams.from_log(zm), X, y)
+        fd[i] = (up - dn) / (2.0 * h)
+    return float(np.abs(grad - fd).max() / max(1.0, np.abs(fd).max()))
 
 
 def random_params(rng):
@@ -187,7 +223,6 @@ class TestMarginalLikelihood:
 
     def test_gradient_against_central_differences(self, rng):
         """Analytic log-space gradient vs central differences on 60 problems."""
-        h = 1e-5
         worst = 0.0
         for _ in range(60):
             params = random_params(rng)
@@ -195,24 +230,29 @@ class TestMarginalLikelihood:
             d = int(rng.integers(1, 4))
             X = rng.normal(size=(m, d))
             y = rng.normal(size=m)
-            _, grad = log_marginal_likelihood(params, X, y)
-            z = params.to_log()
-            fd = np.empty(4)
-            for i in range(4):
-                zp, zm = z.copy(), z.copy()
-                zp[i] += h
-                zm[i] -= h
-                up, _ = log_marginal_likelihood(KernelParams.from_log(zp), X, y)
-                dn, _ = log_marginal_likelihood(KernelParams.from_log(zm), X, y)
-                fd[i] = (up - dn) / (2.0 * h)
-            rel = np.abs(grad - fd).max() / max(1.0, np.abs(fd).max())
-            worst = max(worst, rel)
+            worst = max(worst, central_difference_error(params, X, y))
         assert worst < 1e-4
 
     def test_shape_validation(self):
         params = KernelParams(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             log_marginal_likelihood(params, np.zeros((3, 2)), np.zeros(4))
+
+    def test_m300_with_near_duplicate_rows(self, rng):
+        """Value vs slogdet and gradient vs central differences at m=300.
+
+        Rows are offset far from the origin and 60 of them nearly repeat
+        others, where |a|^2 + |b|^2 - 2 a.b loses most of its digits.
+        """
+        X = rng.normal(size=(300, 4)) * 3.0 + 5.0
+        X[240:] = X[:60] + rng.normal(size=(60, 4)) * 1e-7
+        y = np.sin(X[:, 0]) + 0.1 * X[:, 1] + rng.normal(size=300) * 0.1
+        y -= y.mean()
+        for _ in range(4):
+            params = random_params(rng)
+            value, _ = log_marginal_likelihood(params, X, y)
+            assert value == pytest.approx(dense_lml(params, X, y), rel=1e-9, abs=1e-9)
+            assert central_difference_error(params, X, y) < 1e-4
 
 
 class TestFitGP:
@@ -256,6 +296,34 @@ class TestFitGP:
         model = fit_gp(X, y, KernelParams(1e-6, 1.0, 1.0, 1e-4), max_iters=0)
         pred = gp_predict_mean_batch(model, X)
         assert float(np.abs(pred - y).max()) < 5e-3
+
+    def test_climbs_jitter_ladder(self, rng):
+        # Exactly repeated rows and a negligible noise floor: the covariance
+        # is singular at jitter 0, so the fit must step up the ladder.
+        X = np.repeat(rng.normal(size=(20, 2)), 3, axis=0)
+        y = rng.normal(size=60)
+        params = KernelParams(1.0, 1.0, 2.0, 1e-20)
+        model = fit_gp(X, y, params, max_iters=0)
+        assert model.jitter > 0.0
+        with pytest.raises(LeafFitError):
+            covariance_factor(params, model.training_inputs, 0.0)
+        yc = y - model.y_mean
+        Kn = dense_kernel(params, X, X) + (params.noise_variance + model.jitter) * np.eye(60)
+        assert np.linalg.norm(Kn @ model.alpha - yc) / np.linalg.norm(yc) < 1e-6
+        assert model.log_marginal == pytest.approx(
+            dense_lml(params, X, yc, model.jitter), rel=1e-6)
+
+    def test_records_optimizer_outcome(self, rng):
+        X = rng.normal(size=(30, 2))
+        y = np.sin(X[:, 0]) + rng.normal(size=30) * 0.1
+        init = KernelParams(1.0, 1.0, 1.0, 0.1)
+        model = fit_gp(X, y, init, max_iters=50)
+        assert model.n_evaluations >= model.n_iterations > 0
+        assert model.converged
+        capped = fit_gp(X, y, init, max_iters=1)
+        assert capped.n_iterations == 1 and not capped.converged
+        still = fit_gp(X, y, init, max_iters=0)
+        assert (still.n_iterations, still.n_evaluations, still.converged) == (0, 0, False)
 
     def test_improves_on_constant_for_smooth_target(self, rng):
         X = rng.uniform(-2, 2, size=(80, 1))
@@ -341,6 +409,68 @@ class TestGPPredict:
                        max_iters=0)
         with pytest.raises(ValueError):
             gp_predict(model, np.zeros(3))
+
+
+class TestCholeskyFactorLifecycle:
+    """Fitted and loaded models keep no factor; gp_predict builds one on demand."""
+
+    @staticmethod
+    def check_against_dense_solve(model, y_leaf, queries):
+        X = model.training_inputs
+        m = X.shape[0]
+        Kn = (dense_kernel(model.params, X, X)
+              + (model.params.noise_variance + model.jitter) * np.eye(m))
+        K_star = dense_kernel(model.params, queries, X)
+        mean_ref = K_star @ np.linalg.solve(Kn, y_leaf - y_leaf.mean()) + y_leaf.mean()
+        var_ref = (np.diag(dense_kernel(model.params, queries, queries))
+                   - np.einsum("ij,ji->i", K_star, np.linalg.solve(Kn, K_star.T)))
+        for q, mu, var in zip(queries, mean_ref, var_ref):
+            mean, variance = gp_predict(model, q)
+            assert mean == pytest.approx(mu, rel=1e-8, abs=1e-8)
+            assert variance == pytest.approx(max(var, 0.0), rel=1e-6, abs=1e-8)
+
+    def test_fitted_model_matches_dense_solve(self, rng):
+        X = rng.normal(size=(50, 3))
+        y = np.sin(X[:, 0]) + rng.normal(size=50) * 0.1
+        model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.0, 0.1), max_iters=10)
+        assert model.chol_factor is None
+        self.check_against_dense_solve(model, y, rng.normal(size=(15, 3)))
+        assert model.chol_factor is not None
+
+    def test_loaded_model_matches_dense_solve(self, rng, tmp_path):
+        X = rng.uniform(-2, 2, size=(240, 2))
+        y = np.sin(X[:, 0]) + 0.3 * X[:, 1] + rng.normal(size=240) * 0.1
+        fresh = fit_segmented(Dataset(X, y, ("a", "b")),
+                              FitConfig(leaf_size=60, leaf_method="gp", gp_max_iters=5))
+        path = str(tmp_path / "model.json")
+        save_model(fresh, path)
+        loaded = load_model(path)
+        gps = {sid: m for sid, m in loaded.leaf_models.items() if isinstance(m, GPModel)}
+        assert len(gps) >= 2
+        for sid, model in gps.items():
+            assert fresh.leaf_models[sid].chol_factor is None
+            assert model.chol_factor is None
+            leaf = next(lf for lf in cart.leaves_of(fresh.tree) if lf.segment_id == sid)
+            queries = rng.normal(size=(5, 2))
+            self.check_against_dense_solve(model, y[leaf.row_indices], queries)
+
+    def test_load_rejects_unfactorizable_covariance(self, rng, tmp_path):
+        X = rng.uniform(-2, 2, size=(240, 2))
+        y = np.sin(X[:, 0]) + rng.normal(size=240) * 0.1
+        model = fit_segmented(Dataset(X, y, ("a", "b")),
+                              FitConfig(leaf_size=60, leaf_method="gp", gp_max_iters=3))
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        leaf_doc = next(d for d in doc["leaf_models"].values() if d["type"] == "gp")
+        # A negative jitter larger than the whole diagonal: K + (noise + jitter) I
+        # is negative definite.
+        leaf_doc["jitter"] = -1e6
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(PersistenceError, match="not positive definite"):
+            load_model(path)
 
 
 class TestDegenerateEquivalence:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from treeseg.data import Dataset
+from treeseg.leaf_models import GPModel
 from treeseg.persistence import (SCHEMA_VERSION, PersistenceError,
                                  load_bundle, load_model, model_document,
                                  save_model)
@@ -62,6 +63,38 @@ def test_resave_is_byte_identical(rng, tmp_path):
     with open(p2, "rb") as fh:
         second = fh.read()
     assert first == second
+
+
+def test_gp_optimizer_record_round_trips(rng, tmp_path):
+    model = fitted_model(rng, "gp", gp_max_iters=5)
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    loaded = load_model(path)
+    gps = {sid: m for sid, m in model.leaf_models.items() if isinstance(m, GPModel)}
+    assert gps
+    for sid, fresh in gps.items():
+        back = loaded.leaf_models[sid]
+        assert fresh.n_evaluations >= fresh.n_iterations > 0
+        assert (back.n_iterations, back.n_evaluations, back.converged) == (
+            fresh.n_iterations, fresh.n_evaluations, fresh.converged)
+
+
+def test_gp_document_without_optimizer_record_loads(rng, tmp_path):
+    # Documents written before n_evaluations and converged were recorded.
+    model = fitted_model(rng, "gp", gp_max_iters=3)
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    gp_docs = [d for d in doc["leaf_models"].values() if d["type"] == "gp"]
+    assert gp_docs
+    for leaf_doc in gp_docs:
+        del leaf_doc["n_evaluations"], leaf_doc["converged"]
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    for leaf in load_model(path).leaf_models.values():
+        if isinstance(leaf, GPModel):
+            assert (leaf.n_evaluations, leaf.converged) == (0, False)
 
 
 def test_ingestion_recipe_rides_along(rng, tmp_path):
