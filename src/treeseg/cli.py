@@ -21,7 +21,8 @@ from . import cart, evaluation
 from .data import ColumnSpec, DataError, Dataset, ingest, load_csv, train_test_split
 from .outliers import anomaly_score_batch, fit_forest, removal_indices
 from .persistence import PersistenceError, load_bundle, save_model
-from .pipeline import FitConfig, OutlierConfig, PipelineError, fit_segmented, predict_batch
+from .pipeline import (FitConfig, OutlierConfig, PipelineError, fit_segmented,
+                       predict_batch, predict_with_segments)
 
 _DEFAULT_SWEEP = [10, 20, 40, 70, 100, 200, 400, 700, 1000, 2000]
 
@@ -236,8 +237,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
         print(f"note: {report.unseen_category_rows} rows carry category levels unseen "
               "at fit time (encoded as all-zero indicators)", file=sys.stderr)
 
-    predictions = predict_batch(model, features)
-    segment_ids = cart.assign_leaf_batch(model.tree, features)
+    predictions, segment_ids = predict_with_segments(model, features)
 
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

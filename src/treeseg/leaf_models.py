@@ -9,19 +9,27 @@ Fitting follows GPML (Rasmussen & Williams 2006, Alg. 5.1): the training
 Gram and squared distances are built once per leaf with BLAS, each
 likelihood evaluation factors K once, takes K^-1 from the factor with
 LAPACK potri and reads the whole gradient off W = alpha alpha^T - K^-1.
-The checks at the initial and the optimized parameters need only the
-value and alpha, so they skip the inverse.
+The model's value and alpha at the initial and the optimized parameters
+come from the evaluations L-BFGS already made; only a start point that
+was clipped into the bounds is solved again, by value only.
 
-A fitted model keeps alpha, not the Cholesky factor. Prediction paths avoid
-matrix-matrix BLAS calls on purpose: the cross-kernel and the reductions
-are written in elementwise/broadcast form so that predicting one record and
-predicting a batch produce bitwise-identical numbers regardless of batch
-size or chunking. Posterior means need only alpha and that cross-kernel;
-the factor is built (and cached) only when gp_predict asks for a variance.
+A fitted model keeps alpha, not the Cholesky factor. Prediction avoids BLAS
+matrix products on purpose: every step is elementwise or a reduction along
+one row, so predicting one record and predicting a batch give
+bitwise-identical numbers regardless of batch size or chunking. The linear
+term of the posterior mean folds into one d-vector, linear_variance X^T
+alpha, so a query pays O(d) for it. The RBF cross-kernel is built on inputs
+scaled by 1/lengthscale, one feature at a time on 2-D (rows x m) arrays,
+so a query costs O(m d) with no n x m x d temporary. Both per-model
+constants are derived from (params, training inputs, alpha) on the first
+prediction and cached, so a fitted and a loaded model predict the same
+bits. The factor is built (and cached) only when gp_predict asks for a
+variance.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -162,23 +170,43 @@ class KernelParams:
 _CHUNK = 256
 
 
-def _linear_cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise dot products, chunked broadcast form (batch-size invariant)."""
-    out = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-    for s in range(0, A.shape[0], _CHUNK):
-        blk = A[s:s + _CHUNK]
-        out[s:s + _CHUNK] = (blk[:, None, :] * B[None, :, :]).sum(axis=2)
+def _linear_cross(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
+    """Dot products of the rows of A with the columns of BT, feature by feature."""
+    out = np.zeros((A.shape[0], BT.shape[1]), dtype=np.float64)
+    term = np.empty_like(out)
+    for k in range(A.shape[1]):
+        np.multiply.outer(A[:, k], BT[k], out=term)
+        out += term
     return out
 
 
-def _sqdist_cross(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Pairwise squared distances, chunked broadcast form."""
-    out = np.empty((A.shape[0], B.shape[0]), dtype=np.float64)
-    for s in range(0, A.shape[0], _CHUNK):
-        blk = A[s:s + _CHUNK]
-        diff = blk[:, None, :] - B[None, :, :]
-        out[s:s + _CHUNK] = (diff * diff).sum(axis=2)
+def _sqdist_cross(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
+    """Squared distances between the rows of A and the columns of BT.
+
+    Accumulated one feature at a time on 2-D arrays, so each entry is the
+    same sum in the same order whatever other rows A holds.
+    """
+    out = np.zeros((A.shape[0], BT.shape[1]), dtype=np.float64)
+    diff = np.empty_like(out)
+    for k in range(A.shape[1]):
+        np.subtract.outer(A[:, k], BT[k], out=diff)
+        diff *= diff
+        out += diff
     return out
+
+
+def _scaled_columns(X: np.ndarray, params: KernelParams) -> np.ndarray:
+    """X / lengthscale, transposed to one contiguous row per feature."""
+    return np.ascontiguousarray((X / params.rbf_lengthscale).T)
+
+
+def _unit_rbf_cross(A: np.ndarray, scaled_BT: np.ndarray,
+                    params: KernelParams) -> np.ndarray:
+    """exp(-|a - b|^2 / (2 l^2)) for the rows of A against scaled columns."""
+    K = _sqdist_cross(A / params.rbf_lengthscale, scaled_BT)
+    K *= -0.5
+    np.exp(K, out=K)
+    return K
 
 
 def _rbf(sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
@@ -201,7 +229,10 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError("A and B must be 2-D with the same number of columns")
-    return _combine(_linear_cross(A, B), _sqdist_cross(A, B), params)
+    K = _unit_rbf_cross(A, _scaled_columns(B, params), params)
+    K *= params.rbf_variance
+    K += params.linear_variance * _linear_cross(A, B.T)
+    return K
 
 
 def _training_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -252,11 +283,12 @@ def _solve(K: np.ndarray, noise_variance: float, y: np.ndarray):
 
 
 def _lml_terms(params: KernelParams, gram: np.ndarray, sqdist: np.ndarray,
-               y: np.ndarray) -> tuple[float, np.ndarray]:
-    """Log marginal likelihood and its log-space gradient (GPML Alg. 5.1)."""
+               y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
+    """Log marginal likelihood, its log-space gradient (GPML Alg. 5.1), alpha
+    and the jitter the factorization needed."""
     K_rbf = _rbf(sqdist, params)
     K = params.linear_variance * gram + K_rbf  # the same bits as _combine
-    value, L, alpha, _ = _solve(K, params.noise_variance, y)
+    value, L, alpha, jitter = _solve(K, params.noise_variance, y)
     del K
 
     # K^-1 in place over the factor: L.T is the Fortran-ordered upper factor,
@@ -281,7 +313,7 @@ def _lml_terms(params: KernelParams, gram: np.ndarray, sqdist: np.ndarray,
         np.vdot(W, K_rbf * sqdist) / ell2,          # d/d log rbf_lengthscale
         params.noise_variance * (float(alpha @ alpha) - trace_kinv),
     ])
-    return value, grad
+    return value, grad, alpha, jitter
 
 
 def log_marginal_likelihood(params: KernelParams, X: np.ndarray,
@@ -297,7 +329,7 @@ def log_marginal_likelihood(params: KernelParams, X: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be 2-D and y 1-D with matching row counts")
-    return _lml_terms(params, *_training_parts(X), y)
+    return _lml_terms(params, *_training_parts(X), y)[:2]
 
 
 def covariance_factor(params: KernelParams, X: np.ndarray, jitter: float) -> np.ndarray:
@@ -325,6 +357,20 @@ class GPModel:
     # Lower-triangular L with L L^T = K + (noise + jitter) I. Only gp_predict
     # needs it; it builds and caches it on first use.
     chol_factor: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @functools.cached_property
+    def _mean_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """linear_variance X^T alpha, the training columns scaled by
+        1/lengthscale (d x m) and rbf_variance alpha.
+
+        Derived from the fields above on the first prediction and never
+        serialized. Built lazily rather than at construction: built between
+        one leaf's fit and the next, these long-lived arrays pinned the
+        allocator's heap and raised peak memory by about one m x m matrix.
+        """
+        X, alpha = self.training_inputs, self.alpha
+        return (self.params.linear_variance * (X * alpha[:, None]).sum(axis=0),
+                _scaled_columns(X, self.params), self.params.rbf_variance * alpha)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return gp_predict_mean_batch(self, X)
@@ -370,15 +416,23 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
         return value, alpha, jitter
 
     best = init
-    value, alpha, jitter = value_only(init)
     n_iterations = n_evaluations = 0
     converged = False
-    if max_iters > 0:
+    if max_iters == 0:
+        value, alpha, jitter = value_only(init)
+    else:
+        # (value, alpha, jitter) of every evaluation L-BFGS makes, keyed by
+        # the exact bytes of its point, so the initial and the returned
+        # parameters need no second solve.
+        seen: dict[bytes, tuple[float, np.ndarray, float]] = {}
+
         def objective(z: np.ndarray):
             try:
-                lml, grad = _lml_terms(KernelParams.from_log(z), gram, sqdist, yc)
+                lml, grad, alpha, jitter = _lml_terms(KernelParams.from_log(z),
+                                                      gram, sqdist, yc)
             except LeafFitError:
                 return 1e25, np.zeros(4)
+            seen[z.tobytes()] = (lml, alpha, jitter)
             return -lml, -grad
 
         bounds = [(_LOG_LOWER, _LOG_UPPER)] * 3 + [(_NOISE_LOG_LOWER, _LOG_UPPER)]
@@ -389,11 +443,17 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
         n_iterations = int(result.nit)
         n_evaluations = int(result.nfev)
         converged = bool(result.success)
+        # L-BFGS evaluates z0 first; it stands for init when exp(z0) gives
+        # back init's exact bits (not clipped, and the log round-trips).
+        start = seen.get(z0.tobytes()) if KernelParams.from_log(z0) == init else None
+        value, alpha, jitter = start if start is not None else value_only(init)
         candidate = KernelParams.from_log(result.x)
-        try:
-            trial = value_only(candidate)
-        except LeafFitError:
-            trial = None
+        trial = seen.get(result.x.tobytes())
+        if trial is None:
+            try:
+                trial = value_only(candidate)
+            except LeafFitError:
+                trial = None
         if trial is not None and trial[0] >= value:
             best = candidate
             value, alpha, jitter = trial
@@ -409,17 +469,22 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
 def gp_predict_mean_batch(model: GPModel, X: np.ndarray) -> np.ndarray:
     """Posterior mean for each query row: k(x, X_train) . alpha + y_mean.
 
-    Written as chunked elementwise reductions so the result for any given
-    row does not depend on how many other rows are in the batch.
+    The linear term is x . (linear_variance X^T alpha); the RBF term is
+    built feature by feature against the model's scaled training columns,
+    _CHUNK query rows at a time, and reduced along each row. No step mixes
+    rows, so the result for any given row does not depend on the batch it
+    came in.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.training_inputs.shape[1]:
         raise ValueError(f"expected a matrix with {model.training_inputs.shape[1]} columns")
-    out = np.empty(X.shape[0], dtype=np.float64)
+    linear_weights, rbf_columns, rbf_weights = model._mean_constants
+    out = (X * linear_weights).sum(axis=1)
     for s in range(0, X.shape[0], _CHUNK):
-        blk = X[s:s + _CHUNK]
-        K = kernel_matrix(model.params, blk, model.training_inputs)
-        out[s:s + _CHUNK] = (K * model.alpha).sum(axis=1) + model.y_mean
+        K = _unit_rbf_cross(X[s:s + _CHUNK], rbf_columns, model.params)
+        K *= rbf_weights
+        out[s:s + _CHUNK] += K.sum(axis=1)
+    out += model.y_mean
     return out
 
 

@@ -11,8 +11,9 @@ GP leaves store their kernel parameters, training inputs, alpha vector and
 jitter, not the Cholesky factor. Loading factorizes the stored covariance
 once, through the same training-Gram code as the fit, only to reject a
 document whose covariance is not positive definite, then discards the
-factor. Posterior means depend only on alpha and the broadcast
-cross-kernel, so round-tripped predictions are bit-identical without it;
+factor. Posterior means depend only on the kernel parameters, the training
+inputs and alpha (the model derives its mean-path constants from them on
+first use), so round-tripped predictions are bit-identical without it;
 `leaf_models.gp_predict` rebuilds the factor on demand for variances.
 """
 

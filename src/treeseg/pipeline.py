@@ -189,9 +189,12 @@ def _features_of(data) -> np.ndarray:
     return X
 
 
-def predict_batch(model: SegmentedModel, data) -> np.ndarray:
-    """Predictions for every row; grouped by segment, elementwise equal to
-    calling predict on each row (same reductions, batch-size invariant)."""
+def predict_with_segments(model: SegmentedModel, data) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and segment ids for every row, each row routed once.
+
+    Rows are grouped by segment; each prediction is elementwise equal to
+    calling predict on its row (same reductions, batch-size invariant).
+    """
     X = _features_of(data)
     if X.shape[1] != model.n_features:
         raise PipelineError(f"expected {model.n_features} feature columns, got {X.shape[1]}")
@@ -204,7 +207,12 @@ def predict_batch(model: SegmentedModel, data) -> np.ndarray:
         if scaler is not None:
             block = scaler.transform(block)
         out[sel] = model.leaf_models[int(segment_id)].predict(block)
-    return out
+    return out, ids
+
+
+def predict_batch(model: SegmentedModel, data) -> np.ndarray:
+    """Predictions for every row (see predict_with_segments)."""
+    return predict_with_segments(model, data)[0]
 
 
 def predict(model: SegmentedModel, x) -> float:

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from treeseg import cart
 from treeseg.cli import main
 from treeseg.data import ColumnSpec, load_csv
 from treeseg.persistence import load_model
@@ -152,6 +153,26 @@ class TestPredict:
         assert np.array_equal(got, expect)  # repr round-trip is exact
         # Input columns are echoed untouched.
         assert rows[1][:3] == [repr(float(v)) for v in queries[0]]
+
+    def test_rows_routed_once(self, data_csv, tmp_path, monkeypatch):
+        model_path = self.fit_once(data_csv, tmp_path)
+        calls = []
+        real = cart.assign_leaf_batch
+
+        def counting(tree, X):
+            calls.append(X.shape[0])
+            return real(tree, X)
+
+        monkeypatch.setattr(cart, "assign_leaf_batch", counting)
+        out_path = str(tmp_path / "scored.csv")
+        assert run(["predict", "--model", model_path,
+                    "--input", data_csv, "--output", out_path]) == 0
+        assert calls == [240]
+        with open(out_path, newline="", encoding="utf-8") as fh:
+            ids = [int(r[-1]) for r in list(csv.reader(fh))[1:]]
+        features = load_csv(data_csv, [ColumnSpec("a"), ColumnSpec("b"), ColumnSpec("c"),
+                                       ColumnSpec("y", kind="target")])[0].features
+        assert ids == real(load_model(model_path).tree, features).tolist()
 
     def test_input_with_target_column_accepted(self, data_csv, tmp_path):
         model_path = self.fit_once(data_csv, tmp_path)

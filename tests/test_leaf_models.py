@@ -11,7 +11,7 @@ import math
 import numpy as np
 import pytest
 
-from treeseg import cart
+from treeseg import cart, leaf_models
 from treeseg.data import Dataset
 from treeseg.leaf_models import (ConstantModel, GPModel, KernelParams,
                                  LeafFitError, LinearModel, covariance_factor,
@@ -325,6 +325,42 @@ class TestFitGP:
         still = fit_gp(X, y, init, max_iters=0)
         assert (still.n_iterations, still.n_evaluations, still.converged) == (0, 0, False)
 
+    @staticmethod
+    def count_factorizations(monkeypatch):
+        calls = []
+        real = leaf_models._factorize
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(leaf_models, "_factorize", counting)
+        return calls
+
+    def test_reuses_optimizer_evaluations(self, rng, monkeypatch):
+        # One factorization per L-BFGS evaluation: the initial and the
+        # returned parameters are read from the evaluations it already made.
+        calls = self.count_factorizations(monkeypatch)
+        X = rng.normal(size=(40, 2))
+        y = np.sin(X[:, 0]) + rng.normal(size=40) * 0.1
+        init = KernelParams(1.0, 1.0, 1.0, 0.25)
+        assert KernelParams.from_log(init.to_log()) == init
+        for max_iters in (1, 3, 50):
+            calls.clear()
+            model = fit_gp(X, y, init, max_iters=max_iters)
+            assert len(calls) == model.n_evaluations
+            base = naive_lml(init, X, y - y.mean())
+            assert model.log_marginal >= base - 1e-8 * (1.0 + abs(base))
+
+    def test_clipped_init_is_solved_again(self, rng, monkeypatch):
+        # A noise variance below the optimizer's bound is clipped, so the
+        # optimizer never evaluates init itself.
+        calls = self.count_factorizations(monkeypatch)
+        X = rng.normal(size=(30, 2))
+        y = np.sin(X[:, 0]) + rng.normal(size=30) * 0.1
+        model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.0, 1e-12), max_iters=5)
+        assert len(calls) == model.n_evaluations + 1
+
     def test_improves_on_constant_for_smooth_target(self, rng):
         X = rng.uniform(-2, 2, size=(80, 1))
         y = np.sin(2.0 * X[:, 0]) + rng.normal(size=80) * 0.05
@@ -409,6 +445,49 @@ class TestGPPredict:
                        max_iters=0)
         with pytest.raises(ValueError):
             gp_predict(model, np.zeros(3))
+
+
+class TestMeanPath:
+    """The posterior mean folds the linear kernel into one d-vector and builds
+    the RBF cross-kernel feature by feature; these pin it to the dense form
+    and to the bitwise contracts."""
+
+    @pytest.mark.parametrize("d", [1, 4, 8])
+    def test_matches_kernel_matrix_times_alpha(self, rng, d):
+        X = rng.normal(size=(60, d))
+        y = X.sum(axis=1) + np.sin(X[:, 0]) + rng.normal(size=60) * 0.1
+        model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.5, 0.1), max_iters=5)
+        queries = rng.normal(size=(2 * leaf_models._CHUNK + 37, d)) * 1.5
+        ref = kernel_matrix(model.params, queries, model.training_inputs) @ model.alpha
+        ref += model.y_mean
+        pred = gp_predict_mean_batch(model, queries)
+        assert pred == pytest.approx(ref, rel=1e-10, abs=1e-10 * np.abs(ref).max())
+
+    def test_single_row_equals_batch_bitwise_beyond_one_chunk(self, rng):
+        m = leaf_models._CHUNK + 44
+        X = rng.normal(size=(m, 4))
+        y = np.cos(X[:, 1]) + X[:, 2] + rng.normal(size=m) * 0.1
+        model = fit_gp(X, y, KernelParams(0.7, 1.3, 1.1, 0.05), max_iters=0)
+        queries = rng.normal(size=(leaf_models._CHUNK + 9, 4))
+        batch = gp_predict_mean_batch(model, queries)
+        ones = np.array([gp_predict_mean_batch(model, q[None, :])[0] for q in queries])
+        assert np.array_equal(batch, ones)
+
+    def test_loaded_model_predicts_the_same_bits(self, rng, tmp_path):
+        # Every GP leaf scores every query, in and out of its own segment.
+        X = rng.uniform(-2, 2, size=(240, 3))
+        y = np.sin(X[:, 0]) + 0.3 * X[:, 1] + rng.normal(size=240) * 0.1
+        fresh = fit_segmented(Dataset(X, y, ("a", "b", "c")),
+                              FitConfig(leaf_size=60, leaf_method="gp", gp_max_iters=5))
+        assert sum(isinstance(m, GPModel) for m in fresh.leaf_models.values()) >= 2
+        path = str(tmp_path / "model.json")
+        save_model(fresh, path)
+        loaded = load_model(path)
+        queries = rng.uniform(-2.5, 2.5, size=(300, 3))
+        for sid, model in fresh.leaf_models.items():
+            if isinstance(model, GPModel):
+                assert np.array_equal(gp_predict_mean_batch(model, queries),
+                                      gp_predict_mean_batch(loaded.leaf_models[sid], queries))
 
 
 class TestCholeskyFactorLifecycle:

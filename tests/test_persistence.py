@@ -63,6 +63,9 @@ def test_resave_is_byte_identical(rng, tmp_path):
     with open(p2, "rb") as fh:
         second = fh.read()
     assert first == second
+    # The GP mean-path constants are derived on first use, never stored.
+    for leaf_doc in json.loads(first)["leaf_models"].values():
+        assert not {"linear_weights", "rbf_columns", "rbf_weights"} & set(leaf_doc)
 
 
 def test_gp_optimizer_record_round_trips(rng, tmp_path):

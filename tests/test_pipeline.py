@@ -6,7 +6,8 @@ from treeseg.data import Dataset
 from treeseg.leaf_models import ConstantModel, GPModel, LinearModel, fit_ols
 from treeseg.pipeline import (FitConfig, OutlierConfig, PipelineError,
                               SegmentedModel, default_gp_init, fit_segmented,
-                              predict, predict_batch, with_leaf_size)
+                              predict, predict_batch, predict_with_segments,
+                              with_leaf_size)
 
 
 def make_dataset(X, y, names=None):
@@ -159,6 +160,14 @@ class TestPredict:
         whole = predict_batch(model, queries)
         shuffled = rng.permutation(97)
         assert np.array_equal(predict_batch(model, queries[shuffled]), whole[shuffled])
+
+    def test_segments_come_with_predictions(self, rng):
+        train = piecewise_linear(rng, n=300)
+        model = fit_segmented(train, FitConfig(leaf_size=60, leaf_method="linear"))
+        queries = rng.uniform(-2, 2, size=(97, 2))
+        preds, ids = predict_with_segments(model, queries)
+        assert np.array_equal(preds, predict_batch(model, queries))
+        assert np.array_equal(ids, cart.assign_leaf_batch(model.tree, queries))
 
     def test_accepts_dataset_or_matrix(self, rng):
         train = piecewise_linear(rng, n=200)
