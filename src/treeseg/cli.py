@@ -39,7 +39,6 @@ class RunConfig:
     sweep_sizes: list[int] = field(default_factory=lambda: list(_DEFAULT_SWEEP))
     out_dir: str = "runs"
     dataset_tag: str = "dataset"
-    threads: int = 1
 
     def to_doc(self) -> dict:
         return {
@@ -67,7 +66,6 @@ class RunConfig:
             },
             "sweep": {"leaf_sizes": self.sweep_sizes},
             "out_dir": self.out_dir,
-            "threads": self.threads,
         }
 
 
@@ -136,8 +134,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         sweep_sizes=[int(v) for v in pick(getattr(args, "leaf_sizes", None),
                                           sweep_doc.get("leaf_sizes"), _DEFAULT_SWEEP)],
         out_dir=str(pick(getattr(args, "out_dir", None), doc.get("out_dir"), "runs")),
-        dataset_tag=str(pick(getattr(args, "tag", None), data_doc.get("tag"), tag_default)),
-        threads=int(pick(getattr(args, "threads", None), doc.get("threads"), 1)))
+        dataset_tag=str(pick(getattr(args, "tag", None), data_doc.get("tag"), tag_default)))
 
 
 def _infer_columns(path: str) -> list[ColumnSpec]:
@@ -217,18 +214,12 @@ def cmd_predict(args: argparse.Namespace) -> int:
         # Fall back to the model's feature names, all numeric.
         recipe = {"columns": [{"name": n} for n in model.feature_names], "levels": {}}
 
-    with open(args.input, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise DataError(f"empty file: {args.input}") from None
-        raw_rows = [row for row in reader if row and not (len(row) == 1 and row[0].strip() == "")]
-
     specs = _columns_from_doc(recipe["columns"])
-    specs = [s for s in specs if s.kind != "target" or s.name in header]
     levels = {name: tuple(lv) for name, lv in recipe.get("levels", {}).items()}
-    features, _, _, report = ingest(args.input, specs, levels=levels, require_target=False)
+    # One pass over the file: the rows echoed to the output are the raw
+    # cells of the rows ingest parsed, so the two cannot disagree.
+    features, _, _, report = ingest(args.input, specs, levels=levels,
+                                    require_target=False, keep_rows=True)
     if report.rows_dropped:
         raise DataError(
             f"{args.input}: {report.rows_dropped} rows have missing or unparseable "
@@ -241,10 +232,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(header + ["prediction", "segment_id"])
-        for row, pred, seg in zip(raw_rows, predictions, segment_ids):
+        writer.writerow(report.header + ["prediction", "segment_id"])
+        for row, pred, seg in zip(report.rows, predictions, segment_ids):
             writer.writerow(row + [repr(float(pred)), int(seg)])
-    print(f"{len(raw_rows)} predictions written to {args.output}")
+    print(f"{len(report.rows)} predictions written to {args.output}")
     return 0
 
 
@@ -330,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--contamination", type=float,
                        help="fraction of training rows to remove (default 0.05)")
         p.add_argument("--n-trees", type=int, help="isolation forest size (default 100)")
-        p.add_argument("--threads", type=int,
-                       help="cap on worker threads (this build computes serially)")
         if sweep:
             p.add_argument("--leaf-sizes", type=int, nargs="+",
                            help="leaf sizes to sweep (default 10..2000 grid)")
@@ -367,10 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    threads = getattr(args, "threads", None)
-    if threads is not None and threads < 1:
-        print("error: --threads must be >= 1", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except (DataError, PipelineError, PersistenceError, cart.CartError) as exc:

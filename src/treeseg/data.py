@@ -113,6 +113,8 @@ class IngestionReport:
     encodings: dict[str, tuple[str, ...]] = field(default_factory=dict)
     n_rows: int = 0
     n_features: int = 0
+    header: list[str] = field(default_factory=list)  # column names, stripped
+    rows: list[list[str]] | None = None  # raw cells of the kept rows (keep_rows)
 
     def to_text(self) -> str:
         lines = [
@@ -137,8 +139,14 @@ def _parse_float(cell: str) -> float | None:
     return v if math.isfinite(v) else None
 
 
-def _read_rows(path: str, specs: list[ColumnSpec]):
-    """Parse the CSV, returning raw per-spec cell values with bad rows dropped."""
+def _read_rows(path: str, specs: list[ColumnSpec], require_target: bool, keep_rows: bool):
+    """Parse the CSV in one pass: the specs in use, the per-spec cell values
+    of the kept rows, and a report of the header, the counts and (with
+    keep_rows) the raw cells of the kept rows.
+
+    Without require_target, a target spec whose column the file lacks is
+    dropped rather than reported missing.
+    """
     import csv
 
     if not os.path.exists(path):
@@ -146,28 +154,29 @@ def _read_rows(path: str, specs: list[ColumnSpec]):
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise DataError("duplicate column names in specs")
+    report = IngestionReport(path=path, rows=[] if keep_rows else None)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
-        header = [h.strip() for h in header]
+        header = report.header = [h.strip() for h in header]
+        if not require_target:
+            specs = [s for s in specs if s.kind != "target" or s.name in header]
         col_idx = {}
         for spec in specs:
             if spec.name not in header:
                 raise DataError(f"column {spec.name!r} not found in header of {path}")
             col_idx[spec.name] = header.index(spec.name)
         rows = []
-        rows_read = 0
-        rows_dropped = 0
         max_idx = max(col_idx.values())
         for raw in reader:
             if not raw or (len(raw) == 1 and raw[0].strip() == ""):
                 continue
-            rows_read += 1
+            report.rows_read += 1
             if len(raw) <= max_idx:
-                rows_dropped += 1
+                report.rows_dropped += 1
                 continue
             values = []
             ok = True
@@ -186,9 +195,11 @@ def _read_rows(path: str, specs: list[ColumnSpec]):
                     values.append(v)
             if ok:
                 rows.append(values)
+                if keep_rows:
+                    report.rows.append(raw)
             else:
-                rows_dropped += 1
-    return rows, rows_read, rows_dropped
+                report.rows_dropped += 1
+    return specs, rows, report
 
 
 def _apply_transform(spec: ColumnSpec, col: np.ndarray) -> np.ndarray:
@@ -200,14 +211,18 @@ def _apply_transform(spec: ColumnSpec, col: np.ndarray) -> np.ndarray:
 
 
 def ingest(path: str, specs: list[ColumnSpec], levels: dict[str, tuple[str, ...]] | None = None,
-           require_target: bool = True):
+           require_target: bool = True, keep_rows: bool = False):
     """Core CSV ingestion shared by training and scoring paths.
 
     Returns ``(features, response, feature_names, report)``. ``response`` is
-    None when no target spec is given (scoring inputs). When ``levels`` is
-    provided, categorical columns are encoded against those known levels and
-    rows showing unseen levels get an all-zero indicator block (counted in
-    the report); otherwise levels are discovered from the file and sorted.
+    None when no target column is read (scoring inputs); without
+    ``require_target`` a target spec whose column the file lacks is ignored.
+    When ``levels`` is provided, categorical columns are encoded against
+    those known levels and rows showing unseen levels get an all-zero
+    indicator block (counted in the report); otherwise levels are discovered
+    from the file and sorted. With ``keep_rows`` the report also carries the
+    raw cells of every kept row, aligned with the feature rows, from the same
+    single pass over the file.
     """
     specs = list(specs)
     targets = [s for s in specs if s.kind == "target"]
@@ -216,8 +231,8 @@ def ingest(path: str, specs: list[ColumnSpec], levels: dict[str, tuple[str, ...]
     if not require_target and len(targets) > 1:
         raise DataError(f"at most one target column allowed, got {len(targets)}")
 
-    rows, rows_read, rows_dropped = _read_rows(path, specs)
-    report = IngestionReport(path=path, rows_read=rows_read, rows_dropped=rows_dropped)
+    specs, rows, report = _read_rows(path, specs, require_target, keep_rows)
+    targets = [s for s in specs if s.kind == "target"]
 
     n = len(rows)
     columns = {spec.name: [r[i] for r in rows] for i, spec in enumerate(specs)}

@@ -24,7 +24,10 @@ so a query costs O(m d) with no n x m x d temporary. Both per-model
 constants are derived from (params, training inputs, alpha) on the first
 prediction and cached, so a fitted and a loaded model predict the same
 bits. The factor is built (and cached) only when gp_predict asks for a
-variance.
+variance. Loading a model does not build it either: check_covariance
+certifies in O(m d), from a bound on the rounding in how K is formed,
+that the factorization would succeed, and factorizes only when the bound
+cannot tell.
 """
 
 from __future__ import annotations
@@ -341,6 +344,78 @@ def covariance_factor(params: KernelParams, X: np.ndarray, jitter: float) -> np.
     """
     K = _combine(*_training_parts(X), params)
     return _factorize(K, params.noise_variance, ladder=(jitter,))[0]
+
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+_CERTIFICATE_SAFETY = 10.0
+# Below this shift the rounding model (relative error u per operation) no
+# longer covers the matrix entries: subnormal results lose relative accuracy.
+_CERTIFICATE_MIN_SHIFT = float(np.finfo(np.float64).tiny) / _UNIT_ROUNDOFF
+
+
+def check_covariance(params: KernelParams, X: np.ndarray, jitter: float) -> None:
+    """Raise LeafFitError exactly when covariance_factor(params, X, jitter) would.
+
+    Tries an O(m d) certificate that the Cholesky factorization in
+    covariance_factor succeeds, and runs that factorization only when the
+    certificate cannot vouch for it. The certificate is sufficient, not
+    necessary, so the answer is always the factorization's own.
+
+    Derivation. Let u = 2^-53, s = noise + jitter, r^2 the largest squared
+    row norm of X, l the lengthscale, and A = K(X, X) + s I in exact
+    arithmetic. The linear and RBF kernels are positive semi-definite for
+    any X, so lambda_min(A) >= s. The matrix potrf actually sees is A + E,
+    where E is the rounding in how _training_parts, _rbf, _combine and
+    _factorize form it. To first order, and for any summation order:
+      - gram entries are off by at most d u r^2, and the squared distances
+        |a|^2 + |b|^2 - 2 a.b by at most (4d + 6) u r^2 (the clamp at zero
+        only moves them closer to the true value, which is >= 0);
+      - exp(-t) is 1-Lipschitz on t >= 0, so the RBF entries are off by at
+        most rbf_variance ((2d + 3) u r^2/l^2 + 12 u), counting the scaling
+        by -1/(2 l^2), an exp accurate to 4 ulp and the final products;
+      - the linear entries by linear_variance (d + 2) u r^2, their sum with
+        the RBF entries by u (linear_variance r^2 + rbf_variance);
+      - the diagonal shift (K_ii + noise) + jitter by 2 u diag, with
+        diag = linear_variance r^2 + rbf_variance + noise + |jitter|.
+    With every constant rounded up by a factor of at least 2, which also
+    covers the second-order terms and the rounding of r^2 itself, each
+    entry of E is at most
+        eps = 4u [(d + 4)(linear_variance r^2 + rbf_variance r^2/l^2)
+                  + 7 rbf_variance],
+    plus tau = 4 u diag on the diagonal. Gershgorin bounds |E|_2 by
+    m eps + tau, so by Weyl's inequality lambda_min(A + E) >= lam =
+    s - m eps - tau, and no diagonal entry of A + E exceeds
+    diag + eps + tau. Higham, Accuracy and Stability of Numerical
+    Algorithms (2nd ed.), Thm 10.7: Cholesky of a symmetric floating-point
+    matrix M runs to completion when lambda_min(D^-1 M D^-1) >
+    m g / (1 - m g), g = gamma_{m+1} = (m+1) u / (1 - (m+1) u), D^2 the
+    diagonal of M; lambda_min(D^-1 M D^-1) >= lambda_min(M) / max_i M_ii.
+    The test asks for a margin of _CERTIFICATE_SAFETY over that threshold,
+    which covers LAPACK's blocked potrf (its bounds have the same form with
+    other small constants) and the rounding of the test itself. A shift s
+    that is not positive, overflow, NaN or an underflowing shift all fail
+    the test and fall back to the factorization.
+
+    The bound holds only for K formed as it is today. Revisit it whenever
+    _training_parts, _rbf, _combine or _factorize change how K is built.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    m, d = X.shape
+    u = _UNIT_ROUNDOFF
+    r2 = float(np.einsum("ij,ij->i", X, X).max(initial=0.0))
+    ell2 = params.rbf_lengthscale * params.rbf_lengthscale
+    scaled_r2 = r2 / ell2 if ell2 > 0.0 else math.inf
+    lin, rbf = params.linear_variance, params.rbf_variance
+    s = params.noise_variance + jitter
+    diag = lin * r2 + rbf + params.noise_variance + abs(jitter)
+    eps = 4.0 * u * ((d + 4) * (lin * r2 + rbf * scaled_r2) + 7.0 * rbf)
+    tau = 4.0 * u * diag
+    lam = s - m * eps - tau
+    mg = m * (m + 1) * u / (1.0 - (m + 1) * u)
+    if (s >= _CERTIFICATE_MIN_SHIFT and mg < 1.0
+            and lam > _CERTIFICATE_SAFETY * mg / (1.0 - mg) * (diag + eps + tau)):
+        return
+    covariance_factor(params, X, jitter)
 
 
 @dataclass

@@ -8,13 +8,17 @@ byte-identical files. Loading re-checks structural invariants and rejects
 documents written by a newer schema.
 
 GP leaves store their kernel parameters, training inputs, alpha vector and
-jitter, not the Cholesky factor. Loading factorizes the stored covariance
-once, through the same training-Gram code as the fit, only to reject a
-document whose covariance is not positive definite, then discards the
-factor. Posterior means depend only on the kernel parameters, the training
-inputs and alpha (the model derives its mean-path constants from them on
-first use), so round-tripped predictions are bit-identical without it;
-`leaf_models.gp_predict` rebuilds the factor on demand for variances.
+jitter, not the Cholesky factor. Loading rejects a document whose
+covariance would not factorize at the stored jitter through
+`leaf_models.check_covariance`: an O(m d) rounding-error certificate that
+builds no m x m matrix, with the factorization itself as the fallback when
+the certificate cannot decide. It also checks that the fit report covers
+every segment, that n_train_rows equals the rows the tree's leaves hold,
+and that GP training inputs and alpha are finite. Posterior means depend
+only on the kernel parameters, the training inputs and alpha (the model
+derives its mean-path constants from them on first use), so round-tripped
+predictions are bit-identical without the factor; `leaf_models.gp_predict`
+rebuilds it on demand for variances.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ import numpy as np
 from . import cart
 from .data import Scaler
 from .leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
-                          LinearModel, covariance_factor)
+                          LinearModel, check_covariance)
 from .pipeline import FitConfig, LeafFitStatus, OutlierConfig, SegmentedModel
 
 SCHEMA_VERSION = 1
@@ -121,9 +125,11 @@ def _leaf_model_from_doc(doc: dict, n_features: int):
             raise PersistenceError("gp training inputs do not match the feature count")
         if alpha.shape != (X.shape[0],):
             raise PersistenceError("gp alpha length does not match its training inputs")
+        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(alpha))):
+            raise PersistenceError("gp training inputs or alpha are not finite")
         jitter = float(doc["jitter"])
         try:
-            covariance_factor(params, X, jitter)  # validation only; not kept
+            check_covariance(params, X, jitter)
         except LeafFitError as exc:
             raise PersistenceError("stored gp covariance is not positive definite") from exc
         X.setflags(write=False)
@@ -229,6 +235,13 @@ def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
         raise PersistenceError(f"{path}: leaf models do not cover every segment")
     if set(scalers) != expected:
         raise PersistenceError(f"{path}: scalers do not cover every segment")
+    if set(report) != expected:
+        raise PersistenceError(f"{path}: fit report does not cover every segment")
+    n_leaf_rows = sum(leaf.count for leaf in cart.leaves_of(tree))
+    if n_train_rows != n_leaf_rows:
+        raise PersistenceError(
+            f"{path}: n_train_rows is {n_train_rows} but the tree's leaves hold "
+            f"{n_leaf_rows} rows")
     model = SegmentedModel(tree=tree, leaf_models=leaf_models, scalers=scalers,
                            config=config, fit_report=report,
                            n_train_rows=n_train_rows, n_removed_outliers=n_removed)

@@ -108,10 +108,17 @@ class TestFit:
                     "--out-dir", str(tmp_path / "run7")])
         assert code == 2
 
-    def test_threads_flag_validated(self, data_csv, tmp_path):
-        code = run(["fit", "--data", data_csv, "--threads", "0",
-                    "--out-dir", str(tmp_path / "run8")])
-        assert code == 2
+    def test_config_with_threads_key_still_runs(self, data_csv, tmp_path):
+        # Config files written when a "threads" setting existed keep working;
+        # the key is ignored like any other unknown key.
+        config_path = str(tmp_path / "old.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"path": data_csv}, "fit": {"leaf_size": 40},
+                       "threads": 4}, fh)
+        out = str(tmp_path / "run8")
+        assert run(["fit", "--config", config_path, "--out-dir", out]) == 0
+        with open(os.path.join(out, "resolved_config.json"), encoding="utf-8") as fh:
+            assert "threads" not in json.load(fh)
 
     def test_outlier_flags(self, data_csv, tmp_path):
         out = str(tmp_path / "run9")
@@ -173,6 +180,54 @@ class TestPredict:
         features = load_csv(data_csv, [ColumnSpec("a"), ColumnSpec("b"), ColumnSpec("c"),
                                        ColumnSpec("y", kind="target")])[0].features
         assert ids == real(load_model(model_path).tree, features).tolist()
+
+    def test_rows_echoed_in_step_with_features(self, tmp_path):
+        # Blank lines, a quoted field holding a comma and a level unseen at
+        # fit time: every non-blank input row comes back, in order, followed
+        # by the prediction and segment of its own features.
+        data_path = str(tmp_path / "cat.csv")
+        with open(data_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["size", "x", "y"])
+            for i in range(120):
+                writer.writerow([("small", "large")[i % 2], repr(i / 60.0),
+                                 repr(3.0 * (i % 2) + i / 40.0)])
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"path": data_path, "columns": [
+                {"name": "size", "kind": "categorical"}, {"name": "x"},
+                {"name": "y", "kind": "target"}]},
+                "fit": {"leaf_size": 30, "leaf_method": "linear"}}, fh)
+        out = str(tmp_path / "fit")
+        assert run(["fit", "--config", config_path, "--out-dir", out]) == 0
+        model_path = os.path.join(out, "model.json")
+
+        in_path = str(tmp_path / "score.csv")
+        with open(in_path, "w", newline="", encoding="utf-8") as fh:
+            fh.write('size,note,x\r\nsmall,"left, edge",0.25\r\n\r\n'
+                     'large,plain,1.5\r\nmedium,"new, level",0.75\r\n   \r\n'
+                     'large,,1.875\r\n')
+        out_path = str(tmp_path / "scored.csv")
+        assert run(["predict", "--model", model_path,
+                    "--input", in_path, "--output", out_path]) == 0
+
+        with open(in_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        header, rows = rows[0], [r for r in rows[1:] if r and r[0].strip()]
+        assert [r[1] for r in rows] == ["left, edge", "plain", "new, level", ""]
+        levels = {"large": [1.0, 0.0], "small": [0.0, 1.0], "medium": [0.0, 0.0]}
+        features = np.array([levels[r[0]] + [float(r[2])] for r in rows])
+        model = load_model(model_path)
+        predictions = predict_batch(model, features)
+        segments = cart.assign_leaf_batch(model.tree, features)
+        expect_path = str(tmp_path / "expected.csv")
+        with open(expect_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header + ["prediction", "segment_id"])
+            for row, pred, seg in zip(rows, predictions, segments):
+                writer.writerow(row + [repr(float(pred)), int(seg)])
+        with open(out_path, "rb") as got, open(expect_path, "rb") as want:
+            assert got.read() == want.read()
 
     def test_input_with_target_column_accepted(self, data_csv, tmp_path):
         model_path = self.fit_once(data_csv, tmp_path)

@@ -122,6 +122,20 @@ class TestIngestion:
         with pytest.raises(DataError, match="target"):
             ingest(path, [ColumnSpec("x")], require_target=True)
 
+    def test_kept_raw_rows_align_with_features(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_text(path, 'x,note,y\n1,"a, b",2\n\nbad,c,3\n4,,5\n')
+        specs = [ColumnSpec("x"), ColumnSpec("y", kind="target")]
+        feats, resp, _, report = ingest(path, specs, require_target=False, keep_rows=True)
+        assert report.header == ["x", "note", "y"]
+        assert report.rows == [["1", "a, b", "2"], ["4", "", "5"]]
+        assert feats.ravel().tolist() == [1.0, 4.0] and resp.tolist() == [2.0, 5.0]
+        assert report.rows_dropped == 1
+        # Without the target column a scoring input still ingests.
+        write_text(path, "x\n1\n")
+        feats, resp, _, report = ingest(path, specs, require_target=False)
+        assert resp is None and feats.tolist() == [[1.0]] and report.rows is None
+
     def test_write_read_round_trip_bit_exact(self, tmp_path, rng):
         X = rng.normal(size=(50, 3)) * 1e3
         y = rng.normal(size=50) / 7.0

@@ -14,9 +14,9 @@ import pytest
 from treeseg import cart, leaf_models
 from treeseg.data import Dataset
 from treeseg.leaf_models import (ConstantModel, GPModel, KernelParams,
-                                 LeafFitError, LinearModel, covariance_factor,
-                                 fit_constant, fit_gp, fit_ols, gp_predict,
-                                 gp_predict_mean_batch, kernel_matrix,
+                                 LeafFitError, LinearModel, check_covariance,
+                                 covariance_factor, fit_constant, fit_gp, fit_ols,
+                                 gp_predict, gp_predict_mean_batch, kernel_matrix,
                                  log_marginal_likelihood)
 from treeseg.persistence import PersistenceError, load_model, save_model
 from treeseg.pipeline import FitConfig, fit_segmented
@@ -550,6 +550,89 @@ class TestCholeskyFactorLifecycle:
             json.dump(doc, fh)
         with pytest.raises(PersistenceError, match="not positive definite"):
             load_model(path)
+
+
+def count_factorizations(monkeypatch) -> list:
+    """Patch leaf_models._factorize to record one entry per call."""
+    calls = []
+    real = leaf_models._factorize
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(leaf_models, "_factorize", counting)
+    return calls
+
+
+class TestCovarianceCertificate:
+    """check_covariance answers as covariance_factor does: it certifies
+    without factorizing when a rounding-error bound allows, and factorizes
+    otherwise."""
+
+    def test_certificate_is_sound_on_near_singular_cases(self, monkeypatch):
+        calls = count_factorizations(monkeypatch)
+        rng = np.random.default_rng(5)
+        certified = fallback = failed = 0
+        for _ in range(400):
+            m, d = int(rng.integers(2, 121)), int(rng.integers(1, 9))
+            # Few distinct rows, half of them nudged by 1e-16 to 1e-6 of their
+            # scale: K is near singular.
+            base = rng.normal(size=(max(1, m // int(rng.integers(1, 6))), d))
+            X = base[rng.integers(0, base.shape[0], size=m)] * 10 ** rng.uniform(-3, 3)
+            if rng.random() < 0.5:
+                X = X + rng.normal(size=X.shape) * 10 ** rng.uniform(-16, -6) * np.abs(X).max()
+            params = KernelParams(10 ** rng.uniform(-6, 4), 10 ** rng.uniform(-6, 4),
+                                  10 ** rng.uniform(-2, 2), 10 ** rng.uniform(-22, 2))
+            jitter = float(rng.choice(leaf_models._JITTER_LADDER))
+            del calls[:]
+            try:
+                check_covariance(params, X, jitter)
+                accepted = True
+            except LeafFitError:
+                accepted = False
+            if not calls:
+                certified += 1
+                covariance_factor(params, X, jitter)  # must not raise
+                assert accepted
+            else:
+                fallback += 1
+                failed += not accepted
+                assert calls == [m]
+        assert certified >= 100 and fallback >= 50 and failed >= 10
+
+    def test_load_of_a_fitted_gp_model_does_not_factorize(self, rng, tmp_path, monkeypatch):
+        X = rng.uniform(-2, 2, size=(240, 2))
+        y = np.sin(X[:, 0]) + 0.3 * X[:, 1] + rng.normal(size=240) * 0.1
+        fresh = fit_segmented(Dataset(X, y, ("a", "b")),
+                              FitConfig(leaf_size=60, leaf_method="gp", gp_max_iters=5))
+        assert sum(isinstance(m, GPModel) for m in fresh.leaf_models.values()) >= 2
+        path = str(tmp_path / "model.json")
+        save_model(fresh, path)
+        calls = count_factorizations(monkeypatch)
+        load_model(path)
+        assert calls == []
+
+    def test_uncertified_document_loads_through_the_factorization(self, rng, tmp_path,
+                                                                  monkeypatch):
+        # A noise floor of 1e-12 is below the certificate's rounding budget,
+        # yet K + noise I still factorizes: load falls back and succeeds.
+        X = rng.uniform(-2, 2, size=(240, 2))
+        y = np.sin(X[:, 0]) + 0.3 * X[:, 1] + rng.normal(size=240) * 0.1
+        fresh = fit_segmented(Dataset(X, y, ("a", "b")),
+                              FitConfig(leaf_size=60, leaf_method="gp", gp_max_iters=0,
+                                        gp_init={"noise_variance": 1e-12}))
+        gps = {sid: m for sid, m in fresh.leaf_models.items() if isinstance(m, GPModel)}
+        assert len(gps) >= 2
+        path = str(tmp_path / "model.json")
+        save_model(fresh, path)
+        calls = count_factorizations(monkeypatch)
+        loaded = load_model(path)
+        assert sorted(calls) == sorted(m.training_inputs.shape[0] for m in gps.values())
+        queries = rng.uniform(-2.5, 2.5, size=(300, 2))
+        for sid, model in gps.items():
+            assert np.array_equal(gp_predict_mean_batch(model, queries),
+                                  gp_predict_mean_batch(loaded.leaf_models[sid], queries))
 
 
 class TestDegenerateEquivalence:

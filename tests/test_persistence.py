@@ -171,6 +171,61 @@ def test_missing_leaf_model_rejected(rng, tmp_path):
         load_model(path)
 
 
+def rewrite(path, edit):
+    """Apply edit to the stored document in place."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    edit(doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+
+
+def test_missing_fit_report_entry_rejected(rng, tmp_path):
+    model = fitted_model(rng, "linear")
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    rewrite(path, lambda doc: doc["fit_report"].pop(next(iter(doc["fit_report"]))))
+    with pytest.raises(PersistenceError, match="fit report does not cover every segment"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_train_row_count_must_match_leaf_counts(rng, tmp_path, delta):
+    model = fitted_model(rng, "constant")
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+
+    def edit(doc):
+        doc["n_train_rows"] += delta
+
+    rewrite(path, edit)
+    with pytest.raises(PersistenceError, match="n_train_rows"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("training_inputs", float("nan")),
+    ("training_inputs", float("inf")),
+    ("alpha", float("nan")),
+    ("alpha", float("-inf")),
+])
+def test_non_finite_gp_arrays_rejected(rng, tmp_path, field, value):
+    model = fitted_model(rng, "gp", gp_max_iters=3)
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+
+    def edit(doc):
+        leaf_doc = next(d for d in doc["leaf_models"].values() if d["type"] == "gp")
+        if field == "alpha":
+            leaf_doc["alpha"][0] = value
+        else:
+            leaf_doc["training_inputs"][0][0] = value
+
+    rewrite(path, edit)
+    with pytest.raises(PersistenceError, match="not finite"):
+        load_model(path)
+
+
 def test_tampered_gp_matrix_rejected(rng, tmp_path):
     model = fitted_model(rng, "gp", gp_max_iters=3)
     path = str(tmp_path / "model.json")
