@@ -7,9 +7,8 @@ each segment; prediction routes each record to its segment's model. An
 isolation forest can drop outliers from the training set first.
 """
 
-from .cart import (CartError, RegressionTree, SplitRule, assign_leaf,
-                   assign_leaf_batch, best_split, build_tree, leaves_of,
-                   predict_mean, predict_mean_batch, segment_profile,
+from .cart import (CartError, RegressionTree, SplitRule, assign_leaf_batch,
+                   best_split, build_tree, predict_mean_batch, segment_profile,
                    tree_from_dict, tree_to_dict)
 from .data import (ColumnSpec, DataError, Dataset, IngestionReport, Scaler,
                    SplitPair, ingest, load_csv, train_test_split, write_csv)
@@ -21,7 +20,7 @@ from .leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
                           LinearModel, fit_constant, fit_gp, fit_ols,
                           gp_predict, kernel_matrix, log_marginal_likelihood)
 from .outliers import (IsolationForest, IsolationTree, anomaly_score,
-                       anomaly_score_batch, filter_outliers, fit_forest)
+                       anomaly_score_batch, fit_forest)
 from .persistence import PersistenceError, load_model, save_model
 from .pipeline import (FitConfig, LeafFitStatus, OutlierConfig, PipelineError,
                        SegmentedModel, fit_segmented, predict, predict_batch)

@@ -6,12 +6,19 @@ sum of squared deviations of the response. The minimum-child-size constraint
 children would keep at least `leaf_size` rows and the best gain is positive.
 
 Split selection must be exactly reproducible, ties included, so the scan
-runs in three stages: a vectorized float64 prefix-sum pass over every
-(feature, midpoint) candidate, an extended-precision re-check of candidates
-within a small band of the best gain, and an exact rational re-rank of any
-that still tie. The exact stages almost never trigger on real-valued data;
-they make tie-breaking (lowest feature index, then lowest threshold) an
-arithmetic fact rather than a float accident.
+runs in two stages: a vectorized float64 prefix-sum pass over every
+(feature, midpoint) candidate, then an exact rational re-rank of the
+candidates within a small band of the best gain. The exact stage almost
+never triggers on real-valued data; it makes tie-breaking (lowest feature
+index, then lowest threshold) an arithmetic fact rather than a float
+accident.
+
+A tree is a set of parallel arrays indexed by node, in preorder: the root
+is node 0, and a left child comes right after its parent, before the right
+child's subtree. Internal node i sends a row left when
+`x[feature[i]] <= threshold[i]`; leaves have `left[i] == right[i] == -1`.
+`route` walks any tree in this layout and returns each row's leaf node;
+the isolation forest in `outliers` shares it.
 """
 
 from __future__ import annotations
@@ -37,42 +44,61 @@ class SplitRule:
     gain: float
 
 
-@dataclass
-class Leaf:
-    segment_id: int
-    mean_response: float
-    count: int
-    row_indices: np.ndarray | None = None
-    response_std: float = 0.0  # population std of the leaf's training responses
-
-
-@dataclass
-class Internal:
-    rule: SplitRule
-    left: "TreeNode"
-    right: "TreeNode"
-
-
-TreeNode = Internal | Leaf
-
-
-@dataclass
+@dataclass(frozen=True)
 class RegressionTree:
-    root: TreeNode
+    """Segmentation tree as parallel per-node arrays, in preorder.
+
+    Splits use `feature`, `threshold`, `gain`, `left` and `right` (-1, 0.0,
+    0.0, -1, -1 at leaves). Leaves carry their `segment_id` and the `count`,
+    `mean` and population `std` of their training responses (-1, 0, 0.0,
+    0.0 at internal nodes).
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    gain: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    segment_id: np.ndarray
+    count: np.ndarray
+    mean: np.ndarray
+    std: np.ndarray
     leaf_size: int
-    n_leaves: int
     feature_names: tuple[str, ...]
 
     @property
     def n_features(self) -> int:
         return len(self.feature_names)
 
+    @property
+    def n_leaves(self) -> int:
+        return int(np.count_nonzero(self.left < 0))
+
+    def leaf_node(self, segment_id: int) -> int:
+        """Node index of a segment's leaf."""
+        nodes = np.flatnonzero((self.segment_id == segment_id) & (self.left < 0))
+        if nodes.size == 0:
+            raise CartError(f"unknown segment id {segment_id}")
+        return int(nodes[0])
+
+
+def _tree(nodes: list[list], leaf_size: int, feature_names) -> RegressionTree:
+    """Tree from per-node rows [feature, threshold, gain, left, right,
+    segment_id, count, mean, std], listed in preorder."""
+    feature, threshold, gain, left, right, segment_id, count, mean, std = zip(*nodes)
+    return RegressionTree(
+        feature=np.array(feature, dtype=np.int64), threshold=np.array(threshold, dtype=np.float64),
+        gain=np.array(gain, dtype=np.float64), left=np.array(left, dtype=np.int64),
+        right=np.array(right, dtype=np.int64), segment_id=np.array(segment_id, dtype=np.int64),
+        count=np.array(count, dtype=np.int64), mean=np.array(mean, dtype=np.float64),
+        std=np.array(std, dtype=np.float64), leaf_size=leaf_size,
+        feature_names=tuple(feature_names))
+
 
 # Candidates whose float64 gain falls within BAND_REL * scale of the best are
-# re-examined at higher precision; the float error of the centered prefix-sum
-# gain is orders of magnitude below this for any realistic node size.
+# re-ranked exactly; the float error of the centered prefix-sum gain is
+# orders of magnitude below this for any realistic node size.
 _BAND_REL = 1e-9
-_BAND_REL_LONGDOUBLE = 1e-12
 
 
 def _scan_feature(x: np.ndarray, yc: np.ndarray, min_child: int):
@@ -104,19 +130,6 @@ def _scan_feature(x: np.ndarray, yc: np.ndarray, min_child: int):
     # value; clamp so `value <= threshold` always realizes the intended cut.
     thresholds = np.where(thresholds >= hi, lo, thresholds)
     return order, ks, thresholds, gains
-
-
-def _gains_longdouble(x: np.ndarray, y: np.ndarray, order: np.ndarray, ks: np.ndarray) -> np.ndarray:
-    n = x.shape[0]
-    ys = y[order].astype(np.longdouble)
-    yc = ys - ys.mean()
-    prefix = np.cumsum(yc)
-    s_tot = prefix[-1]
-    s_l = prefix[ks]
-    n_l = (ks + 1).astype(np.longdouble)
-    s_r = s_tot - s_l
-    n_r = n - n_l
-    return s_l * s_l / n_l + s_r * s_r / n_r - s_tot * s_tot / n
 
 
 def _gains_exact(y: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list[Fraction]:
@@ -173,38 +186,22 @@ def best_split(X: np.ndarray, y: np.ndarray, min_child: int) -> SplitRule | None
         return None
 
     band = _BAND_REL * max(sse_parent, abs(best_gain))
-    selected: list[tuple[int, int, float, int]] = []  # (feature, pos-in-ks, threshold, k)
+    selected: list[tuple[int, int, float]] = []  # (feature, pos-in-ks, threshold)
     for j, (order, ks, thresholds, gains) in scans.items():
         for pos in np.nonzero(gains >= best_gain - band)[0]:
-            selected.append((j, int(pos), float(thresholds[pos]), int(ks[pos])))
+            selected.append((j, int(pos), float(thresholds[pos])))
 
     if len(selected) == 1 and best_gain > band:
-        j, pos, threshold, _ = selected[0]
+        j, pos, threshold = selected[0]
         return SplitRule(feature=j, threshold=threshold, gain=float(scans[j][3][pos]))
 
-    # Near-tie: re-evaluate the short list in 80-bit precision.
-    ld_gains: dict[tuple[int, int], np.longdouble] = {}
-    for j in {c[0] for c in selected}:
-        order, ks, _, _ = scans[j]
-        pos_list = [c[1] for c in selected if c[0] == j]
-        g = _gains_longdouble(X[:, j], y, order, ks[pos_list])
-        for pos, gain in zip(pos_list, g):
-            ld_gains[(j, pos)] = gain
-    top_ld = max(ld_gains.values())
-    band_ld = np.longdouble(_BAND_REL_LONGDOUBLE) * np.longdouble(sse_parent)
-    survivors = [c for c in selected if ld_gains[(c[0], c[1])] >= top_ld - band_ld]
-
-    if len(survivors) == 1 and top_ld > band_ld:
-        j, pos, threshold, _ = survivors[0]
-        return SplitRule(feature=j, threshold=threshold, gain=float(ld_gains[(j, pos)]))
-
-    # Genuine tie or sign in doubt: settle it with exact rational arithmetic.
+    # Near-tie or sign in doubt: settle it with exact rational arithmetic.
     best_rule = None
     best_exact = Fraction(0)
-    survivors.sort(key=lambda c: (c[0], c[2]))
-    for j in sorted({c[0] for c in survivors}):
+    selected.sort(key=lambda c: (c[0], c[2]))
+    for j in sorted({c[0] for c in selected}):
         order, ks, _, _ = scans[j]
-        cands = [c for c in survivors if c[0] == j]
+        cands = [c for c in selected if c[0] == j]
         exact = _gains_exact(y, order, ks[[c[1] for c in cands]])
         for cand, gain in zip(cands, exact):
             if gain > best_exact:
@@ -213,11 +210,13 @@ def best_split(X: np.ndarray, y: np.ndarray, min_child: int) -> SplitRule | None
     return best_rule
 
 
-def build_tree(train: Dataset, leaf_size: int) -> RegressionTree:
+def build_tree(train: Dataset, leaf_size: int) -> tuple[RegressionTree, list[np.ndarray]]:
     """Grow the segmentation tree; every leaf keeps >= leaf_size rows.
 
-    Construction is deterministic: split scanning, tie-breaking, and the
-    left-first segment numbering have no random or order-dependent state.
+    Returns the tree and, indexed by segment id, the training rows of each
+    leaf. Construction is deterministic: split scanning, tie-breaking and
+    the left-first segment numbering have no random or order-dependent
+    state.
     """
     n = train.n_rows
     if leaf_size < 1:
@@ -226,108 +225,74 @@ def build_tree(train: Dataset, leaf_size: int) -> RegressionTree:
         raise CartError(f"leaf_size={leaf_size} exceeds the {n} training rows")
     X, y = train.features, train.response
 
-    root: TreeNode | None = None
-    stack: list[tuple[np.ndarray, Internal | None, str]] = [(np.arange(n, dtype=np.intp), None, "")]
+    nodes: list[list] = []
+    leaf_rows: list[np.ndarray] = []
+    # The stack pops a left child right after its parent, so nodes are
+    # numbered, and leaves given segment ids, in preorder. An entry carries
+    # the node whose right child it is, or -1.
+    stack: list[tuple[np.ndarray, int]] = [(np.arange(n, dtype=np.intp), -1)]
     while stack:
-        rows, parent, side = stack.pop()
+        rows, parent = stack.pop()
+        node = len(nodes)
+        if parent >= 0:
+            nodes[parent][4] = node
         rule = best_split(X[rows], y[rows], leaf_size) if rows.size >= 2 * leaf_size else None
-        node: TreeNode
         if rule is None:
-            node = Leaf(segment_id=-1, mean_response=float(y[rows].mean()),
-                        count=int(rows.size), row_indices=rows,
-                        response_std=float(y[rows].std()))
+            nodes.append([-1, 0.0, 0.0, -1, -1, len(leaf_rows), int(rows.size),
+                          float(y[rows].mean()), float(y[rows].std())])
+            leaf_rows.append(rows)
         else:
-            node = Internal(rule=rule, left=None, right=None)  # children attached below
+            nodes.append([rule.feature, rule.threshold, rule.gain, node + 1, -1, -1, 0, 0.0, 0.0])
             mask = X[rows, rule.feature] <= rule.threshold
-            stack.append((rows[~mask], node, "right"))
-            stack.append((rows[mask], node, "left"))
-        if parent is None:
-            root = node
-        elif side == "left":
-            parent.left = node
-        else:
-            parent.right = node
+            stack.append((rows[~mask], node))
+            stack.append((rows[mask], -1))
+    return _tree(nodes, leaf_size, train.feature_names), leaf_rows
 
-    n_leaves = 0
-    walk: list[TreeNode] = [root]
+
+def route(tree, X: np.ndarray) -> np.ndarray:
+    """Leaf node of every row of X, for any tree in the flat layout.
+
+    `tree` needs `feature`, `threshold`, `left` and `right` arrays; a row
+    goes left at node i when `X[row, feature[i]] <= threshold[i]`. Only
+    children that some rows reach are walked, so routing few rows costs
+    time in proportion to the depth, not to the size of the tree.
+    """
+    feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
+    columns = X.T  # a 1-D gather from one column is cheaper than X[idx, j]
+    out = np.empty(X.shape[0], dtype=np.intp)
+    walk = [(0, np.arange(X.shape[0], dtype=np.intp))]
     while walk:
-        node = walk.pop()
-        if isinstance(node, Leaf):
-            node.segment_id = n_leaves
-            n_leaves += 1
+        node, idx = walk.pop()
+        if left[node] < 0:
+            out[idx] = node
+            continue
+        mask = columns[feature[node]][idx] <= threshold[node]
+        goes_left = idx[mask]
+        if goes_left.size == idx.size:
+            walk.append((left[node], idx))
+        elif goes_left.size == 0:
+            walk.append((right[node], idx))
         else:
-            walk.append(node.right)
-            walk.append(node.left)
-    return RegressionTree(root=root, leaf_size=leaf_size, n_leaves=n_leaves,
-                          feature_names=train.feature_names)
-
-
-def leaves_of(tree: RegressionTree) -> list[Leaf]:
-    """All leaves ordered by segment id."""
-    out: list[Leaf] = []
-    walk: list[TreeNode] = [tree.root]
-    while walk:
-        node = walk.pop()
-        if isinstance(node, Leaf):
-            out.append(node)
-        else:
-            walk.append(node.right)
-            walk.append(node.left)
+            walk.append((right[node], idx[~mask]))
+            walk.append((left[node], goes_left))
     return out
 
 
-def _check_vector(tree: RegressionTree, x) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != tree.n_features:
-        raise CartError(f"expected {tree.n_features} feature values, got {x.shape[0]}")
-    return x
-
-
-def _leaf_for(tree: RegressionTree, x: np.ndarray) -> Leaf:
-    node = tree.root
-    while isinstance(node, Internal):
-        node = node.left if x[node.rule.feature] <= node.rule.threshold else node.right
-    return node
-
-
-def assign_leaf(tree: RegressionTree, x) -> int:
-    """Segment id of the leaf x routes to (<= goes left, including equality)."""
-    return _leaf_for(tree, _check_vector(tree, x)).segment_id
-
-
-def predict_mean(tree: RegressionTree, x) -> float:
-    """Plain-CART prediction: the training mean of the routed leaf."""
-    return _leaf_for(tree, _check_vector(tree, x)).mean_response
-
-
-def assign_leaf_batch(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    """Vectorized routing of a whole matrix; one segment id per row."""
+def _route_checked(tree: RegressionTree, X) -> np.ndarray:
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != tree.n_features:
         raise CartError(f"expected a matrix with {tree.n_features} columns")
-    ids = np.empty(X.shape[0], dtype=np.int64)
-    walk: list[tuple[TreeNode, np.ndarray]] = [(tree.root, np.arange(X.shape[0], dtype=np.intp))]
-    while walk:
-        node, idx = walk.pop()
-        if isinstance(node, Leaf):
-            ids[idx] = node.segment_id
-        else:
-            mask = X[idx, node.rule.feature] <= node.rule.threshold
-            # Only walk into children that some rows reach: routing few
-            # rows then costs time in proportion to depth, not tree size.
-            left, right = idx[mask], idx[~mask]
-            if left.size:
-                walk.append((node.left, left))
-            if right.size:
-                walk.append((node.right, right))
-    return ids
+    return route(tree, X)
+
+
+def assign_leaf_batch(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
+    """Segment id of every row (<= goes left, including equality)."""
+    return tree.segment_id[_route_checked(tree, X)]
 
 
 def predict_mean_batch(tree: RegressionTree, X: np.ndarray) -> np.ndarray:
-    means = np.empty(tree.n_leaves, dtype=np.float64)
-    for leaf in leaves_of(tree):
-        means[leaf.segment_id] = leaf.mean_response
-    return means[assign_leaf_batch(tree, X)]
+    """Plain-CART prediction of every row: the training mean of its leaf."""
+    return tree.mean[_route_checked(tree, X)]
 
 
 @dataclass(frozen=True)
@@ -359,66 +324,77 @@ class Profile:
 
 def segment_profile(tree: RegressionTree, segment_id: int) -> Profile:
     """Conjunction of split conditions on the path to a segment, root first."""
-    walk: list[tuple[TreeNode, tuple[Condition, ...]]] = [(tree.root, ())]
-    while walk:
-        node, path = walk.pop()
-        if isinstance(node, Leaf):
-            if node.segment_id == segment_id:
-                return Profile(segment_id=segment_id, conditions=path,
-                               count=node.count, mean_response=node.mean_response)
-            continue
-        rule = node.rule
-        name = tree.feature_names[rule.feature]
-        walk.append((node.left, path + (Condition(rule.feature, name, "<=", rule.threshold),)))
-        walk.append((node.right, path + (Condition(rule.feature, name, ">", rule.threshold),)))
-    raise CartError(f"unknown segment id {segment_id}")
+    target = tree.leaf_node(segment_id)
+    conditions = []
+    node = 0
+    while node != target:
+        f = int(tree.feature[node])
+        # Preorder: the left subtree of a node holds the nodes before right[node].
+        goes_left = target < tree.right[node]
+        conditions.append(Condition(f, tree.feature_names[f], "<=" if goes_left else ">",
+                                    float(tree.threshold[node])))
+        node = int(tree.left[node] if goes_left else tree.right[node])
+    return Profile(segment_id=segment_id, conditions=tuple(conditions),
+                   count=int(tree.count[target]), mean_response=float(tree.mean[target]))
 
 
 def tree_to_dict(tree: RegressionTree) -> dict:
     """Nested-node document of the tree (feature names, thresholds, counts, means)."""
+    feature, threshold, gain, left, right, segment_id, count, mean, std = (
+        a.tolist() for a in (tree.feature, tree.threshold, tree.gain, tree.left, tree.right,
+                             tree.segment_id, tree.count, tree.mean, tree.std))
 
-    def node_doc(node: TreeNode) -> tuple[dict, int, float]:
-        if isinstance(node, Leaf):
-            doc = {"kind": "leaf", "segment_id": node.segment_id,
-                   "count": node.count, "mean": node.mean_response,
-                   "std": node.response_std}
-            return doc, node.count, node.mean_response
-        left, nl, ml = node_doc(node.left)
-        right, nr, mr = node_doc(node.right)
-        count = nl + nr
-        mean = (nl * ml + nr * mr) / count
-        doc = {"kind": "split", "feature": node.rule.feature,
-               "feature_name": tree.feature_names[node.rule.feature],
-               "threshold": node.rule.threshold, "gain": node.rule.gain,
-               "count": count, "mean": mean, "left": left, "right": right}
-        return doc, count, mean
+    def node_doc(i: int) -> tuple[dict, int, float]:
+        if left[i] < 0:
+            doc = {"kind": "leaf", "segment_id": segment_id[i],
+                   "count": count[i], "mean": mean[i], "std": std[i]}
+            return doc, count[i], mean[i]
+        left_doc, nl, ml = node_doc(left[i])
+        right_doc, nr, mr = node_doc(right[i])
+        n = nl + nr
+        m = (nl * ml + nr * mr) / n
+        doc = {"kind": "split", "feature": feature[i],
+               "feature_name": tree.feature_names[feature[i]],
+               "threshold": threshold[i], "gain": gain[i],
+               "count": n, "mean": m, "left": left_doc, "right": right_doc}
+        return doc, n, m
 
-    root_doc, _, _ = node_doc(tree.root)
+    root_doc, _, _ = node_doc(0)
     return {"leaf_size": tree.leaf_size, "n_leaves": tree.n_leaves,
             "feature_names": list(tree.feature_names), "root": root_doc}
 
 
 def tree_from_dict(doc: dict) -> RegressionTree:
-    """Rebuild a RegressionTree from its nested-node document."""
+    """Rebuild a RegressionTree from its nested-node document.
 
-    def build(node_doc: dict) -> TreeNode:
+    Segment ids are kept as the document gives them; they must be a
+    permutation of 0..n_leaves-1. Split counts and means are not read:
+    `tree_to_dict` derives them from the leaves.
+    """
+    nodes: list[list] = []
+
+    def add(node_doc: dict) -> None:
         kind = node_doc.get("kind")
         if kind == "leaf":
-            return Leaf(segment_id=int(node_doc["segment_id"]),
-                        mean_response=float(node_doc["mean"]),
-                        count=int(node_doc["count"]), row_indices=None,
-                        response_std=float(node_doc.get("std", 0.0)))
-        if kind == "split":
-            rule = SplitRule(feature=int(node_doc["feature"]),
-                             threshold=float(node_doc["threshold"]),
-                             gain=float(node_doc["gain"]))
-            return Internal(rule=rule, left=build(node_doc["left"]), right=build(node_doc["right"]))
-        raise CartError(f"unknown tree node kind {kind!r}")
+            segment_id, mean = int(node_doc["segment_id"]), float(node_doc["mean"])
+            nodes.append([-1, 0.0, 0.0, -1, -1, segment_id, int(node_doc["count"]),
+                          mean, float(node_doc.get("std", 0.0))])
+        elif kind == "split":
+            row = [int(node_doc["feature"]), float(node_doc["threshold"]),
+                   float(node_doc["gain"]), len(nodes) + 1, -1, -1, 0, 0.0, 0.0]
+            nodes.append(row)
+            add(node_doc["left"])
+            row[4] = len(nodes)
+            add(node_doc["right"])
+        else:
+            raise CartError(f"unknown tree node kind {kind!r}")
 
-    tree = RegressionTree(root=build(doc["root"]), leaf_size=int(doc["leaf_size"]),
-                          n_leaves=int(doc["n_leaves"]),
-                          feature_names=tuple(doc["feature_names"]))
-    ids = sorted(leaf.segment_id for leaf in leaves_of(tree))
-    if ids != list(range(tree.n_leaves)):
+    add(doc["root"])
+    leaf_size, n_leaves = int(doc["leaf_size"]), int(doc["n_leaves"])
+    feature_names = tuple(doc["feature_names"])
+    if sorted(row[5] for row in nodes if row[3] < 0) != list(range(n_leaves)):
         raise CartError("tree document has inconsistent segment ids")
-    return tree
+    try:
+        return _tree(nodes, leaf_size, feature_names)
+    except OverflowError as exc:
+        raise CartError("tree document has an integer out of range") from exc

@@ -50,20 +50,7 @@ class RunConfig:
                     for c in self.columns],
             },
             "split": {"train_fraction": self.train_fraction, "seed": self.split_seed},
-            "fit": {
-                "leaf_size": self.fit.leaf_size,
-                "leaf_method": self.fit.leaf_method,
-                "seed": self.fit.seed,
-                "ridge_eps": self.fit.ridge_eps,
-                "gp_max_iters": self.fit.gp_max_iters,
-                "gp_init": self.fit.gp_init,
-                "outlier": {
-                    "enabled": self.fit.outlier.enabled,
-                    "contamination": self.fit.outlier.contamination,
-                    "n_trees": self.fit.outlier.n_trees,
-                    "subsample": self.fit.outlier.subsample,
-                },
-            },
+            "fit": self.fit.to_doc(),
             "sweep": {"leaf_sizes": self.sweep_sizes},
             "out_dir": self.out_dir,
         }
@@ -178,8 +165,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     split = train_test_split(data, cfg.train_fraction, cfg.split_seed)
     model = fit_segmented(split.train, cfg.fit)
 
-    kept = (evaluation.kept_training_set(split.train, model)
-            if model.n_removed_outliers else split.train)
+    kept = evaluation.kept_training_set(split.train, model)
     train_rmse = evaluation.rmse(predict_batch(model, kept), kept.response)
     test_rmse = evaluation.rmse(predict_batch(model, split.test), split.test.response)
 
@@ -258,22 +244,22 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_profile(args: argparse.Namespace) -> int:
     model, _ = load_bundle(args.model)
-    leaves = {leaf.segment_id: leaf for leaf in cart.leaves_of(model.tree)}
+    tree = model.tree
+    leaves = np.flatnonzero(tree.left < 0).tolist()  # in preorder
     if args.all:
-        ordered = sorted(leaves.values(), key=lambda leaf: leaf.mean_response)
-        ids = [leaf.segment_id for leaf in ordered]
+        ids = [int(tree.segment_id[node]) for node in sorted(leaves, key=lambda n: tree.mean[n])]
     else:
         if args.segment is None:
             raise DataError("pass --segment N or --all")
         ids = [args.segment]
     blocks = []
     for segment_id in ids:
-        profile = cart.segment_profile(model.tree, segment_id)
-        std = leaves[segment_id].response_std
+        profile = cart.segment_profile(tree, segment_id)
+        std = tree.std[tree.leaf_node(segment_id)]
         blocks.append(profile.to_text() + f"\n  [response std {std:.6g}]")
     print("\n\n".join(blocks))
     if args.all:
-        total = sum(leaf.count for leaf in leaves.values())
+        total = sum(tree.count[leaves].tolist())
         print(f"\n{len(leaves)} segments, {total} training rows")
     return 0
 

@@ -9,7 +9,6 @@ counted so the loss is visible in the ingestion report.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -149,8 +148,6 @@ def _read_rows(path: str, specs: list[ColumnSpec], require_target: bool, keep_ro
     """
     import csv
 
-    if not os.path.exists(path):
-        raise DataError(f"file not found: {path}")
     names = [s.name for s in specs]
     if len(set(names)) != len(names):
         raise DataError("duplicate column names in specs")

@@ -17,7 +17,8 @@ import numpy as np
 
 from . import cart
 from .data import Dataset, SplitPair
-from .pipeline import FitConfig, fit_segmented, predict_batch, with_leaf_size
+from .pipeline import (FitConfig, PipelineError, fit_segmented, predict_batch,
+                       with_leaf_size)
 
 
 def rmse(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -94,7 +95,7 @@ def tree_generalization_sweep(split: SplitPair, leaf_sizes,
     rows = []
     for ls in _clean_grid(leaf_sizes, train.n_rows):
         t0 = time.perf_counter()
-        tree = cart.build_tree(train, ls)
+        tree, _ = cart.build_tree(train, ls)
         elapsed = time.perf_counter() - t0
         rows.append(SweepRow(
             leaf_size=ls,
@@ -121,7 +122,7 @@ def model_generalization_sweep(split: SplitPair, leaf_sizes, config: FitConfig,
         t0 = time.perf_counter()
         model = fit_segmented(train, with_leaf_size(config, ls))
         elapsed = time.perf_counter() - t0
-        kept = kept_training_set(train, model) if model.n_removed_outliers else train
+        kept = kept_training_set(train, model)
         row = SweepRow(
             leaf_size=ls,
             train_rmse=rmse(predict_batch(model, kept), kept.response),
@@ -137,18 +138,19 @@ def model_generalization_sweep(split: SplitPair, leaf_sizes, config: FitConfig,
 
 
 def kept_training_set(train: Dataset, model) -> Dataset:
-    """Re-derive the post-filter training rows by re-running the filter."""
-    from .outliers import anomaly_score_batch, fit_forest, removal_indices
+    """The rows of `train` the model's tree saw: those its outlier filter kept.
 
-    cfg = model.config.outlier
-    forest = fit_forest(train, n_trees=cfg.n_trees,
-                        subsample=min(cfg.subsample, max(train.n_rows, 2)),
-                        seed=model.config.seed)
-    scores = anomaly_score_batch(forest, train.features)
-    removed = removal_indices(scores, cfg.contamination)
-    keep = np.ones(train.n_rows, dtype=bool)
-    keep[removed] = False
-    return train.take(np.nonzero(keep)[0])
+    `train` must be the training set the model was fit on. A model loaded
+    from a document does not carry the kept rows, so for one whose filter
+    removed rows this raises PipelineError.
+    """
+    if not model.n_removed_outliers:
+        return train
+    if model.kept_rows is None:
+        raise PipelineError(
+            "the rows the outlier filter kept are known only to the process that "
+            "fit the model; a loaded model does not carry them")
+    return train.take(model.kept_rows)
 
 
 @dataclass(frozen=True)

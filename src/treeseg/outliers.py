@@ -5,6 +5,9 @@ cuts; records that end up in shallow leaves are easy to isolate and score
 close to 1. Filtering drops the requested fraction of highest-scoring rows
 before any model fitting. Scores follow s(x) = 2^(-E[h(x)] / c(psi)) where
 h is the leaf depth plus the average-path-length adjustment c(leaf count).
+
+Trees use the flat preorder layout of `cart` and are routed by
+`cart.route`, the walk the regression tree uses.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cart import route
 from .data import Dataset
 
 _EULER_GAMMA = 0.5772156649
@@ -34,11 +38,13 @@ def average_path_length(n: int) -> float:
 
 @dataclass
 class IsolationTree:
-    """One random isolation tree in flat-array form.
+    """One random isolation tree in the flat layout `cart.route` walks.
 
-    Internal node i splits on `feature[i]` at `threshold[i]`; values below
-    the threshold descend to `left[i]`, the rest to `right[i]`. Leaves have
-    left[i] == -1 and carry `leaf_value[i]` = depth + c(count).
+    Internal node i sends x to `left[i]` when x[feature[i]] < p, for the
+    cut p drawn at that node, and to `right[i]` otherwise. The router tests
+    `<=`, so `threshold[i]` holds nextafter(p, -inf), the largest double
+    below p: for doubles, x < p exactly when x <= nextafter(p, -inf).
+    Leaves have left[i] == -1 and carry `leaf_value[i]` = depth + c(count).
     """
 
     feature: np.ndarray
@@ -47,21 +53,6 @@ class IsolationTree:
     right: np.ndarray
     leaf_value: np.ndarray
     height_limit: int
-
-    def path_lengths(self, X: np.ndarray) -> np.ndarray:
-        out = np.empty(X.shape[0], dtype=np.float64)
-        stack = [(0, np.arange(X.shape[0], dtype=np.intp))]
-        while stack:
-            node, idx = stack.pop()
-            if idx.size == 0:
-                continue
-            if self.left[node] < 0:
-                out[idx] = self.leaf_value[node]
-                continue
-            mask = X[idx, self.feature[node]] < self.threshold[node]
-            stack.append((self.left[node], idx[mask]))
-            stack.append((self.right[node], idx[~mask]))
-        return out
 
 
 @dataclass
@@ -109,7 +100,7 @@ def _build_tree(X: np.ndarray, rng: np.random.Generator, height_limit: int) -> I
                 continue
         mask = sub[:, q] < p
         feature[node] = q
-        threshold[node] = p
+        threshold[node] = float(np.nextafter(p, -np.inf))
         left[node] = new_node()
         right[node] = new_node()
         stack.append((left[node], rows[mask], depth + 1))
@@ -158,7 +149,7 @@ def anomaly_score_batch(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
         raise ValueError(f"expected a matrix with {forest.n_features} columns")
     total = np.zeros(X.shape[0], dtype=np.float64)
     for tree in forest.trees:
-        total += tree.path_lengths(X)
+        total += tree.leaf_value[route(tree, X)]
     mean_path = total / forest.n_trees
     return np.power(2.0, -mean_path / forest.c_psi)
 
@@ -186,12 +177,3 @@ def removal_indices(scores: np.ndarray, contamination: float) -> np.ndarray:
     order = np.lexsort((-np.arange(n), -scores))  # score desc, then index desc
     return np.sort(order[:k])
 
-
-def filter_outliers(data: Dataset, forest: IsolationForest,
-                    contamination: float) -> tuple[Dataset, Dataset]:
-    """Partition data into (kept, removed) by dropping the top-scoring rows."""
-    scores = anomaly_score_batch(forest, data.features)
-    removed = removal_indices(scores, contamination)
-    keep_mask = np.ones(data.n_rows, dtype=bool)
-    keep_mask[removed] = False
-    return data.take(np.nonzero(keep_mask)[0]), data.take(removed)

@@ -32,7 +32,7 @@ from . import cart
 from .data import Scaler
 from .leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
                           LinearModel, check_covariance)
-from .pipeline import FitConfig, LeafFitStatus, OutlierConfig, SegmentedModel
+from .pipeline import FitConfig, LeafFitStatus, SegmentedModel
 
 SCHEMA_VERSION = 1
 _DOCUMENT_KIND = "segmented-regression-model"
@@ -40,39 +40,6 @@ _DOCUMENT_KIND = "segmented-regression-model"
 
 class PersistenceError(ValueError):
     """Raised when a model document cannot be written, parsed, or validated."""
-
-
-def _config_doc(config: FitConfig) -> dict:
-    return {
-        "leaf_size": config.leaf_size,
-        "leaf_method": config.leaf_method,
-        "seed": config.seed,
-        "ridge_eps": config.ridge_eps,
-        "gp_max_iters": config.gp_max_iters,
-        "gp_init": dict(config.gp_init) if config.gp_init else None,
-        "outlier": {
-            "enabled": config.outlier.enabled,
-            "contamination": config.outlier.contamination,
-            "n_trees": config.outlier.n_trees,
-            "subsample": config.outlier.subsample,
-        },
-    }
-
-
-def _config_from_doc(doc: dict) -> FitConfig:
-    out = doc["outlier"]
-    return FitConfig(
-        leaf_size=int(doc["leaf_size"]),
-        leaf_method=str(doc["leaf_method"]),
-        seed=int(doc["seed"]),
-        ridge_eps=float(doc["ridge_eps"]),
-        gp_max_iters=int(doc["gp_max_iters"]),
-        gp_init=dict(doc["gp_init"]) if doc.get("gp_init") else None,
-        outlier=OutlierConfig(
-            enabled=bool(out["enabled"]),
-            contamination=float(out["contamination"]),
-            n_trees=int(out["n_trees"]),
-            subsample=int(out["subsample"])))
 
 
 def _leaf_model_doc(model) -> dict:
@@ -167,7 +134,7 @@ def model_document(model: SegmentedModel, ingestion: dict | None = None) -> dict
     return {
         "schema_version": SCHEMA_VERSION,
         "kind": _DOCUMENT_KIND,
-        "config": _config_doc(model.config),
+        "config": model.config.to_doc(),
         "tree": cart.tree_to_dict(model.tree),
         "leaf_models": {str(i): _leaf_model_doc(model.leaf_models[i]) for i in ids},
         "scalers": {str(i): _scaler_doc(model.scalers.get(i)) for i in ids},
@@ -213,7 +180,7 @@ def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
         raise PersistenceError(f"{path} is not a {_DOCUMENT_KIND} document")
 
     try:
-        config = _config_from_doc(doc["config"])
+        config = FitConfig.from_doc(doc["config"])
         tree = cart.tree_from_dict(doc["tree"])
         n_features = tree.n_features
         leaf_models = {int(k): _leaf_model_from_doc(v, n_features)
@@ -237,7 +204,7 @@ def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
         raise PersistenceError(f"{path}: scalers do not cover every segment")
     if set(report) != expected:
         raise PersistenceError(f"{path}: fit report does not cover every segment")
-    n_leaf_rows = sum(leaf.count for leaf in cart.leaves_of(tree))
+    n_leaf_rows = sum(tree.count[tree.left < 0].tolist())
     if n_train_rows != n_leaf_rows:
         raise PersistenceError(
             f"{path}: n_train_rows is {n_train_rows} but the tree's leaves hold "

@@ -19,7 +19,7 @@ from . import cart
 from .data import Dataset, Scaler
 from .leaf_models import (ConstantModel, KernelParams, LeafFitError, LeafModel,
                           fit_constant, fit_gp, fit_ols)
-from .outliers import filter_outliers, fit_forest
+from .outliers import anomaly_score_batch, fit_forest, removal_indices
 
 LEAF_METHODS = ("constant", "linear", "gp")
 
@@ -75,6 +75,29 @@ class FitConfig:
             if unknown:
                 raise PipelineError(f"unknown gp_init keys: {sorted(unknown)}")
 
+    def to_doc(self) -> dict:
+        """JSON-ready form, as model documents and run configs store it."""
+        doc = dataclasses.asdict(self)
+        doc["gp_init"] = doc["gp_init"] or None
+        return doc
+
+    @classmethod
+    def from_doc(cls, doc: dict) -> "FitConfig":
+        """Inverse of `to_doc`; values are coerced to their field types."""
+        out = doc["outlier"]
+        return cls(
+            leaf_size=int(doc["leaf_size"]),
+            leaf_method=str(doc["leaf_method"]),
+            seed=int(doc["seed"]),
+            ridge_eps=float(doc["ridge_eps"]),
+            gp_max_iters=int(doc["gp_max_iters"]),
+            gp_init=dict(doc["gp_init"]) if doc.get("gp_init") else None,
+            outlier=OutlierConfig(
+                enabled=bool(out["enabled"]),
+                contamination=float(out["contamination"]),
+                n_trees=int(out["n_trees"]),
+                subsample=int(out["subsample"])))
+
 
 @dataclass(frozen=True)
 class LeafFitStatus:
@@ -93,6 +116,9 @@ class SegmentedModel:
     fit_report: dict[int, LeafFitStatus]
     n_train_rows: int           # rows the tree actually saw (post-filter)
     n_removed_outliers: int = 0
+    # Rows of the fit's training set that the outlier filter kept, when the
+    # filter ran in this process; never serialized, so None after a load.
+    kept_rows: np.ndarray | None = None
 
     @property
     def n_features(self) -> int:
@@ -153,31 +179,35 @@ def fit_segmented(train: Dataset, config: FitConfig) -> SegmentedModel:
             f"leaf_size={config.leaf_size} exceeds the {train.n_rows} training rows")
 
     n_removed = 0
+    kept_rows = None
     if config.outlier.enabled:
         forest = fit_forest(train, n_trees=config.outlier.n_trees,
                             subsample=min(config.outlier.subsample, max(train.n_rows, 2)),
                             seed=config.seed)
-        train, removed = filter_outliers(train, forest, config.outlier.contamination)
-        n_removed = removed.n_rows
+        removed = removal_indices(anomaly_score_batch(forest, train.features),
+                                  config.outlier.contamination)
+        kept_rows = np.setdiff1d(np.arange(train.n_rows), removed)
+        train = train.take(kept_rows)
+        n_removed = removed.size
         if config.leaf_size > train.n_rows:
             raise PipelineError(
                 "outlier filtering left fewer rows than leaf_size; lower the "
                 "contamination or the leaf size")
 
-    tree = cart.build_tree(train, config.leaf_size)
+    tree, leaf_rows = cart.build_tree(train, config.leaf_size)
     leaf_models: dict[int, LeafModel] = {}
     scalers: dict[int, Scaler | None] = {}
     report: dict[int, LeafFitStatus] = {}
-    for leaf in cart.leaves_of(tree):
-        rows = leaf.row_indices
+    for segment_id, rows in enumerate(leaf_rows):
         model, scaler, status = _fit_leaf(train.features[rows], train.response[rows],
-                                          config, leaf.segment_id)
-        leaf_models[leaf.segment_id] = model
-        scalers[leaf.segment_id] = scaler
-        report[leaf.segment_id] = status
+                                          config, segment_id)
+        leaf_models[segment_id] = model
+        scalers[segment_id] = scaler
+        report[segment_id] = status
     return SegmentedModel(tree=tree, leaf_models=leaf_models, scalers=scalers,
                           config=config, fit_report=report,
-                          n_train_rows=train.n_rows, n_removed_outliers=n_removed)
+                          n_train_rows=train.n_rows, n_removed_outliers=n_removed,
+                          kept_rows=kept_rows)
 
 
 def _features_of(data) -> np.ndarray:

@@ -19,7 +19,7 @@ from treeseg.evaluation import (model_generalization_sweep, rmse,
                                 tree_generalization_sweep)
 from treeseg.leaf_models import (KernelParams, fit_constant, fit_gp, fit_ols,
                                  kernel_matrix, log_marginal_likelihood)
-from treeseg.outliers import filter_outliers, fit_forest
+from treeseg.outliers import anomaly_score_batch, fit_forest, removal_indices
 from treeseg.persistence import load_model, save_model
 from treeseg.pipeline import (FitConfig, OutlierConfig, fit_segmented,
                               predict_batch)
@@ -173,15 +173,15 @@ def test_criterion_07_gp_numerics():
     model = fit_segmented(Dataset(X, y, ("a", "b")),
                           FitConfig(leaf_size=80, leaf_method="gp", gp_max_iters=30))
     worst_resid = 0.0
-    for leaf in cart.leaves_of(model.tree):
-        leaf_model = model.leaf_models[leaf.segment_id]
+    ids = cart.assign_leaf_batch(model.tree, X)
+    for segment_id, leaf_model in model.leaf_models.items():
         if not hasattr(leaf_model, "alpha"):
             continue
         m = leaf_model.training_inputs.shape[0]
         K = kernel_matrix(leaf_model.params, leaf_model.training_inputs,
                           leaf_model.training_inputs)
         Kn = K + (leaf_model.params.noise_variance + leaf_model.jitter) * np.eye(m)
-        yc = y[leaf.row_indices] - leaf_model.y_mean
+        yc = y[ids == segment_id] - leaf_model.y_mean
         resid = float(np.linalg.norm(Kn @ leaf_model.alpha - yc) / np.linalg.norm(yc))
         worst_resid = max(worst_resid, resid)
     n_gp = sum(1 for lm in model.leaf_models.values() if hasattr(lm, "alpha"))
@@ -243,8 +243,8 @@ def test_criterion_09_outlier_filter_sanity():
         X[planted] = rng.uniform(10, 14, size=2) * rng.choice([-1.0, 1.0], size=2)
         data = Dataset(X, np.zeros(150), ("a", "b"))
         forest = fit_forest(data, n_trees=100, subsample=64, seed=trial)
-        kept, removed = filter_outliers(data, forest, contamination=1.0 / 150.0 + 1e-9)
-        removed_rows = set(map(tuple, removed.features))
+        removed = removal_indices(anomaly_score_batch(forest, X), 1.0 / 150.0 + 1e-9)
+        removed_rows = set(map(tuple, X[removed]))
         if tuple(X[planted]) in removed_rows:
             hits += 1
     recall = hits / trials
@@ -253,8 +253,9 @@ def test_criterion_09_outlier_filter_sanity():
     X = rng.normal(size=(80, 2))
     data = Dataset(X, np.zeros(80), ("a", "b"))
     forest = fit_forest(data, n_trees=50, subsample=64, seed=0)
-    kept, removed = filter_outliers(data, forest, contamination=0.0)
-    noop = removed.n_rows == 0 and np.array_equal(kept.features, data.features)
+    removed = removal_indices(anomaly_score_batch(forest, X), 0.0)
+    kept = data.take(np.setdiff1d(np.arange(80), removed))
+    noop = removed.size == 0 and np.array_equal(kept.features, data.features)
 
     verdict(9, recall >= 0.95 and noop,
             f"planted outlier removed in {hits}/{trials} trials "

@@ -139,60 +139,62 @@ def make_dataset(X, y, names=None):
 class TestBuildTree:
     def test_single_leaf_when_leaf_size_is_n(self):
         data = make_dataset(np.arange(8.0).reshape(-1, 1), [1, 2, 3, 4, 5, 6, 7, 8])
-        tree = cart.build_tree(data, leaf_size=8)
+        tree, _ = cart.build_tree(data, leaf_size=8)
         assert tree.n_leaves == 1
-        assert cart.predict_mean(tree, [99.0]) == pytest.approx(4.5)
+        assert cart.predict_mean_batch(tree, [[99.0]])[0] == pytest.approx(4.5)
 
     def test_two_plateau_first_split_at_boundary(self):
         rng = np.random.default_rng(0)
         X = np.concatenate([rng.uniform(0, 1, 50), rng.uniform(2, 3, 50)]).reshape(-1, 1)
         y = np.array([0.0] * 50 + [10.0] * 50)
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=10)
-        assert isinstance(tree.root, cart.Internal)
-        assert 1.0 <= tree.root.rule.threshold <= 2.0
-        assert cart.predict_mean(tree, [0.5]) == pytest.approx(0.0)
-        assert cart.predict_mean(tree, [2.5]) == pytest.approx(10.0)
+        tree, _ = cart.build_tree(make_dataset(X, y), leaf_size=10)
+        assert tree.left[0] >= 0  # the root is a split
+        assert 1.0 <= tree.threshold[0] <= 2.0
+        assert cart.predict_mean_batch(tree, [[0.5]])[0] == pytest.approx(0.0)
+        assert cart.predict_mean_batch(tree, [[2.5]])[0] == pytest.approx(10.0)
 
     def test_partition_and_min_size(self, rng):
         X = rng.normal(size=(200, 3))
         y = rng.normal(size=200)
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=17)
-        leaves = cart.leaves_of(tree)
-        all_rows = np.concatenate([leaf.row_indices for leaf in leaves])
+        tree, leaf_rows = cart.build_tree(make_dataset(X, y), leaf_size=17)
+        leaves = np.flatnonzero(tree.left < 0)
+        all_rows = np.concatenate(leaf_rows)
         assert sorted(all_rows.tolist()) == list(range(200))
-        assert all(leaf.count >= 17 for leaf in leaves)
-        assert [leaf.segment_id for leaf in leaves] == list(range(tree.n_leaves))
+        assert all(tree.count[leaves] >= 17)
+        assert tree.segment_id[leaves].tolist() == list(range(tree.n_leaves))
+        assert [rows.size for rows in leaf_rows] == tree.count[leaves].tolist()
 
     def test_leaf_stats_match_rows(self, rng):
         X = rng.normal(size=(120, 2))
         y = rng.normal(size=120)
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=20)
-        for leaf in cart.leaves_of(tree):
-            sel = y[leaf.row_indices]
-            assert leaf.mean_response == pytest.approx(sel.mean(), rel=1e-12)
-            assert leaf.response_std == pytest.approx(sel.std(), rel=1e-12)
+        tree, leaf_rows = cart.build_tree(make_dataset(X, y), leaf_size=20)
+        for segment_id, rows in enumerate(leaf_rows):
+            node = tree.leaf_node(segment_id)
+            sel = y[rows]
+            assert tree.mean[node] == pytest.approx(sel.mean(), rel=1e-12)
+            assert tree.std[node] == pytest.approx(sel.std(), rel=1e-12)
 
     def test_gain_identity(self, rng):
         X = rng.normal(size=(300, 3))
         y = rng.normal(size=300) * 4
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=25)
+        tree, _ = cart.build_tree(make_dataset(X, y), leaf_size=25)
 
         def sse(idx):
             v = y[idx]
             return float(((v - v.mean()) ** 2).sum()) if idx.size else 0.0
 
-        stack = [(tree.root, np.arange(300))]
+        stack = [(0, np.arange(300))]
         seen = 0
         while stack:
             node, rows = stack.pop()
-            if isinstance(node, cart.Leaf):
+            if tree.left[node] < 0:
                 continue
-            mask = X[rows, node.rule.feature] <= node.rule.threshold
+            mask = X[rows, tree.feature[node]] <= tree.threshold[node]
             l_rows, r_rows = rows[mask], rows[~mask]
             identity = sse(rows) - sse(l_rows) - sse(r_rows)
-            assert identity == pytest.approx(node.rule.gain, rel=1e-9, abs=1e-9)
-            stack.append((node.left, l_rows))
-            stack.append((node.right, r_rows))
+            assert identity == pytest.approx(tree.gain[node], rel=1e-9, abs=1e-9)
+            stack.append((tree.left[node], l_rows))
+            stack.append((tree.right[node], r_rows))
             seen += 1
         assert seen >= 3
 
@@ -200,7 +202,7 @@ class TestBuildTree:
         X = rng.normal(size=(250, 2))
         y = rng.normal(size=250)
         data = make_dataset(X, y)
-        counts = [cart.build_tree(data, ls).n_leaves for ls in (5, 10, 25, 60, 125, 250)]
+        counts = [cart.build_tree(data, ls)[0].n_leaves for ls in (5, 10, 25, 60, 125, 250)]
         assert counts == sorted(counts, reverse=True)
         assert counts[-1] == 1
 
@@ -214,18 +216,18 @@ class TestBuildTree:
     def test_training_rows_route_to_their_leaf(self, rng):
         X = rng.normal(size=(150, 3))
         y = rng.normal(size=150)
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=12)
+        tree, leaf_rows = cart.build_tree(make_dataset(X, y), leaf_size=12)
         ids = cart.assign_leaf_batch(tree, X)
-        for leaf in cart.leaves_of(tree):
-            assert np.all(ids[leaf.row_indices] == leaf.segment_id)
+        for segment_id, rows in enumerate(leaf_rows):
+            assert np.all(ids[rows] == segment_id)
 
     def test_scale_equivariance_of_routing(self, rng):
         X = rng.normal(size=(180, 3))
         y = rng.normal(size=180)
-        tree_a = cart.build_tree(make_dataset(X, y), leaf_size=15)
+        tree_a, _ = cart.build_tree(make_dataset(X, y), leaf_size=15)
         X_scaled = X.copy()
         X_scaled[:, 1] *= 8.0
-        tree_b = cart.build_tree(make_dataset(X_scaled, y), leaf_size=15)
+        tree_b, _ = cart.build_tree(make_dataset(X_scaled, y), leaf_size=15)
         ids_a = cart.assign_leaf_batch(tree_a, X)
         ids_b = cart.assign_leaf_batch(tree_b, X_scaled)
         # memberships agree as partitions (ids may be relabeled)
@@ -235,49 +237,56 @@ class TestBuildTree:
             assert np.all(members == members[0])
 
 
+def walk_to_leaf(tree, x):
+    """Reference walk of one row down the flat arrays, node by node."""
+    node = 0
+    while tree.left[node] >= 0:
+        node = tree.left[node] if x[tree.feature[node]] <= tree.threshold[node] else tree.right[node]
+    return tree.segment_id[node]
+
+
 class TestRouting:
     def test_boundary_goes_left(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 8.0, 8.0])
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=1)
-        threshold = tree.root.rule.threshold
-        left_id = cart.assign_leaf(tree, [threshold])
-        below_id = cart.assign_leaf(tree, [threshold - 0.25])
+        tree, _ = cart.build_tree(make_dataset(X, y), leaf_size=1)
+        threshold = tree.threshold[0]
+        left_id, below_id = cart.assign_leaf_batch(tree, [[threshold], [threshold - 0.25]])
         assert left_id == below_id
 
     def test_single_and_batch_agree(self, rng):
         X = rng.normal(size=(100, 2))
         y = rng.normal(size=100)
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=9)
+        tree, _ = cart.build_tree(make_dataset(X, y), leaf_size=9)
         Q = rng.normal(size=(64, 2))
         batch = cart.assign_leaf_batch(tree, Q)
-        singles = np.array([cart.assign_leaf(tree, q) for q in Q])
+        singles = np.concatenate([cart.assign_leaf_batch(tree, q[None, :]) for q in Q])
         assert np.array_equal(batch, singles)
         means_batch = cart.predict_mean_batch(tree, Q)
-        means_single = np.array([cart.predict_mean(tree, q) for q in Q])
+        means_single = np.concatenate([cart.predict_mean_batch(tree, q[None, :]) for q in Q])
         assert np.array_equal(means_batch, means_single)
 
     def test_batch_routing_matches_pointer_walk_on_deep_tree(self, rng):
         X = rng.normal(size=(400, 3))
         y = np.sin(2.0 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(size=400) * 0.1
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=5)
+        tree, _ = cart.build_tree(make_dataset(X, y), leaf_size=5)
         assert tree.n_leaves > 30
         Q = np.vstack([rng.normal(size=(200, 3)), X[:50]])
-        singles = np.array([cart.assign_leaf(tree, q) for q in Q])
+        singles = np.array([walk_to_leaf(tree, q) for q in Q])
         assert np.array_equal(cart.assign_leaf_batch(tree, Q), singles)
         for q, sid in zip(Q[:40], singles):
             assert cart.assign_leaf_batch(tree, q[None, :]).tolist() == [sid]
 
     def test_batch_routing_of_zero_rows(self, rng):
         X = rng.normal(size=(60, 2))
-        tree = cart.build_tree(make_dataset(X, rng.normal(size=60)), leaf_size=5)
+        tree, _ = cart.build_tree(make_dataset(X, rng.normal(size=60)), leaf_size=5)
         ids = cart.assign_leaf_batch(tree, np.empty((0, 2)))
         assert ids.shape == (0,) and ids.dtype == np.int64
 
     def test_dimension_mismatch(self):
-        tree = cart.build_tree(make_dataset(np.zeros((4, 2)), np.arange(4.0)), leaf_size=4)
+        tree, _ = cart.build_tree(make_dataset(np.zeros((4, 2)), np.arange(4.0)), leaf_size=4)
         with pytest.raises(cart.CartError):
-            cart.assign_leaf(tree, [1.0, 2.0, 3.0])
+            cart.predict_mean_batch(tree, [[1.0, 2.0, 3.0]])
         with pytest.raises(cart.CartError):
             cart.assign_leaf_batch(tree, np.zeros((3, 5)))
 
@@ -285,7 +294,7 @@ class TestRouting:
 class TestProfile:
     def test_single_leaf_profile_empty_conditions(self):
         data = make_dataset(np.zeros((6, 1)), np.arange(6.0))
-        tree = cart.build_tree(data, leaf_size=6)
+        tree, _ = cart.build_tree(data, leaf_size=6)
         profile = cart.segment_profile(tree, 0)
         assert profile.conditions == ()
         assert profile.count == 6
@@ -294,27 +303,26 @@ class TestProfile:
     def test_depth_one_profiles_mirror_root_rule(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 8.0, 8.0])
-        tree = cart.build_tree(make_dataset(X, y, ("income",)), leaf_size=1)
-        rule = tree.root.rule
-        left = cart.segment_profile(tree, tree.root.left.segment_id)
-        right = cart.segment_profile(tree, tree.root.right.segment_id)
+        tree, _ = cart.build_tree(make_dataset(X, y, ("income",)), leaf_size=1)
+        left = cart.segment_profile(tree, tree.segment_id[tree.left[0]])
+        right = cart.segment_profile(tree, tree.segment_id[tree.right[0]])
         assert left.conditions[0].op == "<=" and right.conditions[0].op == ">"
-        assert left.conditions[0].threshold == rule.threshold
+        assert left.conditions[0].threshold == tree.threshold[0]
         assert "income" in left.to_text()
 
     def test_conditions_root_first(self, rng):
         X = rng.normal(size=(120, 2))
         y = X[:, 0] * 3 + rng.normal(size=120) * 0.1
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=15)
+        tree, _ = cart.build_tree(make_dataset(X, y), leaf_size=15)
         deepest = max(range(tree.n_leaves),
                       key=lambda s: len(cart.segment_profile(tree, s).conditions))
         profile = cart.segment_profile(tree, deepest)
         assert len(profile.conditions) >= 2
-        assert profile.conditions[0].feature == tree.root.rule.feature
-        assert profile.conditions[0].threshold == tree.root.rule.threshold
+        assert profile.conditions[0].feature == tree.feature[0]
+        assert profile.conditions[0].threshold == tree.threshold[0]
 
     def test_unknown_segment_rejected(self):
-        tree = cart.build_tree(make_dataset(np.zeros((3, 1)), np.arange(3.0)), leaf_size=3)
+        tree, _ = cart.build_tree(make_dataset(np.zeros((3, 1)), np.arange(3.0)), leaf_size=3)
         with pytest.raises(cart.CartError):
             cart.segment_profile(tree, 5)
 
@@ -323,7 +331,7 @@ class TestTreeDocument:
     def test_round_trip_preserves_routing_and_means(self, rng):
         X = rng.normal(size=(140, 3))
         y = rng.normal(size=140)
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=11)
+        tree, _ = cart.build_tree(make_dataset(X, y), leaf_size=11)
         doc = cart.tree_to_dict(tree)
         clone = cart.tree_from_dict(doc)
         Q = rng.normal(size=(200, 3))
@@ -333,11 +341,34 @@ class TestTreeDocument:
     def test_document_counts_and_means_aggregate(self, rng):
         X = rng.normal(size=(90, 2))
         y = rng.normal(size=90)
-        tree = cart.build_tree(make_dataset(X, y), leaf_size=10)
+        tree, _ = cart.build_tree(make_dataset(X, y), leaf_size=10)
         doc = cart.tree_to_dict(tree)
         assert doc["root"]["count"] == 90
         assert doc["root"]["mean"] == pytest.approx(y.mean(), rel=1e-12)
         assert doc["feature_names"] == ["f0", "f1"]
+
+    def test_permuted_segment_ids_kept(self, rng):
+        X = rng.normal(size=(120, 2))
+        tree, _ = cart.build_tree(make_dataset(X, rng.normal(size=120)), leaf_size=12)
+        doc = cart.tree_to_dict(tree)
+        perm = rng.permutation(tree.n_leaves)
+        leaves, stack = [], [doc["root"]]
+        while stack:
+            node = stack.pop()
+            if node["kind"] == "leaf":
+                node["segment_id"] = int(perm[node["segment_id"]])
+                leaves.append(node)
+            else:
+                stack += [node["left"], node["right"]]
+        clone = cart.tree_from_dict(doc)
+        assert cart.tree_to_dict(clone) == doc
+        assert np.array_equal(cart.assign_leaf_batch(clone, X), perm[cart.assign_leaf_batch(tree, X)])
+        for s in range(tree.n_leaves):
+            assert (cart.segment_profile(clone, int(perm[s])).conditions
+                    == cart.segment_profile(tree, s).conditions)
+        leaves[0]["segment_id"] = leaves[1]["segment_id"]
+        with pytest.raises(cart.CartError):
+            cart.tree_from_dict(doc)
 
     def test_bad_document_rejected(self):
         with pytest.raises(cart.CartError):

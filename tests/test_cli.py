@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from treeseg import cart
+from treeseg import cart, outliers, pipeline
 from treeseg.cli import main
 from treeseg.data import ColumnSpec, load_csv
 from treeseg.persistence import load_model
@@ -103,6 +103,14 @@ class TestFit:
                     "--out-dir", str(tmp_path / "run6")])
         assert code == 1
 
+    def test_missing_data_file_with_declared_columns(self, tmp_path):
+        config_path = str(tmp_path / "columns.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"path": str(tmp_path / "absent.csv"), "columns": [
+                {"name": "a"}, {"name": "y", "kind": "target"}]}}, fh)
+        code = run(["fit", "--config", config_path, "--out-dir", str(tmp_path / "run6b")])
+        assert code == 1
+
     def test_bad_leaf_size(self, data_csv, tmp_path):
         code = run(["fit", "--data", data_csv, "--leaf-size", "0",
                     "--out-dir", str(tmp_path / "run7")])
@@ -128,6 +136,20 @@ class TestFit:
         assert code == 0
         model = load_model(os.path.join(out, "model.json"))
         assert model.n_removed_outliers > 0
+
+    def test_outlier_forest_fit_once(self, data_csv, tmp_path, monkeypatch):
+        calls = []
+        real = outliers.fit_forest
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(outliers, "fit_forest", counting)
+        monkeypatch.setattr(pipeline, "fit_forest", counting)
+        assert run(["fit", "--data", data_csv, "--out-dir", str(tmp_path / "run10"),
+                    "--leaf-size", "40", "--outliers", "on", "--n-trees", "25"]) == 0
+        assert len(calls) == 1
 
 
 class TestPredict:
@@ -262,6 +284,13 @@ class TestPredict:
 
     def test_missing_model_file(self, tmp_path):
         code = run(["predict", "--model", str(tmp_path / "no.json"),
+                    "--input", str(tmp_path / "no.csv"),
+                    "--output", str(tmp_path / "out.csv")])
+        assert code == 1
+
+    def test_missing_input_file(self, data_csv, tmp_path):
+        model_path = self.fit_once(data_csv, tmp_path)
+        code = run(["predict", "--model", model_path,
                     "--input", str(tmp_path / "no.csv"),
                     "--output", str(tmp_path / "out.csv")])
         assert code == 1

@@ -8,7 +8,9 @@ from treeseg.evaluation import (AblationReport, SweepReport, ablation_outliers,
                                 compare_external, kept_training_set,
                                 model_generalization_sweep, rmse,
                                 segment_summary, tree_generalization_sweep)
-from treeseg.pipeline import (FitConfig, OutlierConfig, fit_segmented,
+from treeseg.outliers import anomaly_score_batch, fit_forest, removal_indices
+from treeseg.persistence import load_model, save_model
+from treeseg.pipeline import (FitConfig, OutlierConfig, PipelineError, fit_segmented,
                               predict_batch)
 
 
@@ -140,6 +142,24 @@ class TestModelSweep:
         assert kept.n_rows == model.n_train_rows < split.train.n_rows
         expect = rmse(predict_batch(model, kept), kept.response)
         assert report.rows[0].train_rmse == pytest.approx(expect, rel=1e-12)
+
+    def test_kept_training_set_reads_the_recorded_rows(self, rng, tmp_path):
+        split = make_split(rng, n=300)
+        config = FitConfig(leaf_size=30, leaf_method="constant", seed=3,
+                           outlier=OutlierConfig(enabled=True, contamination=0.05,
+                                                 n_trees=20, subsample=64))
+        model = fit_segmented(split.train, config)
+        forest = fit_forest(split.train, n_trees=20, subsample=64, seed=3)
+        removed = removal_indices(anomaly_score_batch(forest, split.train.features), 0.05)
+        assert removed.size == model.n_removed_outliers > 0
+        assert np.array_equal(kept_training_set(split.train, model).features,
+                              np.delete(split.train.features, removed, axis=0))
+        path = str(tmp_path / "model.json")
+        save_model(model, path)
+        with pytest.raises(PipelineError, match="loaded model"):
+            kept_training_set(split.train, load_model(path))
+        unfiltered = fit_segmented(split.train, FitConfig(leaf_size=30, leaf_method="constant"))
+        assert kept_training_set(split.train, unfiltered) is split.train
 
     def test_csv_round_trip_repr_floats(self, rng, tmp_path):
         split = make_split(rng)

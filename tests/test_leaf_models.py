@@ -529,9 +529,9 @@ class TestCholeskyFactorLifecycle:
         for sid, model in gps.items():
             assert fresh.leaf_models[sid].chol_factor is None
             assert model.chol_factor is None
-            leaf = next(lf for lf in cart.leaves_of(fresh.tree) if lf.segment_id == sid)
+            rows = cart.assign_leaf_batch(fresh.tree, X) == sid
             queries = rng.normal(size=(5, 2))
-            self.check_against_dense_solve(model, y[leaf.row_indices], queries)
+            self.check_against_dense_solve(model, y[rows], queries)
 
     def test_load_rejects_unfactorizable_covariance(self, rng, tmp_path):
         X = rng.uniform(-2, 2, size=(240, 2))

@@ -5,8 +5,8 @@ import pytest
 
 from treeseg.data import Dataset
 from treeseg.outliers import (anomaly_score, anomaly_score_batch,
-                              average_path_length, filter_outliers,
-                              fit_forest, removal_indices)
+                              average_path_length, fit_forest, removal_indices)
+from treeseg.pipeline import FitConfig, OutlierConfig, fit_segmented
 
 EULER = 0.5772156649
 
@@ -155,20 +155,26 @@ class TestFilter:
         X = rng.normal(size=(60, 2))
         X[5] = (12.0, 12.0)
         data = Dataset(X, rng.normal(size=60), ("a", "b"))
-        forest = fit_forest(data, n_trees=50, subsample=32, seed=4)
-        kept, removed = filter_outliers(data, forest, contamination=0.05)
-        assert kept.n_rows + removed.n_rows == 60
-        assert removed.n_rows == 3  # floor(3.0 + 0.5)
-        merged = np.sort(np.concatenate([kept.response, removed.response]))
+        model = fit_segmented(data, FitConfig(
+            leaf_size=10, leaf_method="constant", seed=4,
+            outlier=OutlierConfig(enabled=True, contamination=0.05, n_trees=50, subsample=32)))
+        kept = model.kept_rows
+        removed = np.setdiff1d(np.arange(60), kept)
+        assert kept.size + removed.size == 60
+        assert removed.size == model.n_removed_outliers == 3  # floor(3.0 + 0.5)
+        merged = np.sort(np.concatenate([data.response[kept], data.response[removed]]))
         assert np.array_equal(merged, np.sort(data.response))
-        assert 12.0 in removed.features[:, 0]
+        assert 12.0 in X[removed, 0]
+        forest = fit_forest(data, n_trees=50, subsample=32, seed=4)
+        assert np.array_equal(removed, removal_indices(anomaly_score_batch(forest, X), 0.05))
 
     def test_zero_contamination_keeps_everything(self, rng):
         data = make_dataset(rng.normal(size=(30, 2)))
-        forest = fit_forest(data, n_trees=10, subsample=16, seed=0)
-        kept, removed = filter_outliers(data, forest, contamination=0.0)
-        assert removed.n_rows == 0
-        assert np.array_equal(kept.features, data.features)
+        model = fit_segmented(data, FitConfig(
+            leaf_size=5, leaf_method="constant",
+            outlier=OutlierConfig(enabled=True, contamination=0.0, n_trees=10, subsample=16)))
+        assert model.n_removed_outliers == 0
+        assert np.array_equal(data.take(model.kept_rows).features, data.features)
 
     def test_recall_over_repeated_trials(self, rng):
         # A clear planted outlier should be caught in nearly every seeding.
@@ -179,7 +185,7 @@ class TestFilter:
             X[0] = (15.0, 15.0)
             data = make_dataset(X)
             forest = fit_forest(data, n_trees=100, subsample=64, seed=1000 + t)
-            _, removed = filter_outliers(data, forest, contamination=0.03)
-            if 15.0 in removed.features[:, 0]:
+            removed = removal_indices(anomaly_score_batch(forest, X), 0.03)
+            if 15.0 in X[removed, 0]:
                 hits += 1
         assert hits == trials
