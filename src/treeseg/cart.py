@@ -6,12 +6,13 @@ sum of squared deviations of the response. The minimum-child-size constraint
 children would keep at least `leaf_size` rows and the best gain is positive.
 
 Split selection must be exactly reproducible, ties included, so the scan
-runs in two stages: a vectorized float64 prefix-sum pass over every
-(feature, midpoint) candidate, then an exact rational re-rank of the
-candidates within a small band of the best gain. The exact stage almost
-never triggers on real-valued data; it makes tie-breaking (lowest feature
-index, then lowest threshold) an arithmetic fact rather than a float
-accident.
+runs in two stages: one float64 prefix-sum pass over the node's whole
+rows x features matrix (one sort, one cumulative sum, one gain array for
+every (feature, midpoint) candidate), then an exact rational re-rank of
+the candidates within a small band of the best gain. The exact stage
+almost never triggers on real-valued data; it makes tie-breaking (lowest
+feature index, then lowest threshold) an arithmetic fact rather than a
+float accident.
 
 A tree is a set of parallel arrays indexed by node, in preorder: the root
 is node 0, and a left child comes right after its parent, before the right
@@ -101,37 +102,6 @@ def _tree(nodes: list[list], leaf_size: int, feature_names) -> RegressionTree:
 _BAND_REL = 1e-9
 
 
-def _scan_feature(x: np.ndarray, yc: np.ndarray, min_child: int):
-    """All valid candidate splits on one feature, by centered prefix sums.
-
-    Returns (order, ks, thresholds, gains) or None when the feature admits
-    no split with both children >= min_child at a distinct-value boundary.
-    """
-    n = x.shape[0]
-    order = np.argsort(x, kind="stable")
-    xs = x[order]
-    valid = xs[:-1] < xs[1:]
-    if min_child > 1:
-        valid[: min_child - 1] = False
-        valid[n - min_child:] = False
-    ks = np.nonzero(valid)[0]
-    if ks.size == 0:
-        return None
-    prefix = np.cumsum(yc[order])
-    s_tot = prefix[-1]
-    s_l = prefix[ks]
-    n_l = ks + 1.0
-    s_r = s_tot - s_l
-    n_r = n - n_l
-    gains = s_l * s_l / n_l + s_r * s_r / n_r - s_tot * s_tot / n
-    lo, hi = xs[ks], xs[ks + 1]
-    thresholds = 0.5 * (lo + hi)
-    # Midpoints of adjacent representable values can round up to the right
-    # value; clamp so `value <= threshold` always realizes the intended cut.
-    thresholds = np.where(thresholds >= hi, lo, thresholds)
-    return order, ks, thresholds, gains
-
-
 def _gains_exact(y: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list[Fraction]:
     """Exact rational gains for the given candidate positions of one feature."""
     n = y.shape[0]
@@ -159,6 +129,7 @@ def best_split(X: np.ndarray, y: np.ndarray, min_child: int) -> SplitRule | None
     of each feature, restricted to positions where both children hold at
     least `min_child` rows. Returns None when no candidate has positive
     gain. Ties are broken by lower feature index, then lower threshold.
+    Raises CartError when the response is too large for float64 gains.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -172,41 +143,53 @@ def best_split(X: np.ndarray, y: np.ndarray, min_child: int) -> SplitRule | None
     if sse_parent == 0.0:
         return None
 
-    scans: dict[int, tuple] = {}
-    best_gain = -np.inf
-    for j in range(X.shape[1]):
-        scan = _scan_feature(X[:, j], yc, min_child)
-        if scan is None:
-            continue
-        scans[j] = scan
-        top = float(scan[3].max())
-        if top > best_gain:
-            best_gain = top
-    if not scans:
+    # Row k of the candidate block is the cut after sorted position k, for
+    # k = lo .. hi-1; every array below is rows x features.
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    prefix = np.cumsum(yc[order], axis=0)
+    lo, hi = min_child - 1, n - min_child
+    s_tot = prefix[-1].copy()
+    s_l = prefix[lo:hi]
+    n_l = (np.arange(lo, hi) + 1.0)[:, None]
+    # s_l*s_l/n_l + s_r*s_r/n_r - s_tot*s_tot/n, in place, in that order.
+    gains = s_l * s_l
+    gains /= n_l
+    s_r = np.subtract(s_tot, s_l, out=s_l)
+    s_r *= s_r
+    s_r /= n - n_l
+    gains += s_r
+    gains -= s_tot * s_tot / n
+    gains[~(xs[lo:hi] < xs[lo + 1:hi + 1])] = -np.inf  # no cut between equal values
+    best_gain = float(gains.max(initial=-np.inf))
+    if best_gain == -np.inf:
         return None
+    if not (np.isfinite(best_gain) and np.isfinite(sse_parent)):
+        raise CartError("the response is too large for float64 split gains")
 
     band = _BAND_REL * max(sse_parent, abs(best_gain))
-    selected: list[tuple[int, int, float]] = []  # (feature, pos-in-ks, threshold)
-    for j, (order, ks, thresholds, gains) in scans.items():
-        for pos in np.nonzero(gains >= best_gain - band)[0]:
-            selected.append((j, int(pos), float(thresholds[pos])))
+    # Feature first, then rising position (so rising threshold): the tie order.
+    features, ks = np.nonzero((gains >= best_gain - band).T)
+    ks += lo
+    lower, upper = xs[ks, features], xs[ks + 1, features]
+    thresholds = 0.5 * (lower + upper)
+    # Midpoints of adjacent representable values can round up to the right
+    # value; clamp so `value <= threshold` always realizes the intended cut.
+    thresholds = np.where(thresholds >= upper, lower, thresholds)
 
-    if len(selected) == 1 and best_gain > band:
-        j, pos, threshold = selected[0]
-        return SplitRule(feature=j, threshold=threshold, gain=float(scans[j][3][pos]))
+    if ks.size == 1 and best_gain > band:
+        return SplitRule(feature=int(features[0]), threshold=float(thresholds[0]), gain=best_gain)
 
     # Near-tie or sign in doubt: settle it with exact rational arithmetic.
     best_rule = None
     best_exact = Fraction(0)
-    selected.sort(key=lambda c: (c[0], c[2]))
-    for j in sorted({c[0] for c in selected}):
-        order, ks, _, _ = scans[j]
-        cands = [c for c in selected if c[0] == j]
-        exact = _gains_exact(y, order, ks[[c[1] for c in cands]])
-        for cand, gain in zip(cands, exact):
+    for j in np.unique(features).tolist():
+        sel = features == j
+        exact = _gains_exact(y, order[:, j], ks[sel])
+        for threshold, gain in zip(thresholds[sel].tolist(), exact):
             if gain > best_exact:
                 best_exact = gain
-                best_rule = SplitRule(feature=cand[0], threshold=cand[2], gain=float(gain))
+                best_rule = SplitRule(feature=j, threshold=threshold, gain=float(gain))
     return best_rule
 
 

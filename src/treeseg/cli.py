@@ -19,10 +19,9 @@ import numpy as np
 
 from . import cart, evaluation
 from .data import ColumnSpec, DataError, Dataset, ingest, load_csv, train_test_split
-from .outliers import anomaly_score_batch, fit_forest, removal_indices
 from .persistence import PersistenceError, load_bundle, save_model
 from .pipeline import (FitConfig, OutlierConfig, PipelineError, fit_segmented,
-                       predict_batch, predict_with_segments)
+                       predict_batch, predict_with_segments, score_outliers)
 
 _DEFAULT_SWEEP = [10, 20, 40, 70, 100, 200, 400, 700, 1000, 2000]
 
@@ -73,11 +72,17 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         if not isinstance(doc, dict):
             raise DataError(f"config file {args.config} must hold a JSON object")
 
-    data_doc = doc.get("data", {})
-    split_doc = doc.get("split", {})
-    fit_doc = doc.get("fit", {})
-    out_doc = fit_doc.get("outlier", {})
-    sweep_doc = doc.get("sweep", {})
+    def section(parent: dict, key: str) -> dict:
+        value = parent.get(key, {})
+        if not isinstance(value, dict):
+            raise DataError(f"config section {key!r} must be a JSON object, got {value!r}")
+        return value
+
+    data_doc = section(doc, "data")
+    split_doc = section(doc, "split")
+    fit_doc = section(doc, "fit")
+    out_doc = section(fit_doc, "outlier")
+    sweep_doc = section(doc, "sweep")
 
     def pick(flag_value, file_value, default):
         if flag_value is not None:
@@ -267,12 +272,8 @@ def cmd_profile(args: argparse.Namespace) -> int:
 def cmd_outliers(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     _, data, _ = _prepare(cfg)
-    oc = cfg.fit.outlier
-    forest = fit_forest(data, n_trees=oc.n_trees,
-                        subsample=min(oc.subsample, max(data.n_rows, 2)),
-                        seed=cfg.fit.seed)
-    scores = anomaly_score_batch(forest, data.features)
-    removed = set(removal_indices(scores, oc.contamination).tolist())
+    scores, removed = score_outliers(data, cfg.fit)
+    removed = set(removed.tolist())
     out_path = os.path.join(cfg.out_dir, "outlier_scores.csv")
     with open(out_path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -280,7 +281,7 @@ def cmd_outliers(args: argparse.Namespace) -> int:
         for i, s in enumerate(scores):
             writer.writerow([i, repr(float(s)), int(i in removed)])
     print(f"{len(removed)} of {data.n_rows} rows flagged "
-          f"(contamination {oc.contamination:g}); scores written to {out_path}")
+          f"(contamination {cfg.fit.outlier.contamination:g}); scores written to {out_path}")
     return 0
 
 

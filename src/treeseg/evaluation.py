@@ -78,9 +78,9 @@ def _clean_grid(leaf_sizes, n_train: int) -> list[int]:
     # stock grid works on small datasets.
     sizes = sorted(set(min(int(s), n_train) for s in leaf_sizes))
     if not sizes:
-        raise ValueError("leaf_sizes must be non-empty")
+        raise PipelineError("leaf_sizes must be non-empty")
     if sizes[0] < 1:
-        raise ValueError("leaf sizes must be >= 1")
+        raise PipelineError("leaf sizes must be >= 1")
     return sizes
 
 

@@ -23,6 +23,7 @@ rebuilds it on demand for variances.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 
@@ -50,12 +51,8 @@ def _leaf_model_doc(model) -> dict:
                 "intercept": model.intercept, "ridge_eps": model.ridge_eps,
                 "used_fallback": model.used_fallback}
     if isinstance(model, GPModel):
-        p = model.params
         return {"type": "gp",
-                "params": {"linear_variance": p.linear_variance,
-                           "rbf_variance": p.rbf_variance,
-                           "rbf_lengthscale": p.rbf_lengthscale,
-                           "noise_variance": p.noise_variance},
+                "params": dataclasses.asdict(model.params),
                 "training_inputs": model.training_inputs.tolist(),
                 "alpha": model.alpha.tolist(),
                 "y_mean": model.y_mean,
@@ -82,10 +79,8 @@ def _leaf_model_from_doc(doc: dict, n_features: int):
                            used_fallback=bool(doc["used_fallback"]))
     if kind == "gp":
         p = doc["params"]
-        params = KernelParams(linear_variance=float(p["linear_variance"]),
-                              rbf_variance=float(p["rbf_variance"]),
-                              rbf_lengthscale=float(p["rbf_lengthscale"]),
-                              noise_variance=float(p["noise_variance"]))
+        params = KernelParams(**{f.name: float(p[f.name])
+                                 for f in dataclasses.fields(KernelParams)})
         X = np.asarray(doc["training_inputs"], dtype=np.float64)
         alpha = np.asarray(doc["alpha"], dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != n_features:

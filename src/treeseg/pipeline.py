@@ -11,6 +11,7 @@ a model always comes back able to predict.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -36,6 +37,8 @@ class OutlierConfig:
     subsample: int = 256
 
     def __post_init__(self):
+        if not isinstance(self.enabled, bool):
+            raise PipelineError(f"outlier.enabled must be true or false, got {self.enabled!r}")
         if not 0.0 <= self.contamination < 1.0:
             raise PipelineError("contamination must be in [0, 1)")
         if self.n_trees < 1:
@@ -45,7 +48,7 @@ class OutlierConfig:
 
 
 # Keys accepted in FitConfig.gp_init to pin individual kernel parameters.
-_GP_PARAM_NAMES = ("linear_variance", "rbf_variance", "rbf_lengthscale", "noise_variance")
+_GP_PARAM_NAMES = tuple(f.name for f in dataclasses.fields(KernelParams))
 
 
 @dataclass(frozen=True)
@@ -71,9 +74,15 @@ class FitConfig:
         if self.gp_max_iters < 0:
             raise PipelineError("gp_max_iters must be >= 0")
         if self.gp_init is not None:
+            if not isinstance(self.gp_init, dict):
+                raise PipelineError("gp_init must map kernel parameter names to values")
             unknown = set(self.gp_init) - set(_GP_PARAM_NAMES)
             if unknown:
                 raise PipelineError(f"unknown gp_init keys: {sorted(unknown)}")
+            for name, v in self.gp_init.items():
+                if not (isinstance(v, (int, float)) and not isinstance(v, bool)
+                        and v > 0 and math.isfinite(v)):
+                    raise PipelineError(f"gp_init {name} must be a positive finite real, got {v!r}")
 
     def to_doc(self) -> dict:
         """JSON-ready form, as model documents and run configs store it."""
@@ -83,7 +92,8 @@ class FitConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FitConfig":
-        """Inverse of `to_doc`; values are coerced to their field types."""
+        """Inverse of `to_doc`; values are coerced to their field types, except
+        `outlier.enabled`, which must already be a boolean."""
         out = doc["outlier"]
         return cls(
             leaf_size=int(doc["leaf_size"]),
@@ -93,7 +103,7 @@ class FitConfig:
             gp_max_iters=int(doc["gp_max_iters"]),
             gp_init=dict(doc["gp_init"]) if doc.get("gp_init") else None,
             outlier=OutlierConfig(
-                enabled=bool(out["enabled"]),
+                enabled=out["enabled"],
                 contamination=float(out["contamination"]),
                 n_trees=int(out["n_trees"]),
                 subsample=int(out["subsample"])))
@@ -168,6 +178,18 @@ def _fit_leaf(X: np.ndarray, y: np.ndarray, config: FitConfig,
                 LeafFitStatus(segment_id, "fallback", "constant", str(exc)))
 
 
+def score_outliers(data: Dataset, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Anomaly score of every row of `data` and the sorted rows the filter removes.
+
+    The forest is fit on `data` itself with `config.outlier` and `config.seed`.
+    """
+    oc = config.outlier
+    forest = fit_forest(data, n_trees=oc.n_trees,
+                        subsample=min(oc.subsample, max(data.n_rows, 2)), seed=config.seed)
+    scores = anomaly_score_batch(forest, data.features)
+    return scores, removal_indices(scores, oc.contamination)
+
+
 def fit_segmented(train: Dataset, config: FitConfig) -> SegmentedModel:
     """Algorithm: filter outliers (train only), segment, fit each segment.
 
@@ -181,11 +203,7 @@ def fit_segmented(train: Dataset, config: FitConfig) -> SegmentedModel:
     n_removed = 0
     kept_rows = None
     if config.outlier.enabled:
-        forest = fit_forest(train, n_trees=config.outlier.n_trees,
-                            subsample=min(config.outlier.subsample, max(train.n_rows, 2)),
-                            seed=config.seed)
-        removed = removal_indices(anomaly_score_batch(forest, train.features),
-                                  config.outlier.contamination)
+        removed = score_outliers(train, config)[1]
         kept_rows = np.setdiff1d(np.arange(train.n_rows), removed)
         train = train.take(kept_rows)
         n_removed = removed.size

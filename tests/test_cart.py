@@ -130,6 +130,15 @@ class TestBestSplitOracle:
         with pytest.raises(cart.CartError):
             cart.best_split(np.zeros((4, 1)), np.zeros(4), 0)
 
+    def test_overflowing_gains_raise(self):
+        # Squares of responses near 1e211 overflow float64: every gain is
+        # inf or NaN, which must not pass for "no split".
+        x = np.arange(1200.0)
+        data = make_dataset(x[:, None], 1.5 ** x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(cart.CartError, match="too large for float64"):
+                cart.build_tree(data, 1)
+
 
 def make_dataset(X, y, names=None):
     names = names or tuple(f"f{j}" for j in range(X.shape[1]))

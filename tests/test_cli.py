@@ -151,6 +151,55 @@ class TestFit:
                     "--leaf-size", "40", "--outliers", "on", "--n-trees", "25"]) == 0
         assert len(calls) == 1
 
+    def test_overflowing_response_exits_2(self, tmp_path, capsys):
+        path = str(tmp_path / "huge.csv")
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["x", "y"])
+            for i in range(1200):
+                writer.writerow([i, repr(1.5 ** i)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = run(["fit", "--data", path, "--out-dir", str(tmp_path / "run11"),
+                        "--leaf-size", "1", "--leaf-method", "constant"])
+        assert code == 2
+        assert "too large for float64" in capsys.readouterr().err
+
+    def test_string_outlier_enabled_exits_2(self, data_csv, tmp_path, capsys):
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"path": data_csv},
+                       "fit": {"leaf_size": 40, "outlier": {"enabled": "false"}}}, fh)
+        out = str(tmp_path / "run12")
+        assert run(["fit", "--config", config_path, "--out-dir", out]) == 2
+        assert "outlier.enabled" in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "model.json"))
+
+    @pytest.mark.parametrize("doc", [{"fit": 5}, {"data": []}, {"split": "0.5"},
+                                     {"sweep": 3}, {"fit": {"outlier": True}}])
+    def test_config_section_not_an_object_exits_2(self, data_csv, tmp_path, capsys, doc):
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        code = run(["fit", "--config", config_path, "--data", data_csv,
+                    "--out-dir", str(tmp_path / "run13")])
+        assert code == 2
+        assert "must be a JSON object" in capsys.readouterr().err
+
+    def test_non_positive_gp_init_exits_2_before_any_fit(self, data_csv, tmp_path,
+                                                         monkeypatch):
+        calls = []
+        monkeypatch.setattr(pipeline, "fit_forest", lambda *a, **k: calls.append("forest"))
+        monkeypatch.setattr(cart, "build_tree", lambda *a, **k: calls.append("tree"))
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"path": data_csv},
+                       "fit": {"leaf_size": 40, "leaf_method": "gp",
+                               "gp_init": {"noise_variance": -0.5},
+                               "outlier": {"enabled": True}}}, fh)
+        code = run(["fit", "--config", config_path, "--out-dir", str(tmp_path / "run14")])
+        assert code == 2
+        assert calls == []
+
 
 class TestPredict:
     def fit_once(self, data_csv, tmp_path):
@@ -326,6 +375,19 @@ class TestSweep:
         # 168 train rows: the huge entry collapses onto the train size.
         assert lines[1].split(",")[0] == "50"
         assert lines[2].split(",")[0] == "168"
+
+    def test_non_positive_leaf_size_exits_2(self, data_csv, tmp_path):
+        code = run(["sweep", "--data", data_csv, "--out-dir", str(tmp_path / "sweeps3"),
+                    "--kind", "tree", "--leaf-sizes", "0"])
+        assert code == 2
+
+    def test_empty_grid_exits_2(self, data_csv, tmp_path):
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"path": data_csv}, "sweep": {"leaf_sizes": []}}, fh)
+        code = run(["sweep", "--config", config_path, "--out-dir", str(tmp_path / "sweeps4"),
+                    "--kind", "tree"])
+        assert code == 2
 
 
 class TestProfile:

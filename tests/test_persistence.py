@@ -180,6 +180,15 @@ def rewrite(path, edit):
         json.dump(doc, fh)
 
 
+def test_string_outlier_enabled_rejected(rng, tmp_path):
+    model = fitted_model(rng, "constant")
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    rewrite(path, lambda doc: doc["config"]["outlier"].update(enabled="false"))
+    with pytest.raises(PersistenceError, match="enabled"):
+        load_model(path)
+
+
 def test_missing_fit_report_entry_rejected(rng, tmp_path):
     model = fitted_model(rng, "linear")
     path = str(tmp_path / "model.json")

@@ -7,7 +7,7 @@ from treeseg.leaf_models import ConstantModel, GPModel, LinearModel, fit_ols
 from treeseg.pipeline import (FitConfig, OutlierConfig, PipelineError,
                               SegmentedModel, default_gp_init, fit_segmented,
                               predict, predict_batch, predict_with_segments,
-                              with_leaf_size)
+                              score_outliers, with_leaf_size)
 
 
 def make_dataset(X, y, names=None):
@@ -49,6 +49,24 @@ class TestConfig:
             FitConfig(gp_init={"bandwidth": 2.0})
         with pytest.raises(PipelineError):
             OutlierConfig(contamination=1.0)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_outlier_enabled_must_be_bool(self, value):
+        with pytest.raises(PipelineError, match="enabled"):
+            OutlierConfig(enabled=value)
+        doc = FitConfig().to_doc()
+        doc["outlier"]["enabled"] = value
+        with pytest.raises(PipelineError, match="enabled"):
+            FitConfig.from_doc(doc)
+
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan"), "1.0", True])
+    def test_gp_init_values_must_be_positive_finite_reals(self, value):
+        with pytest.raises(PipelineError, match="rbf_lengthscale"):
+            FitConfig(leaf_method="gp", gp_init={"rbf_lengthscale": value})
+
+    def test_gp_init_must_be_a_mapping(self):
+        with pytest.raises(PipelineError, match="gp_init"):
+            FitConfig(gp_init=5)
 
     def test_with_leaf_size(self):
         config = FitConfig(leaf_size=50, leaf_method="constant", seed=9)
@@ -236,6 +254,17 @@ class TestOutlierIntegration:
                                                  n_trees=10, subsample=256))
         model = fit_segmented(data, config)  # must not raise
         assert model.n_removed_outliers == 2
+
+    def test_score_outliers_flags_the_rows_the_fit_leaves_out(self, rng):
+        data = piecewise_linear(rng, n=300)
+        config = FitConfig(leaf_size=30, seed=4,
+                           outlier=OutlierConfig(enabled=True, contamination=0.07,
+                                                 n_trees=20, subsample=64))
+        scores, removed = score_outliers(data, config)
+        model = fit_segmented(data, config)
+        assert scores.shape == (300,)
+        assert removed.size == model.n_removed_outliers == 21
+        assert np.array_equal(removed, np.setdiff1d(np.arange(300), model.kept_rows))
 
     def test_filtering_below_leaf_size_raises(self, rng):
         data = piecewise_linear(rng, n=50)
