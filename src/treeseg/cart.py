@@ -5,14 +5,22 @@ sum of squared deviations of the response. The minimum-child-size constraint
 (`leaf_size`) is the only stopping rule: a node splits only when both
 children would keep at least `leaf_size` rows and the best gain is positive.
 
+No node sorts. Each feature is sorted once per training set
+(`Dataset.feature_order`), and a split hands each child its rows in every
+feature's sorted order by a stable partition of the parent's order (the
+SLIQ/SPRINT attribute lists of Mehta et al. and Shafer et al., 1996).
+Ties stay in rising row index, so a child's order is exactly the stable
+sort of its own rows, and `best_split`, which sorts a node afresh, picks
+the same split bit for bit.
+
 Split selection must be exactly reproducible, ties included, so the scan
 runs in two stages: one float64 prefix-sum pass over the node's whole
-rows x features matrix (one sort, one cumulative sum, one gain array for
-every (feature, midpoint) candidate), then an exact rational re-rank of
-the candidates within a small band of the best gain. The exact stage
-almost never triggers on real-valued data; it makes tie-breaking (lowest
-feature index, then lowest threshold) an arithmetic fact rather than a
-float accident.
+features x rows order (one cumulative sum, one gain array for every
+(feature, midpoint) candidate), then an exact rational re-rank of the
+candidates within a small band of the best gain. The exact stage almost
+never triggers on real-valued data; it makes tie-breaking (lowest feature
+index, then lowest threshold) an arithmetic fact rather than a float
+accident.
 
 A tree is a set of parallel arrays indexed by node, in preorder: the root
 is node 0, and a left child comes right after its parent, before the right
@@ -102,14 +110,14 @@ def _tree(nodes: list[list], leaf_size: int, feature_names) -> RegressionTree:
 _BAND_REL = 1e-9
 
 
-def _gains_exact(y: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list[Fraction]:
-    """Exact rational gains for the given candidate positions of one feature."""
-    n = y.shape[0]
-    ys = [Fraction(float(v)) for v in y[order]]
+def _gains_exact(ys: np.ndarray, ks: np.ndarray) -> list[Fraction]:
+    """Exact rational gains of the cuts after sorted positions ks, given a
+    node's responses in one feature's sorted order."""
+    n = ys.shape[0]
     prefix = []
     run = Fraction(0)
-    for v in ys:
-        run += v
+    for v in ys.tolist():
+        run += Fraction(v)
         prefix.append(run)
     s_tot = prefix[-1]
     out = []
@@ -120,6 +128,72 @@ def _gains_exact(y: np.ndarray, order: np.ndarray, ks: np.ndarray) -> list[Fract
         n_r = n - n_l
         out.append(s_l * s_l / n_l + s_r * s_r / n_r - s_tot * s_tot / n)
     return out
+
+
+def _scan(columns: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray,
+          min_child: int) -> SplitRule | None:
+    """Best split of the node holding `rows` (ascending indices into y).
+
+    `columns` is the features x rows matrix; `order` is features x len(rows),
+    row j listing the node's rows sorted stably by `columns[j]`.
+    """
+    n = rows.shape[0]
+    if n < 2 * min_child:
+        return None
+    y_node = y[rows]
+    mean = y_node.mean()
+    yc = y_node - mean
+    sse_parent = float(yc @ yc)
+    if sse_parent == 0.0:
+        return None
+
+    # Column k of the candidate block is the cut after sorted position k, for
+    # k = lo .. hi-1; every array below is features x positions.
+    xs = np.take_along_axis(columns, order, axis=1)
+    prefix = np.cumsum(y[order] - mean, axis=1)
+    lo, hi = min_child - 1, n - min_child
+    s_tot = prefix[:, -1:].copy()
+    s_l = prefix[:, lo:hi]
+    n_l = np.arange(lo, hi) + 1.0
+    # s_l*s_l/n_l + s_r*s_r/n_r - s_tot*s_tot/n, in place, in that order.
+    gains = s_l * s_l
+    gains /= n_l
+    s_r = np.subtract(s_tot, s_l, out=s_l)
+    s_r *= s_r
+    s_r /= n - n_l
+    gains += s_r
+    gains -= s_tot * s_tot / n
+    gains[~(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])] = -np.inf  # no cut between equal values
+    best_gain = float(gains.max(initial=-np.inf))
+    if best_gain == -np.inf:
+        return None
+    if not (np.isfinite(best_gain) and np.isfinite(sse_parent)):
+        raise CartError("the response is too large for float64 split gains")
+
+    band = _BAND_REL * max(sse_parent, abs(best_gain))
+    # Feature first, then rising position (so rising threshold): the tie order.
+    features, ks = np.nonzero(gains >= best_gain - band)
+    ks += lo
+    lower, upper = xs[features, ks], xs[features, ks + 1]
+    thresholds = 0.5 * (lower + upper)
+    # Midpoints of adjacent representable values can round up to the right
+    # value; clamp so `value <= threshold` always realizes the intended cut.
+    thresholds = np.where(thresholds >= upper, lower, thresholds)
+
+    if ks.size == 1 and best_gain > band:
+        return SplitRule(feature=int(features[0]), threshold=float(thresholds[0]), gain=best_gain)
+
+    # Near-tie or sign in doubt: settle it with exact rational arithmetic.
+    best_rule = None
+    best_exact = Fraction(0)
+    for j in np.unique(features).tolist():
+        sel = features == j
+        exact = _gains_exact(y[order[j]], ks[sel])
+        for threshold, gain in zip(thresholds[sel].tolist(), exact):
+            if gain > best_exact:
+                best_exact = gain
+                best_rule = SplitRule(feature=j, threshold=threshold, gain=float(gain))
+    return best_rule
 
 
 def best_split(X: np.ndarray, y: np.ndarray, min_child: int) -> SplitRule | None:
@@ -135,62 +209,8 @@ def best_split(X: np.ndarray, y: np.ndarray, min_child: int) -> SplitRule | None
     y = np.asarray(y, dtype=np.float64)
     if min_child < 1:
         raise CartError("min_child must be >= 1")
-    n = y.shape[0]
-    if n < 2 * min_child:
-        return None
-    yc = y - y.mean()
-    sse_parent = float(yc @ yc)
-    if sse_parent == 0.0:
-        return None
-
-    # Row k of the candidate block is the cut after sorted position k, for
-    # k = lo .. hi-1; every array below is rows x features.
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    prefix = np.cumsum(yc[order], axis=0)
-    lo, hi = min_child - 1, n - min_child
-    s_tot = prefix[-1].copy()
-    s_l = prefix[lo:hi]
-    n_l = (np.arange(lo, hi) + 1.0)[:, None]
-    # s_l*s_l/n_l + s_r*s_r/n_r - s_tot*s_tot/n, in place, in that order.
-    gains = s_l * s_l
-    gains /= n_l
-    s_r = np.subtract(s_tot, s_l, out=s_l)
-    s_r *= s_r
-    s_r /= n - n_l
-    gains += s_r
-    gains -= s_tot * s_tot / n
-    gains[~(xs[lo:hi] < xs[lo + 1:hi + 1])] = -np.inf  # no cut between equal values
-    best_gain = float(gains.max(initial=-np.inf))
-    if best_gain == -np.inf:
-        return None
-    if not (np.isfinite(best_gain) and np.isfinite(sse_parent)):
-        raise CartError("the response is too large for float64 split gains")
-
-    band = _BAND_REL * max(sse_parent, abs(best_gain))
-    # Feature first, then rising position (so rising threshold): the tie order.
-    features, ks = np.nonzero((gains >= best_gain - band).T)
-    ks += lo
-    lower, upper = xs[ks, features], xs[ks + 1, features]
-    thresholds = 0.5 * (lower + upper)
-    # Midpoints of adjacent representable values can round up to the right
-    # value; clamp so `value <= threshold` always realizes the intended cut.
-    thresholds = np.where(thresholds >= upper, lower, thresholds)
-
-    if ks.size == 1 and best_gain > band:
-        return SplitRule(feature=int(features[0]), threshold=float(thresholds[0]), gain=best_gain)
-
-    # Near-tie or sign in doubt: settle it with exact rational arithmetic.
-    best_rule = None
-    best_exact = Fraction(0)
-    for j in np.unique(features).tolist():
-        sel = features == j
-        exact = _gains_exact(y, order[:, j], ks[sel])
-        for threshold, gain in zip(thresholds[sel].tolist(), exact):
-            if gain > best_exact:
-                best_exact = gain
-                best_rule = SplitRule(feature=j, threshold=threshold, gain=float(gain))
-    return best_rule
+    order = np.argsort(X, axis=0, kind="stable").T
+    return _scan(X.T, y, np.arange(y.shape[0]), order, min_child)
 
 
 def build_tree(train: Dataset, leaf_size: int) -> tuple[RegressionTree, list[np.ndarray]]:
@@ -199,7 +219,8 @@ def build_tree(train: Dataset, leaf_size: int) -> tuple[RegressionTree, list[np.
     Returns the tree and, indexed by segment id, the training rows of each
     leaf. Construction is deterministic: split scanning, tie-breaking and
     the left-first segment numbering have no random or order-dependent
-    state.
+    state. No node sorts: the root starts from `train.feature_order`, and
+    each child's order is a stable partition of its parent's.
     """
     n = train.n_rows
     if leaf_size < 1:
@@ -207,28 +228,41 @@ def build_tree(train: Dataset, leaf_size: int) -> tuple[RegressionTree, list[np.
     if leaf_size > n:
         raise CartError(f"leaf_size={leaf_size} exceeds the {n} training rows")
     X, y = train.features, train.response
+    columns = X.T
+    splittable = 2 * leaf_size
+
+    def child_order(order: np.ndarray, side: np.ndarray, size: int) -> np.ndarray | None:
+        # Compressing each sorted row keeps its order, so the child's row j is
+        # still its rows sorted by feature j with ties by rising index.
+        return order[side].reshape(order.shape[0], size) if size >= splittable else None
 
     nodes: list[list] = []
     leaf_rows: list[np.ndarray] = []
+    goes_left = np.empty(n, dtype=bool)
     # The stack pops a left child right after its parent, so nodes are
     # numbered, and leaves given segment ids, in preorder. An entry carries
-    # the node whose right child it is, or -1.
-    stack: list[tuple[np.ndarray, int]] = [(np.arange(n, dtype=np.intp), -1)]
+    # the node's rows, their per-feature order (None when too few rows to
+    # split) and the node whose right child it is, or -1.
+    root_order = train.feature_order if n >= splittable else None
+    stack: list[tuple] = [(np.arange(n, dtype=np.intp), root_order, -1)]
     while stack:
-        rows, parent = stack.pop()
+        rows, order, parent = stack.pop()
         node = len(nodes)
         if parent >= 0:
             nodes[parent][4] = node
-        rule = best_split(X[rows], y[rows], leaf_size) if rows.size >= 2 * leaf_size else None
+        rule = None if order is None else _scan(columns, y, rows, order, leaf_size)
         if rule is None:
             nodes.append([-1, 0.0, 0.0, -1, -1, len(leaf_rows), int(rows.size),
                           float(y[rows].mean()), float(y[rows].std())])
             leaf_rows.append(rows)
         else:
             nodes.append([rule.feature, rule.threshold, rule.gain, node + 1, -1, -1, 0, 0.0, 0.0])
-            mask = X[rows, rule.feature] <= rule.threshold
-            stack.append((rows[~mask], node))
-            stack.append((rows[mask], -1))
+            mask = columns[rule.feature][rows] <= rule.threshold
+            left, right = rows[mask], rows[~mask]
+            goes_left[rows] = mask
+            side = goes_left[order]
+            stack.append((right, child_order(order, ~side, right.size), node))
+            stack.append((left, child_order(order, side, left.size), -1))
     return _tree(nodes, leaf_size, train.feature_names), leaf_rows
 
 

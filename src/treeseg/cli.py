@@ -56,8 +56,31 @@ class RunConfig:
 
 
 def _columns_from_doc(items) -> list[ColumnSpec]:
-    return [ColumnSpec(name=str(c["name"]), kind=str(c.get("kind", "numeric")),
+    if not isinstance(items, list):
+        raise DataError(f"columns must be a list of column objects, got {items!r}")
+    for c in items:
+        if not (isinstance(c, dict) and isinstance(c.get("name"), str)):
+            raise DataError(f"a column must be an object with a string \"name\", got {c!r}")
+    return [ColumnSpec(name=c["name"], kind=str(c.get("kind", "numeric")),
                        transform=str(c.get("transform", "none"))) for c in items]
+
+
+def _integer(name: str, value) -> int:
+    """A whole-number config value; integral floats such as 70.0 count."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DataError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:  # an integer beyond the float range
+            pass
+    raise DataError(f"{name} must be a number, got {value!r}")
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
@@ -99,32 +122,39 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     outlier = OutlierConfig(
         enabled=pick(None if outlier_flag is None else outlier_flag == "on",
                      out_doc.get("enabled"), False),
-        contamination=float(pick(getattr(args, "contamination", None),
-                                 out_doc.get("contamination"), 0.05)),
-        n_trees=int(pick(getattr(args, "n_trees", None), out_doc.get("n_trees"), 100)),
-        subsample=int(pick(None, out_doc.get("subsample"), 256)))
+        contamination=_real("outlier.contamination", pick(
+            getattr(args, "contamination", None), out_doc.get("contamination"), 0.05)),
+        n_trees=_integer("outlier.n_trees", pick(
+            getattr(args, "n_trees", None), out_doc.get("n_trees"), 100)),
+        subsample=_integer("outlier.subsample", pick(None, out_doc.get("subsample"), 256)))
     fit = FitConfig(
-        leaf_size=int(pick(getattr(args, "leaf_size", None), fit_doc.get("leaf_size"), 100)),
+        leaf_size=_integer("leaf_size", pick(
+            getattr(args, "leaf_size", None), fit_doc.get("leaf_size"), 100)),
         leaf_method=str(pick(getattr(args, "leaf_method", None),
                              fit_doc.get("leaf_method"), "linear")),
-        seed=int(pick(getattr(args, "seed", None), fit_doc.get("seed"), 0)),
-        ridge_eps=float(pick(getattr(args, "ridge_eps", None), fit_doc.get("ridge_eps"), 0.0)),
-        gp_max_iters=int(pick(getattr(args, "gp_max_iters", None),
-                              fit_doc.get("gp_max_iters"), 100)),
+        seed=_integer("seed", pick(getattr(args, "seed", None), fit_doc.get("seed"), 0)),
+        ridge_eps=_real("ridge_eps", pick(
+            getattr(args, "ridge_eps", None), fit_doc.get("ridge_eps"), 0.0)),
+        gp_max_iters=_integer("gp_max_iters", pick(
+            getattr(args, "gp_max_iters", None), fit_doc.get("gp_max_iters"), 100)),
         gp_init=fit_doc.get("gp_init"),
         outlier=outlier)
 
+    sweep_sizes = pick(getattr(args, "leaf_sizes", None), sweep_doc.get("leaf_sizes"),
+                       _DEFAULT_SWEEP)
+    if not isinstance(sweep_sizes, list):
+        raise DataError(f"sweep.leaf_sizes must be a list of integers, got {sweep_sizes!r}")
     columns_doc = data_doc.get("columns")
     tag_default = os.path.splitext(os.path.basename(data_path))[0] or "dataset"
     return RunConfig(
         data_path=str(data_path),
         columns=None if columns_doc is None else _columns_from_doc(columns_doc),
-        train_fraction=float(pick(getattr(args, "train_fraction", None),
-                                  split_doc.get("train_fraction"), 0.7)),
-        split_seed=int(pick(getattr(args, "split_seed", None), split_doc.get("seed"), 0)),
+        train_fraction=_real("split.train_fraction", pick(
+            getattr(args, "train_fraction", None), split_doc.get("train_fraction"), 0.7)),
+        split_seed=_integer("split.seed", pick(
+            getattr(args, "split_seed", None), split_doc.get("seed"), 0)),
         fit=fit,
-        sweep_sizes=[int(v) for v in pick(getattr(args, "leaf_sizes", None),
-                                          sweep_doc.get("leaf_sizes"), _DEFAULT_SWEEP)],
+        sweep_sizes=[_integer("sweep.leaf_sizes", v) for v in sweep_sizes],
         out_dir=str(pick(getattr(args, "out_dir", None), doc.get("out_dir"), "runs")),
         dataset_tag=str(pick(getattr(args, "tag", None), data_doc.get("tag"), tag_default)))
 

@@ -8,6 +8,7 @@ counted so the loss is visible in the ingestion report.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -85,6 +86,18 @@ class Dataset:
     @property
     def n_features(self) -> int:
         return self.features.shape[1]
+
+    @functools.cached_property
+    def feature_order(self) -> np.ndarray:
+        """Stable sort order of every feature: row j lists the row indices
+        in rising order of feature j, equal values in rising row index.
+
+        d x n and read-only; sorted on first use, then shared by every tree
+        grown on this dataset.
+        """
+        order = np.ascontiguousarray(np.argsort(self.features, axis=0, kind="stable").T)
+        order.setflags(write=False)
+        return order
 
     def take(self, indices) -> "Dataset":
         """New Dataset holding the given rows (fancy indexing, copies)."""

@@ -383,3 +383,45 @@ class TestTreeDocument:
         with pytest.raises(cart.CartError):
             cart.tree_from_dict({"leaf_size": 1, "n_leaves": 1, "feature_names": ["a"],
                                  "root": {"kind": "mystery"}})
+
+
+def oracle_data(kind, rng):
+    """Real-valued, integer-grid and heavily tied instances for the oracle walk."""
+    n = 240
+    if kind == "real":
+        X = rng.normal(size=(n, 3))
+        y = np.sin(2.0 * X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(size=n) * 0.1
+    elif kind == "grid":
+        X = rng.integers(0, 8, size=(n, 3)).astype(float)
+        y = X[:, 0] - 0.5 * X[:, 2] + rng.normal(size=n)
+    else:
+        X = rng.integers(0, 3, size=(n, 3)).astype(float)
+        X[:, 2] = X[:, 0]  # duplicated column: cross-feature ties
+        y = rng.integers(-2, 3, size=n).astype(float)
+    return X, y
+
+
+class TestBuildTreeMatchesOracle:
+    @pytest.mark.parametrize("leaf_size", [1, 3, 20])
+    @pytest.mark.parametrize("kind", ["real", "grid", "tied"])
+    def test_every_node_splits_as_best_split(self, kind, leaf_size, rng):
+        # build_tree never sorts a node; the public best_split sorts each
+        # node afresh. Both must pick the same split, bit for bit.
+        X, y = oracle_data(kind, rng)
+        tree, leaf_rows = cart.build_tree(make_dataset(X, y), leaf_size)
+        stack = [(0, np.arange(X.shape[0]))]
+        splits = 0
+        while stack:
+            node, rows = stack.pop()
+            rule = cart.best_split(X[rows], y[rows], leaf_size)
+            if tree.left[node] < 0:
+                assert rule is None
+                assert np.array_equal(leaf_rows[tree.segment_id[node]], rows)
+                continue
+            assert (rule.feature, rule.threshold, rule.gain) == (
+                tree.feature[node], tree.threshold[node], tree.gain[node])
+            mask = X[rows, rule.feature] <= rule.threshold
+            stack.append((tree.left[node], rows[mask]))
+            stack.append((tree.right[node], rows[~mask]))
+            splits += 1
+        assert splits >= 3

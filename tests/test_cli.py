@@ -185,6 +185,47 @@ class TestFit:
         assert code == 2
         assert "must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("doc", [
+        {"data": {"columns": 5}},
+        {"data": {"columns": [5, {"name": "y", "kind": "target"}]}},
+        {"data": {"columns": [{"kind": "numeric"}, {"name": "y", "kind": "target"}]}},
+        {"fit": {"leaf_size": "abc"}},
+        {"fit": {"leaf_size": 20.7}},
+        {"fit": {"leaf_size": True}},
+        {"fit": {"seed": 1.5}},
+        {"fit": {"gp_max_iters": 2.5}},
+        {"fit": {"ridge_eps": "small"}},
+        {"fit": {"ridge_eps": 10 ** 400}},
+        {"fit": {"outlier": {"n_trees": 10.5}}},
+        {"fit": {"outlier": {"subsample": 64.5}}},
+        {"fit": {"outlier": {"contamination": "abc"}}},
+        {"split": {"seed": 0.5}},
+        {"split": {"train_fraction": "most"}},
+        {"sweep": {"leaf_sizes": [20.7]}},
+        {"sweep": {"leaf_sizes": 20}},
+    ])
+    def test_invalid_config_value_exits_2(self, data_csv, tmp_path, capsys, doc):
+        doc.setdefault("data", {})["path"] = data_csv
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = str(tmp_path / "run15")
+        assert run(["fit", "--config", config_path, "--out-dir", out]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not os.path.exists(os.path.join(out, "model.json"))
+
+    def test_integral_float_config_values_accepted(self, data_csv, tmp_path):
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"path": data_csv},
+                       "fit": {"leaf_size": 70.0, "seed": 3.0}}, fh)
+        out = str(tmp_path / "run16")
+        assert run(["fit", "--config", config_path, "--out-dir", out]) == 0
+        with open(os.path.join(out, "resolved_config.json"), encoding="utf-8") as fh:
+            resolved = json.load(fh)["fit"]
+        assert resolved["leaf_size"] == 70 and isinstance(resolved["leaf_size"], int)
+        assert resolved["seed"] == 3 and isinstance(resolved["seed"], int)
+
     def test_non_positive_gp_init_exits_2_before_any_fit(self, data_csv, tmp_path,
                                                          monkeypatch):
         calls = []
