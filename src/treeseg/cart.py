@@ -11,7 +11,10 @@ feature's sorted order by a stable partition of the parent's order (the
 SLIQ/SPRINT attribute lists of Mehta et al. and Shafer et al., 1996).
 Ties stay in rising row index, so a child's order is exactly the stable
 sort of its own rows, and `best_split`, which sorts a node afresh, picks
-the same split bit for bit.
+the same split bit for bit. `build_trees` grows the trees of several leaf
+sizes in one pass: the trees agree until their best splits differ, so a
+shared node is scanned once, and its gains serve every size through the
+cuts whose smaller child keeps at least that many rows.
 
 Split selection must be exactly reproducible, ties included, so the scan
 runs in two stages: one float64 prefix-sum pass over the node's whole
@@ -130,40 +133,10 @@ def _gains_exact(ys: np.ndarray, ks: np.ndarray) -> list[Fraction]:
     return out
 
 
-def _scan(columns: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray,
-          min_child: int) -> SplitRule | None:
-    """Best split of the node holding `rows` (ascending indices into y).
-
-    `columns` is the features x rows matrix; `order` is features x len(rows),
-    row j listing the node's rows sorted stably by `columns[j]`.
-    """
-    n = rows.shape[0]
-    if n < 2 * min_child:
-        return None
-    y_node = y[rows]
-    mean = y_node.mean()
-    yc = y_node - mean
-    sse_parent = float(yc @ yc)
-    if sse_parent == 0.0:
-        return None
-
-    # Column k of the candidate block is the cut after sorted position k, for
-    # k = lo .. hi-1; every array below is features x positions.
-    xs = np.take_along_axis(columns, order, axis=1)
-    prefix = np.cumsum(y[order] - mean, axis=1)
-    lo, hi = min_child - 1, n - min_child
-    s_tot = prefix[:, -1:].copy()
-    s_l = prefix[:, lo:hi]
-    n_l = np.arange(lo, hi) + 1.0
-    # s_l*s_l/n_l + s_r*s_r/n_r - s_tot*s_tot/n, in place, in that order.
-    gains = s_l * s_l
-    gains /= n_l
-    s_r = np.subtract(s_tot, s_l, out=s_l)
-    s_r *= s_r
-    s_r /= n - n_l
-    gains += s_r
-    gains -= s_tot * s_tot / n
-    gains[~(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])] = -np.inf  # no cut between equal values
+def _pick(gains: np.ndarray, lo: int, xs: np.ndarray, y: np.ndarray, order: np.ndarray,
+          sse_parent: float) -> SplitRule | None:
+    """Best split among the candidate cuts after sorted positions lo, lo+1, ...
+    whose float64 gains are the columns of `gains` (features x positions)."""
     best_gain = float(gains.max(initial=-np.inf))
     if best_gain == -np.inf:
         return None
@@ -172,7 +145,7 @@ def _scan(columns: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarra
 
     band = _BAND_REL * max(sse_parent, abs(best_gain))
     # Feature first, then rising position (so rising threshold): the tie order.
-    features, ks = np.nonzero(gains >= best_gain - band)
+    features, ks = np.divmod(np.flatnonzero(gains >= best_gain - band), gains.shape[1])
     ks += lo
     lower, upper = xs[features, ks], xs[features, ks + 1]
     thresholds = 0.5 * (lower + upper)
@@ -196,6 +169,53 @@ def _scan(columns: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarra
     return best_rule
 
 
+def _scan(columns: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarray,
+          sizes: list[int]) -> list[SplitRule | None]:
+    """Best split of the node holding `rows` (ascending indices into y), for
+    each minimum child size in `sizes` (ascending), aligned with `sizes`.
+
+    `columns` is the features x rows matrix; `order` is features x len(rows),
+    row j listing the node's rows sorted stably by `columns[j]`. The gains
+    are computed once, at the smallest size; a larger size takes the best of
+    the cuts that leave both of its children enough rows.
+    """
+    n = rows.shape[0]
+    rules: list[SplitRule | None] = [None] * len(sizes)
+    m = sizes[0]
+    if n < 2 * m:
+        return rules
+    y_node = y[rows]
+    mean = y_node.mean()
+    yc = y_node - mean
+    sse_parent = float(yc @ yc)
+    if sse_parent == 0.0:
+        return rules
+
+    # Column c of the candidate block is the cut after sorted position
+    # m-1+c, for c = 0 .. n-2m; every array below is features x positions.
+    xs = np.take_along_axis(columns, order, axis=1)
+    prefix = np.cumsum(y[order] - mean, axis=1)
+    lo, hi = m - 1, n - m
+    s_tot = prefix[:, -1:].copy()
+    s_l = prefix[:, lo:hi]
+    n_l = np.arange(lo, hi) + 1.0
+    # s_l*s_l/n_l + s_r*s_r/n_r - s_tot*s_tot/n, in place, in that order.
+    gains = s_l * s_l
+    gains /= n_l
+    s_r = np.subtract(s_tot, s_l, out=s_l)
+    s_r *= s_r
+    s_r /= n - n_l
+    gains += s_r
+    gains -= s_tot * s_tot / n
+    gains[~(xs[:, lo:hi] < xs[:, lo + 1:hi + 1])] = -np.inf  # no cut between equal values
+    for i, size in enumerate(sizes):
+        if n < 2 * size:
+            break
+        # Both children keep >= size rows: cuts after positions size-1 .. n-size-1.
+        rules[i] = _pick(gains[:, size - m:n - size - m + 1], size - 1, xs, y, order, sse_parent)
+    return rules
+
+
 def best_split(X: np.ndarray, y: np.ndarray, min_child: int) -> SplitRule | None:
     """Best variance-reducing split over every (feature, midpoint) candidate.
 
@@ -210,7 +230,7 @@ def best_split(X: np.ndarray, y: np.ndarray, min_child: int) -> SplitRule | None
     if min_child < 1:
         raise CartError("min_child must be >= 1")
     order = np.argsort(X, axis=0, kind="stable").T
-    return _scan(X.T, y, np.arange(y.shape[0]), order, min_child)
+    return _scan(X.T, y, np.arange(y.shape[0]), order, [min_child])[0]
 
 
 def build_tree(train: Dataset, leaf_size: int) -> tuple[RegressionTree, list[np.ndarray]]:
@@ -219,51 +239,79 @@ def build_tree(train: Dataset, leaf_size: int) -> tuple[RegressionTree, list[np.
     Returns the tree and, indexed by segment id, the training rows of each
     leaf. Construction is deterministic: split scanning, tie-breaking and
     the left-first segment numbering have no random or order-dependent
-    state. No node sorts: the root starts from `train.feature_order`, and
-    each child's order is a stable partition of its parent's.
+    state. This is `build_trees` with a one-size grid.
+    """
+    return build_trees(train, [leaf_size])[leaf_size]
+
+
+def build_trees(train: Dataset, leaf_sizes
+                ) -> dict[int, tuple[RegressionTree, list[np.ndarray]]]:
+    """Grow the tree of every leaf size in `leaf_sizes` in one pass.
+
+    Returns, for each distinct size, what `build_tree(train, size)` returns,
+    bit for bit. The trees agree until their best splits differ, so a node
+    that several trees share is scanned once for all of them. No node sorts:
+    the root starts from `train.feature_order`, and each child's order is a
+    stable partition of its parent's.
     """
     n = train.n_rows
-    if leaf_size < 1:
+    sizes = sorted(set(leaf_sizes))
+    if not sizes:
+        raise CartError("leaf_sizes must be non-empty")
+    if sizes[0] < 1:
         raise CartError("leaf_size must be >= 1")
-    if leaf_size > n:
-        raise CartError(f"leaf_size={leaf_size} exceeds the {n} training rows")
+    if sizes[-1] > n:
+        raise CartError(f"leaf_size={sizes[-1]} exceeds the {n} training rows")
     X, y = train.features, train.response
     columns = X.T
-    splittable = 2 * leaf_size
 
-    def child_order(order: np.ndarray, side: np.ndarray, size: int) -> np.ndarray | None:
+    def child_order(order: np.ndarray, side: np.ndarray, size: int,
+                    group: list[int]) -> np.ndarray | None:
         # Compressing each sorted row keeps its order, so the child's row j is
         # still its rows sorted by feature j with ties by rising index.
-        return order[side].reshape(order.shape[0], size) if size >= splittable else None
+        return order[side].reshape(order.shape[0], size) if size >= 2 * group[0] else None
 
-    nodes: list[list] = []
-    leaf_rows: list[np.ndarray] = []
+    nodes: dict[int, list[list]] = {size: [] for size in sizes}
+    leaf_rows: dict[int, list[np.ndarray]] = {size: [] for size in sizes}
     goes_left = np.empty(n, dtype=bool)
-    # The stack pops a left child right after its parent, so nodes are
-    # numbered, and leaves given segment ids, in preorder. An entry carries
-    # the node's rows, their per-feature order (None when too few rows to
-    # split) and the node whose right child it is, or -1.
-    root_order = train.feature_order if n >= splittable else None
-    stack: list[tuple] = [(np.arange(n, dtype=np.intp), root_order, -1)]
+    # An entry is a node shared by the trees of a group of sizes (ascending):
+    # its rows, their per-feature order (None when too few rows to split) and,
+    # per size, the node whose right child it is in that tree, or -1. The
+    # stack pops a left child right after its parent, so in each tree nodes
+    # are numbered, and leaves given segment ids, in preorder.
+    root_order = train.feature_order if n >= 2 * sizes[0] else None
+    stack: list[tuple] = [(np.arange(n, dtype=np.intp), root_order, sizes, [-1] * len(sizes))]
     while stack:
-        rows, order, parent = stack.pop()
-        node = len(nodes)
-        if parent >= 0:
-            nodes[parent][4] = node
-        rule = None if order is None else _scan(columns, y, rows, order, leaf_size)
-        if rule is None:
-            nodes.append([-1, 0.0, 0.0, -1, -1, len(leaf_rows), int(rows.size),
-                          float(y[rows].mean()), float(y[rows].std())])
-            leaf_rows.append(rows)
-        else:
-            nodes.append([rule.feature, rule.threshold, rule.gain, node + 1, -1, -1, 0, 0.0, 0.0])
-            mask = columns[rule.feature][rows] <= rule.threshold
+        rows, order, group, parents = stack.pop()
+        rules = [None] * len(group) if order is None else _scan(columns, y, rows, order, group)
+        leaf = None
+        splits: dict[tuple, tuple[list[int], list[int]]] = {}
+        for size, parent, rule in zip(group, parents, rules):
+            tree = nodes[size]
+            node = len(tree)
+            if parent >= 0:
+                tree[parent][4] = node
+            if rule is None:
+                if leaf is None:
+                    leaf = [int(rows.size), float(y[rows].mean()), float(y[rows].std())]
+                tree.append([-1, 0.0, 0.0, -1, -1, len(leaf_rows[size]), *leaf])
+                leaf_rows[size].append(rows)
+            else:
+                # Each size keeps its own gain: the same cut can come from the
+                # exact stage for one size and the float64 stage for another.
+                tree.append([rule.feature, rule.threshold, rule.gain, node + 1, -1, -1, 0, 0.0, 0.0])
+                split = splits.setdefault((rule.feature, rule.threshold), ([], []))
+                split[0].append(size)
+                split[1].append(node)
+        for (feature, threshold), (sub, sub_nodes) in splits.items():
+            mask = columns[feature][rows] <= threshold
             left, right = rows[mask], rows[~mask]
             goes_left[rows] = mask
             side = goes_left[order]
-            stack.append((right, child_order(order, ~side, right.size), node))
-            stack.append((left, child_order(order, side, left.size), -1))
-    return _tree(nodes, leaf_size, train.feature_names), leaf_rows
+            stack.append((right, child_order(order, ~side, right.size, sub), sub, sub_nodes))
+            stack.append((left, child_order(order, side, left.size, sub), sub, [-1] * len(sub)))
+    return {size: (_tree(nodes[size], size, train.feature_names), leaf_rows[size])
+            for size in sizes}
 
 
 def route(tree, X: np.ndarray) -> np.ndarray:

@@ -17,8 +17,8 @@ import numpy as np
 
 from . import cart
 from .data import Dataset, SplitPair
-from .pipeline import (FitConfig, PipelineError, fit_segmented, predict_batch,
-                       with_leaf_size)
+from .pipeline import (FitConfig, PipelineError, filter_outliers, fit_filtered,
+                       fit_segmented, predict_batch, with_leaf_size)
 
 
 def rmse(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -90,16 +90,25 @@ def tree_generalization_sweep(split: SplitPair, leaf_sizes,
 
     The interesting shape: small leaves drive train RMSE down while the
     train/test gap widens; large leaves close the gap at higher error.
+    The trees are grown jointly (`cart.build_trees`), so every row's
+    `fit_seconds` is the time of that one joint build.
     """
     train, test = split.train, split.test
+    sizes = _clean_grid(leaf_sizes, train.n_rows)
+    t0 = time.perf_counter()
+    trees = cart.build_trees(train, sizes)
+    elapsed = time.perf_counter() - t0
     rows = []
-    for ls in _clean_grid(leaf_sizes, train.n_rows):
-        t0 = time.perf_counter()
-        tree, _ = cart.build_tree(train, ls)
-        elapsed = time.perf_counter() - t0
+    for ls in sizes:
+        tree, leaf_rows = trees[ls]
+        # Training rows route to their own leaf, so the training predictions
+        # are the leaf means laid over the leaf rows (segment ids are preorder).
+        train_pred = np.empty(train.n_rows)
+        for rows_of_leaf, mean in zip(leaf_rows, tree.mean[tree.left < 0]):
+            train_pred[rows_of_leaf] = mean
         rows.append(SweepRow(
             leaf_size=ls,
-            train_rmse=rmse(cart.predict_mean_batch(tree, train.features), train.response),
+            train_rmse=rmse(train_pred, train.response),
             test_rmse=rmse(cart.predict_mean_batch(tree, test.features), test.response),
             n_leaves=tree.n_leaves,
             fit_seconds=elapsed))
@@ -111,18 +120,23 @@ def model_generalization_sweep(split: SplitPair, leaf_sizes, config: FitConfig,
                                dataset_tag: str = "") -> SweepReport:
     """Full segmented-model train/test RMSE at each leaf size.
 
-    Each row refits the whole pipeline with the template config at that
-    leaf size; the leaf size with the lowest test RMSE is flagged. Train
-    RMSE is measured on the rows the model actually saw (post-filter).
+    Each row fits the pipeline with the template config at that leaf size;
+    the leaf size with the lowest test RMSE is flagged. The outlier filter
+    does not depend on the leaf size, so it runs once, and every row's tree
+    is grown from the same kept rows; a row's `fit_seconds` is its tree and
+    leaf fits. Train RMSE is measured on the rows the model actually saw
+    (post-filter).
     """
     train, test = split.train, split.test
+    sizes = _clean_grid(leaf_sizes, train.n_rows)
+    kept, kept_rows = filter_outliers(train, config)
     rows = []
     best = None
-    for ls in _clean_grid(leaf_sizes, train.n_rows):
+    for ls in sizes:
         t0 = time.perf_counter()
-        model = fit_segmented(train, with_leaf_size(config, ls))
+        model = fit_filtered(kept, with_leaf_size(config, ls), kept_rows,
+                             train.n_rows - kept.n_rows)
         elapsed = time.perf_counter() - t0
-        kept = kept_training_set(train, model)
         row = SweepRow(
             leaf_size=ls,
             train_rmse=rmse(predict_batch(model, kept), kept.response),

@@ -199,32 +199,46 @@ def fit_segmented(train: Dataset, config: FitConfig) -> SegmentedModel:
     if config.leaf_size > train.n_rows:
         raise PipelineError(
             f"leaf_size={config.leaf_size} exceeds the {train.n_rows} training rows")
+    kept, kept_rows = filter_outliers(train, config)
+    return fit_filtered(kept, config, kept_rows, train.n_rows - kept.n_rows)
 
-    n_removed = 0
-    kept_rows = None
-    if config.outlier.enabled:
-        removed = score_outliers(train, config)[1]
-        kept_rows = np.setdiff1d(np.arange(train.n_rows), removed)
-        train = train.take(kept_rows)
-        n_removed = removed.size
-        if config.leaf_size > train.n_rows:
-            raise PipelineError(
-                "outlier filtering left fewer rows than leaf_size; lower the "
-                "contamination or the leaf size")
 
-    tree, leaf_rows = cart.build_tree(train, config.leaf_size)
+def filter_outliers(train: Dataset, config: FitConfig) -> tuple[Dataset, np.ndarray | None]:
+    """The training rows the outlier filter keeps, and their indices in `train`.
+
+    With the filter off, `train` itself and None. The result depends on the
+    training set, `config.seed` and `config.outlier`, not on the leaf size.
+    """
+    if not config.outlier.enabled:
+        return train, None
+    removed = score_outliers(train, config)[1]
+    kept_rows = np.setdiff1d(np.arange(train.n_rows), removed)
+    return train.take(kept_rows), kept_rows
+
+
+def fit_filtered(kept: Dataset, config: FitConfig, kept_rows: np.ndarray | None,
+                 n_removed: int) -> SegmentedModel:
+    """Segment the rows `filter_outliers` kept and fit each segment.
+
+    `kept_rows` and `n_removed` record the filter's outcome on the model.
+    """
+    if config.leaf_size > kept.n_rows:
+        raise PipelineError(
+            "outlier filtering left fewer rows than leaf_size; lower the "
+            "contamination or the leaf size")
+    tree, leaf_rows = cart.build_tree(kept, config.leaf_size)
     leaf_models: dict[int, LeafModel] = {}
     scalers: dict[int, Scaler | None] = {}
     report: dict[int, LeafFitStatus] = {}
     for segment_id, rows in enumerate(leaf_rows):
-        model, scaler, status = _fit_leaf(train.features[rows], train.response[rows],
+        model, scaler, status = _fit_leaf(kept.features[rows], kept.response[rows],
                                           config, segment_id)
         leaf_models[segment_id] = model
         scalers[segment_id] = scaler
         report[segment_id] = status
     return SegmentedModel(tree=tree, leaf_models=leaf_models, scalers=scalers,
                           config=config, fit_report=report,
-                          n_train_rows=train.n_rows, n_removed_outliers=n_removed,
+                          n_train_rows=kept.n_rows, n_removed_outliers=n_removed,
                           kept_rows=kept_rows)
 
 

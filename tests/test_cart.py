@@ -425,3 +425,40 @@ class TestBuildTreeMatchesOracle:
             stack.append((tree.right[node], rows[~mask]))
             splits += 1
         assert splits >= 3
+
+
+def tree_equal(a, b):
+    """Same tree document and same leaf rows, bit for bit."""
+    (tree_a, rows_a), (tree_b, rows_b) = a, b
+    assert cart.tree_to_dict(tree_a) == cart.tree_to_dict(tree_b)
+    for name in ("feature", "threshold", "gain", "left", "right", "segment_id", "count",
+                 "mean", "std"):
+        assert np.array_equal(getattr(tree_a, name), getattr(tree_b, name)), name
+    assert len(rows_a) == len(rows_b)
+    assert all(np.array_equal(ra, rb) for ra, rb in zip(rows_a, rows_b))
+
+
+class TestBuildTrees:
+    @pytest.mark.parametrize("kind", ["real", "grid", "tied"])
+    def test_each_tree_equals_its_own_build(self, kind, rng):
+        # Sizes 1-3 run the exact stage; duplicates collapse, order is free,
+        # and sizes above n/2 leave the root a leaf.
+        X, y = oracle_data(kind, rng)
+        data = make_dataset(X, y)
+        n = X.shape[0]
+        grid = [20, 3, 1, 2, 3, 7, n, n // 2 + 1, 1]
+        trees = cart.build_trees(data, grid)
+        assert sorted(trees) == sorted(set(grid))
+        for leaf_size in grid:
+            tree_equal(trees[leaf_size], cart.build_tree(data, leaf_size))
+            assert trees[leaf_size][0].leaf_size == leaf_size
+
+    def test_invalid_grids_raise_like_build_tree(self, rng):
+        X, y = oracle_data("real", rng)
+        data = make_dataset(X, y)
+        n = X.shape[0]
+        for grid in ([3, n + 1, 1], [0, 5], []):
+            with pytest.raises(cart.CartError):
+                cart.build_trees(data, grid)
+        with pytest.raises(cart.CartError):
+            cart.build_tree(data, n + 1)

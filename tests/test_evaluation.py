@@ -10,8 +10,10 @@ from treeseg.evaluation import (AblationReport, SweepReport, ablation_outliers,
                                 segment_summary, tree_generalization_sweep)
 from treeseg.outliers import anomaly_score_batch, fit_forest, removal_indices
 from treeseg.persistence import load_model, save_model
+from treeseg import pipeline
+from treeseg.cart import build_tree, predict_mean_batch
 from treeseg.pipeline import (FitConfig, OutlierConfig, PipelineError, fit_segmented,
-                              predict_batch)
+                              predict_batch, with_leaf_size)
 
 
 def make_split(rng, n=300, f=0.7):
@@ -79,6 +81,21 @@ class TestTreeSweep:
             assert (ra.train_rmse, ra.test_rmse, ra.n_leaves) == \
                    (rb.train_rmse, rb.test_rmse, rb.n_leaves)
 
+    def test_rows_equal_one_tree_per_size(self, rng):
+        # One joint build; each row's figures are those of the size's own
+        # tree, and its train RMSE those of routing the training rows.
+        split = make_split(rng, n=400)
+        grid = [60, 5, 20, 1, 3]
+        report = tree_generalization_sweep(split, grid)
+        assert len({r.fit_seconds for r in report.rows}) == 1
+        for row in report.rows:
+            tree, _ = build_tree(split.train, row.leaf_size)
+            assert row.n_leaves == tree.n_leaves
+            assert row.train_rmse == rmse(predict_mean_batch(tree, split.train.features),
+                                          split.train.response)
+            assert row.test_rmse == rmse(predict_mean_batch(tree, split.test.features),
+                                         split.test.response)
+
     def test_gap_shrinks_for_well_sampled_steps(self, rng):
         # Tiny leaves memorize the training set (train RMSE ~ 0, test RMSE
         # ~ noise), so their train/test gap dwarfs the single-leaf gap,
@@ -142,6 +159,41 @@ class TestModelSweep:
         assert kept.n_rows == model.n_train_rows < split.train.n_rows
         expect = rmse(predict_batch(model, kept), kept.response)
         assert report.rows[0].train_rmse == pytest.approx(expect, rel=1e-12)
+
+    def test_outlier_forest_fit_once_per_sweep(self, rng, monkeypatch):
+        split = make_split(rng, n=300)
+        config = FitConfig(leaf_size=10, leaf_method="linear", seed=4,
+                           outlier=OutlierConfig(enabled=True, contamination=0.05,
+                                                 n_trees=20, subsample=64))
+        grid = [80, 10, 40, 20]
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return fit_forest(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "fit_forest", counted)
+        report = model_generalization_sweep(split, grid, config)
+        assert len(calls) == 1
+        for row in report.rows:
+            model = fit_segmented(split.train, with_leaf_size(config, row.leaf_size))
+            kept = kept_training_set(split.train, model)
+            assert model.n_removed_outliers > 0
+            assert (row.train_rmse, row.test_rmse, row.n_leaves) == (
+                rmse(predict_batch(model, kept), kept.response),
+                rmse(predict_batch(model, split.test), split.test.response),
+                model.tree.n_leaves)
+        assert len(calls) == 1 + len(grid)
+
+    def test_size_above_the_kept_rows_raises(self, rng):
+        split = make_split(rng, n=100)  # 70 training rows, some removed
+        config = FitConfig(leaf_size=10, leaf_method="constant",
+                           outlier=OutlierConfig(enabled=True, contamination=0.2,
+                                                 n_trees=20, subsample=64))
+        with pytest.raises(PipelineError, match="outlier filtering left fewer rows"):
+            fit_segmented(split.train, with_leaf_size(config, 70))
+        with pytest.raises(PipelineError, match="outlier filtering left fewer rows"):
+            model_generalization_sweep(split, [10, 70], config)
 
     def test_kept_training_set_reads_the_recorded_rows(self, rng, tmp_path):
         split = make_split(rng, n=300)

@@ -16,7 +16,7 @@ import os
 import numpy as np
 import pytest
 
-from treeseg.cart import build_tree, tree_to_dict
+from treeseg.cart import build_tree, build_trees, tree_to_dict
 from treeseg.data import Dataset
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_trees.json")
@@ -49,13 +49,16 @@ def _tied(rng):
 DATASETS = {"real": (_real, 11), "integer_grid": (_integer_grid, 12), "tied": (_tied, 13)}
 
 
-def digests(name: str) -> dict[str, list[str]]:
+def digests(name: str, joint: bool = False) -> dict[str, list[str]]:
+    """Digests of each grid tree, grown one size at a time or (`joint`) all
+    sizes in one `build_trees` pass."""
     make, seed = DATASETS[name]
     X, y = make(np.random.default_rng(seed))
     data = Dataset(X, y, tuple(f"x{j}" for j in range(X.shape[1])))
+    grown = build_trees(data, LEAF_SIZES) if joint else None
     out = {}
     for leaf_size in LEAF_SIZES:
-        tree, leaf_rows = build_tree(data, leaf_size)
+        tree, leaf_rows = grown[leaf_size] if joint else build_tree(data, leaf_size)
         doc = json.dumps(tree_to_dict(tree), sort_keys=True)
         rows = json.dumps([r.tolist() for r in leaf_rows])
         out[str(leaf_size)] = [hashlib.sha256(doc.encode()).hexdigest(),
@@ -68,6 +71,13 @@ def test_trees_match_golden_digests(name):
     with open(GOLDEN, "r", encoding="utf-8") as fh:
         golden = json.load(fh)
     assert digests(name) == golden[name]
+
+
+@pytest.mark.parametrize("name", sorted(DATASETS))
+def test_jointly_grown_trees_match_golden_digests(name):
+    with open(GOLDEN, "r", encoding="utf-8") as fh:
+        golden = json.load(fh)
+    assert digests(name, joint=True) == golden[name]
 
 
 if __name__ == "__main__":

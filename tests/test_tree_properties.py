@@ -57,6 +57,20 @@ def test_training_rows_route_to_their_own_leaf(case):
 
 
 @_SETTINGS
+@given(st.data())
+def test_joint_build_equals_one_build_per_size(draw):
+    data = draw.draw(datasets())
+    grid = draw.draw(st.lists(st.integers(1, data.n_rows), min_size=1, max_size=6))
+    trees = cart.build_trees(data, grid)
+    assert sorted(trees) == sorted(set(grid))
+    for leaf_size in set(grid):
+        (tree, leaf_rows), (one, one_rows) = trees[leaf_size], cart.build_tree(data, leaf_size)
+        assert cart.tree_to_dict(tree) == cart.tree_to_dict(one)
+        assert len(leaf_rows) == len(one_rows)
+        assert all(np.array_equal(a, b) for a, b in zip(leaf_rows, one_rows))
+
+
+@_SETTINGS
 @given(datasets())
 def test_feature_order_is_a_read_only_stable_argsort(data):
     order = data.feature_order
