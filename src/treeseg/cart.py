@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, _integer, _real
 
 
 class CartError(ValueError):
@@ -441,12 +441,13 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     def add(node_doc: dict) -> None:
         kind = node_doc.get("kind")
         if kind == "leaf":
-            segment_id, mean = int(node_doc["segment_id"]), float(node_doc["mean"])
-            nodes.append([-1, 0.0, 0.0, -1, -1, segment_id, int(node_doc["count"]),
-                          mean, float(node_doc.get("std", 0.0))])
+            nodes.append([-1, 0.0, 0.0, -1, -1, _integer("segment_id", node_doc["segment_id"]),
+                          _integer("count", node_doc["count"]), _real("mean", node_doc["mean"]),
+                          _real("std", node_doc.get("std", 0.0))])
         elif kind == "split":
-            row = [int(node_doc["feature"]), float(node_doc["threshold"]),
-                   float(node_doc["gain"]), len(nodes) + 1, -1, -1, 0, 0.0, 0.0]
+            row = [_integer("feature", node_doc["feature"]),
+                   _real("threshold", node_doc["threshold"]), _real("gain", node_doc["gain"]),
+                   len(nodes) + 1, -1, -1, 0, 0.0, 0.0]
             nodes.append(row)
             add(node_doc["left"])
             row[4] = len(nodes)
@@ -455,10 +456,13 @@ def tree_from_dict(doc: dict) -> RegressionTree:
             raise CartError(f"unknown tree node kind {kind!r}")
 
     add(doc["root"])
-    leaf_size, n_leaves = int(doc["leaf_size"]), int(doc["n_leaves"])
+    leaf_size = _integer("leaf_size", doc["leaf_size"])
+    n_leaves = _integer("n_leaves", doc["n_leaves"])
     feature_names = tuple(doc["feature_names"])
     if sorted(row[5] for row in nodes if row[3] < 0) != list(range(n_leaves)):
         raise CartError("tree document has inconsistent segment ids")
+    if any(not 0 <= row[0] < len(feature_names) for row in nodes if row[3] >= 0):
+        raise CartError("tree document splits on a feature it does not name")
     try:
         return _tree(nodes, leaf_size, feature_names)
     except OverflowError as exc:

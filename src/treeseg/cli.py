@@ -13,14 +13,14 @@ import csv
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import cart, evaluation
-from .data import ColumnSpec, DataError, Dataset, ingest, load_csv, train_test_split
+from .data import ColumnSpec, DataError, _integer, _real, ingest, load_csv, train_test_split
 from .persistence import PersistenceError, load_bundle, save_model
-from .pipeline import (FitConfig, OutlierConfig, PipelineError, fit_segmented,
+from .pipeline import (LEAF_METHODS, FitConfig, OutlierConfig, PipelineError, fit_segmented,
                        predict_batch, predict_with_segments, score_outliers)
 
 _DEFAULT_SWEEP = [10, 20, 40, 70, 100, 200, 400, 700, 1000, 2000]
@@ -44,9 +44,7 @@ class RunConfig:
             "data": {
                 "path": self.data_path,
                 "tag": self.dataset_tag,
-                "columns": None if self.columns is None else [
-                    {"name": c.name, "kind": c.kind, "transform": c.transform}
-                    for c in self.columns],
+                "columns": None if self.columns is None else [asdict(c) for c in self.columns],
             },
             "split": {"train_fraction": self.train_fraction, "seed": self.split_seed},
             "fit": self.fit.to_doc(),
@@ -65,98 +63,63 @@ def _columns_from_doc(items) -> list[ColumnSpec]:
                        transform=str(c.get("transform", "none"))) for c in items]
 
 
-def _integer(name: str, value) -> int:
-    """A whole-number config value; integral floats such as 70.0 count."""
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise DataError(f"{name} must be an integer, got {value!r}")
-
-
-def _real(name: str, value) -> float:
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            return float(value)
-        except OverflowError:  # an integer beyond the float range
-            pass
-    raise DataError(f"{name} must be a number, got {value!r}")
+def _overlay(base: dict, values: dict) -> dict:
+    """Lay the non-null entries of `values` over `base`, in place. Where
+    `base` holds an object, `values` must hold one too, laid over in turn."""
+    for key, value in values.items():
+        if isinstance(base.get(key), dict):
+            if not isinstance(value, dict):
+                raise DataError(f"config section {key!r} must be a JSON object, got {value!r}")
+            _overlay(base[key], value)
+        elif value is not None:
+            base[key] = value
+    return base
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Merge defaults, the optional config file, and flag overrides."""
-    doc: dict = {}
-    if getattr(args, "config", None):
+    """The defaults, overlaid by the config file's values, then by the flags.
+
+    The fit settings are read by `FitConfig.from_doc`, as on model load.
+    """
+    doc = RunConfig(data_path=None, columns=None, dataset_tag=None).to_doc()
+    if args.config:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
+                file_doc = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise DataError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(doc, dict):
+        if not isinstance(file_doc, dict):
             raise DataError(f"config file {args.config} must hold a JSON object")
+        _overlay(doc, file_doc)
+    _overlay(doc, {
+        "data": {"path": args.data, "tag": args.tag},
+        "split": {"train_fraction": args.train_fraction, "seed": args.split_seed},
+        "fit": {"leaf_size": args.leaf_size, "leaf_method": args.leaf_method,
+                "seed": args.seed, "ridge_eps": args.ridge_eps,
+                "gp_max_iters": args.gp_max_iters,
+                "outlier": {"enabled": None if args.outliers is None else args.outliers == "on",
+                            "contamination": args.contamination, "n_trees": args.n_trees}},
+        "sweep": {"leaf_sizes": getattr(args, "leaf_sizes", None)},
+        "out_dir": args.out_dir})
 
-    def section(parent: dict, key: str) -> dict:
-        value = parent.get(key, {})
-        if not isinstance(value, dict):
-            raise DataError(f"config section {key!r} must be a JSON object, got {value!r}")
-        return value
-
-    data_doc = section(doc, "data")
-    split_doc = section(doc, "split")
-    fit_doc = section(doc, "fit")
-    out_doc = section(fit_doc, "outlier")
-    sweep_doc = section(doc, "sweep")
-
-    def pick(flag_value, file_value, default):
-        if flag_value is not None:
-            return flag_value
-        if file_value is not None:
-            return file_value
-        return default
-
-    data_path = pick(getattr(args, "data", None), data_doc.get("path"), None)
-    if not data_path:
+    data, sweep_sizes = doc["data"], doc["sweep"]["leaf_sizes"]
+    if not data["path"]:
         raise DataError("no dataset given: pass --data or set data.path in the config file")
-
-    outlier_flag = getattr(args, "outliers", None)
-    outlier = OutlierConfig(
-        enabled=pick(None if outlier_flag is None else outlier_flag == "on",
-                     out_doc.get("enabled"), False),
-        contamination=_real("outlier.contamination", pick(
-            getattr(args, "contamination", None), out_doc.get("contamination"), 0.05)),
-        n_trees=_integer("outlier.n_trees", pick(
-            getattr(args, "n_trees", None), out_doc.get("n_trees"), 100)),
-        subsample=_integer("outlier.subsample", pick(None, out_doc.get("subsample"), 256)))
-    fit = FitConfig(
-        leaf_size=_integer("leaf_size", pick(
-            getattr(args, "leaf_size", None), fit_doc.get("leaf_size"), 100)),
-        leaf_method=str(pick(getattr(args, "leaf_method", None),
-                             fit_doc.get("leaf_method"), "linear")),
-        seed=_integer("seed", pick(getattr(args, "seed", None), fit_doc.get("seed"), 0)),
-        ridge_eps=_real("ridge_eps", pick(
-            getattr(args, "ridge_eps", None), fit_doc.get("ridge_eps"), 0.0)),
-        gp_max_iters=_integer("gp_max_iters", pick(
-            getattr(args, "gp_max_iters", None), fit_doc.get("gp_max_iters"), 100)),
-        gp_init=fit_doc.get("gp_init"),
-        outlier=outlier)
-
-    sweep_sizes = pick(getattr(args, "leaf_sizes", None), sweep_doc.get("leaf_sizes"),
-                       _DEFAULT_SWEEP)
     if not isinstance(sweep_sizes, list):
         raise DataError(f"sweep.leaf_sizes must be a list of integers, got {sweep_sizes!r}")
-    columns_doc = data_doc.get("columns")
-    tag_default = os.path.splitext(os.path.basename(data_path))[0] or "dataset"
+    data_path = str(data["path"])
+    tag = data["tag"]
+    if tag is None:
+        tag = os.path.splitext(os.path.basename(data_path))[0] or "dataset"
     return RunConfig(
-        data_path=str(data_path),
-        columns=None if columns_doc is None else _columns_from_doc(columns_doc),
-        train_fraction=_real("split.train_fraction", pick(
-            getattr(args, "train_fraction", None), split_doc.get("train_fraction"), 0.7)),
-        split_seed=_integer("split.seed", pick(
-            getattr(args, "split_seed", None), split_doc.get("seed"), 0)),
-        fit=fit,
+        data_path=data_path,
+        columns=None if data["columns"] is None else _columns_from_doc(data["columns"]),
+        train_fraction=_real("split.train_fraction", doc["split"]["train_fraction"]),
+        split_seed=_integer("split.seed", doc["split"]["seed"]),
+        fit=FitConfig.from_doc(doc["fit"]),
         sweep_sizes=[_integer("sweep.leaf_sizes", v) for v in sweep_sizes],
-        out_dir=str(pick(getattr(args, "out_dir", None), doc.get("out_dir"), "runs")),
-        dataset_tag=str(pick(getattr(args, "tag", None), data_doc.get("tag"), tag_default)))
+        out_dir=str(doc["out_dir"]),
+        dataset_tag=str(tag))
 
 
 def _infer_columns(path: str) -> list[ColumnSpec]:
@@ -188,8 +151,7 @@ def _prepare(cfg: RunConfig):
 
 def _ingestion_recipe(columns: list[ColumnSpec], report) -> dict:
     return {
-        "columns": [{"name": c.name, "kind": c.kind, "transform": c.transform}
-                    for c in columns],
+        "columns": [asdict(c) for c in columns],
         "levels": {name: list(levels) for name, levels in report.encodings.items()},
     }
 
@@ -325,22 +287,28 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="JSON run-config file (flags override it)")
         p.add_argument("--data", help="dataset CSV path")
         p.add_argument("--tag", help="short dataset tag used in output names")
-        p.add_argument("--out-dir", help="output directory (default runs/)")
-        p.add_argument("--train-fraction", type=float, help="train split fraction (default 0.7)")
-        p.add_argument("--split-seed", type=int, help="row-split seed (default 0)")
-        p.add_argument("--seed", type=int, help="fit seed (default 0)")
-        p.add_argument("--leaf-size", type=int, help="minimum rows per segment (default 100)")
-        p.add_argument("--leaf-method", choices=["constant", "linear", "gp"],
-                       help="per-segment regressor (default linear)")
-        p.add_argument("--ridge-eps", type=float, help="ridge strength for linear leaves (default 0)")
-        p.add_argument("--gp-max-iters", type=int, help="GP optimizer iteration cap (default 100)")
+        p.add_argument("--out-dir", help=f"output directory (default {RunConfig.out_dir}/)")
+        p.add_argument("--train-fraction", type=float,
+                       help=f"train split fraction (default {RunConfig.train_fraction:g})")
+        p.add_argument("--split-seed", type=int,
+                       help=f"row-split seed (default {RunConfig.split_seed})")
+        p.add_argument("--seed", type=int, help=f"fit seed (default {FitConfig.seed})")
+        p.add_argument("--leaf-size", type=int,
+                       help=f"minimum rows per segment (default {FitConfig.leaf_size})")
+        p.add_argument("--leaf-method", choices=LEAF_METHODS,
+                       help=f"per-segment regressor (default {FitConfig.leaf_method})")
+        p.add_argument("--ridge-eps", type=float, help="ridge strength for linear leaves "
+                       f"(default {FitConfig.ridge_eps:g})")
+        p.add_argument("--gp-max-iters", type=int,
+                       help=f"GP optimizer iteration cap (default {FitConfig.gp_max_iters})")
         p.add_argument("--outliers", choices=["on", "off"], help="toggle outlier filtering")
-        p.add_argument("--contamination", type=float,
-                       help="fraction of training rows to remove (default 0.05)")
-        p.add_argument("--n-trees", type=int, help="isolation forest size (default 100)")
+        p.add_argument("--contamination", type=float, help="fraction of training rows to "
+                       f"remove (default {OutlierConfig.contamination:g})")
+        p.add_argument("--n-trees", type=int,
+                       help=f"isolation forest size (default {OutlierConfig.n_trees})")
         if sweep:
-            p.add_argument("--leaf-sizes", type=int, nargs="+",
-                           help="leaf sizes to sweep (default 10..2000 grid)")
+            p.add_argument("--leaf-sizes", type=int, nargs="+", help="leaf sizes to sweep "
+                           f"(default {_DEFAULT_SWEEP[0]}..{_DEFAULT_SWEEP[-1]} grid)")
 
     p_fit = sub.add_parser("fit", help="fit a segmented model and save it")
     add_config_flags(p_fit)

@@ -22,6 +22,28 @@ class DataError(ValueError):
     """Raised when a file, column spec, or split request cannot be honored."""
 
 
+# The number rules for every value read from a JSON document: run configs and model documents.
+def _integer(name: str, value) -> int:
+    """A whole number; integral floats such as 70.0 count, booleans do not."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise DataError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """A finite number; integers count, booleans, NaN and infinities do not."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an integer beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise DataError(f"{name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ColumnSpec:
     """How one source column is interpreted during ingestion.

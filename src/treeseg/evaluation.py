@@ -18,7 +18,7 @@ import numpy as np
 from . import cart
 from .data import Dataset, SplitPair
 from .pipeline import (FitConfig, PipelineError, filter_outliers, fit_filtered,
-                       fit_segmented, predict_batch, with_leaf_size)
+                       fit_segmented, predict_batch)
 
 
 def rmse(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -134,7 +134,7 @@ def model_generalization_sweep(split: SplitPair, leaf_sizes, config: FitConfig,
     best = None
     for ls in sizes:
         t0 = time.perf_counter()
-        model = fit_filtered(kept, with_leaf_size(config, ls), kept_rows,
+        model = fit_filtered(kept, dataclasses.replace(config, leaf_size=ls), kept_rows,
                              train.n_rows - kept.n_rows)
         elapsed = time.perf_counter() - t0
         row = SweepRow(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -154,20 +154,18 @@ class KernelParams:
     noise_variance: float
 
     def __post_init__(self):
-        for name in ("linear_variance", "rbf_variance", "rbf_lengthscale", "noise_variance"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not (v > 0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be a positive finite real, got {v!r}")
+                raise ValueError(f"{f.name} must be a positive finite real, got {v!r}")
 
     def to_log(self) -> np.ndarray:
-        return np.log([self.linear_variance, self.rbf_variance,
-                       self.rbf_lengthscale, self.noise_variance])
+        """Log of the parameters, in field order."""
+        return np.log([getattr(self, f.name) for f in fields(self)])
 
     @staticmethod
     def from_log(z: np.ndarray) -> "KernelParams":
-        v = np.exp(np.asarray(z, dtype=np.float64))
-        return KernelParams(linear_variance=float(v[0]), rbf_variance=float(v[1]),
-                            rbf_lengthscale=float(v[2]), noise_variance=float(v[3]))
+        return KernelParams(*np.exp(np.asarray(z, dtype=np.float64)).tolist())
 
 
 _CHUNK = 256

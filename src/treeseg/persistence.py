@@ -14,7 +14,8 @@ covariance would not factorize at the stored jitter through
 builds no m x m matrix, with the factorization itself as the fallback when
 the certificate cannot decide. It also checks that the fit report covers
 every segment, that n_train_rows equals the rows the tree's leaves hold,
-and that GP training inputs and alpha are finite. Posterior means depend
+and that every number passes the run config's rules (`data._integer`,
+`data._real`; arrays must be finite). Posterior means depend
 only on the kernel parameters, the training inputs and alpha (the model
 derives its mean-path constants from them on first use), so round-tripped
 predictions are bit-identical without the factor; `leaf_models.gp_predict`
@@ -30,7 +31,7 @@ import os
 import numpy as np
 
 from . import cart
-from .data import Scaler
+from .data import Scaler, _integer, _real
 from .leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
                           LinearModel, check_covariance)
 from .pipeline import FitConfig, LeafFitStatus, SegmentedModel
@@ -64,44 +65,54 @@ def _leaf_model_doc(model) -> dict:
     raise PersistenceError(f"cannot serialize leaf model of type {type(model).__name__}")
 
 
+def _finite_array(name: str, values) -> np.ndarray:
+    """A read-only float64 array of finite numbers."""
+    array = np.asarray(values, dtype=np.float64)
+    if not np.isfinite(array).all():
+        raise PersistenceError(f"{name} are not finite")
+    array.setflags(write=False)
+    return array
+
+
+def _flag(name: str, value) -> bool:
+    if not isinstance(value, bool):
+        raise PersistenceError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def _leaf_model_from_doc(doc: dict, n_features: int):
     kind = doc.get("type")
     if kind == "constant":
-        return ConstantModel(mean=float(doc["mean"]))
+        return ConstantModel(mean=_real("mean", doc["mean"]))
     if kind == "linear":
-        weights = np.asarray(doc["weights"], dtype=np.float64)
+        weights = _finite_array("linear weights", doc["weights"])
         if weights.shape != (n_features,):
             raise PersistenceError(
                 f"linear model has {weights.shape[0]} weights for {n_features} features")
-        weights.setflags(write=False)
-        return LinearModel(weights=weights, intercept=float(doc["intercept"]),
-                           ridge_eps=float(doc["ridge_eps"]),
-                           used_fallback=bool(doc["used_fallback"]))
+        return LinearModel(weights=weights, intercept=_real("intercept", doc["intercept"]),
+                           ridge_eps=_real("ridge_eps", doc["ridge_eps"]),
+                           used_fallback=_flag("used_fallback", doc["used_fallback"]))
     if kind == "gp":
         p = doc["params"]
-        params = KernelParams(**{f.name: float(p[f.name])
-                                 for f in dataclasses.fields(KernelParams)})
-        X = np.asarray(doc["training_inputs"], dtype=np.float64)
-        alpha = np.asarray(doc["alpha"], dtype=np.float64)
+        params = KernelParams(*(_real(f.name, p[f.name])
+                                for f in dataclasses.fields(KernelParams)))
+        X = _finite_array("gp training inputs", doc["training_inputs"])
+        alpha = _finite_array("gp alpha values", doc["alpha"])
         if X.ndim != 2 or X.shape[1] != n_features:
             raise PersistenceError("gp training inputs do not match the feature count")
         if alpha.shape != (X.shape[0],):
             raise PersistenceError("gp alpha length does not match its training inputs")
-        if not (np.all(np.isfinite(X)) and np.all(np.isfinite(alpha))):
-            raise PersistenceError("gp training inputs or alpha are not finite")
-        jitter = float(doc["jitter"])
+        jitter = _real("jitter", doc["jitter"])
         try:
             check_covariance(params, X, jitter)
         except LeafFitError as exc:
             raise PersistenceError("stored gp covariance is not positive definite") from exc
-        X.setflags(write=False)
-        alpha.setflags(write=False)
         return GPModel(params=params, training_inputs=X, alpha=alpha,
-                       y_mean=float(doc["y_mean"]), jitter=jitter,
-                       log_marginal=float(doc["log_marginal"]),
-                       n_iterations=int(doc.get("n_iterations", 0)),
-                       n_evaluations=int(doc.get("n_evaluations", 0)),
-                       converged=bool(doc.get("converged", False)))
+                       y_mean=_real("y_mean", doc["y_mean"]), jitter=jitter,
+                       log_marginal=_real("log_marginal", doc["log_marginal"]),
+                       n_iterations=_integer("n_iterations", doc.get("n_iterations", 0)),
+                       n_evaluations=_integer("n_evaluations", doc.get("n_evaluations", 0)),
+                       converged=_flag("converged", doc.get("converged", False)))
     raise PersistenceError(f"unknown leaf model type {kind!r}")
 
 
@@ -114,12 +125,10 @@ def _scaler_doc(scaler: Scaler | None) -> dict | None:
 def _scaler_from_doc(doc: dict | None, n_features: int) -> Scaler | None:
     if doc is None:
         return None
-    mean = np.asarray(doc["mean"], dtype=np.float64)
-    std = np.asarray(doc["std"], dtype=np.float64)
+    mean = _finite_array("scaler means", doc["mean"])
+    std = _finite_array("scaler stds", doc["std"])
     if mean.shape != (n_features,) or std.shape != (n_features,):
         raise PersistenceError("scaler dimensions do not match the feature count")
-    mean.setflags(write=False)
-    std.setflags(write=False)
     return Scaler(mean=mean, std=std)
 
 
@@ -185,19 +194,19 @@ def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
         report = {int(k): LeafFitStatus(segment_id=int(k), status=str(v["status"]),
                                         method=str(v["method"]), reason=v.get("reason"))
                   for k, v in doc["fit_report"].items()}
-        n_train_rows = int(doc["n_train_rows"])
-        n_removed = int(doc["n_removed_outliers"])
+        n_train_rows = _integer("n_train_rows", doc["n_train_rows"])
+        n_removed = _integer("n_removed_outliers", doc["n_removed_outliers"])
     except (KeyError, TypeError, ValueError, cart.CartError) as exc:
         if isinstance(exc, PersistenceError):
             raise
         raise PersistenceError(f"{path} failed validation: {exc}") from exc
 
-    expected = set(range(tree.n_leaves))
-    if set(leaf_models) != expected:
+    expected = {str(i) for i in range(tree.n_leaves)}  # one key per segment, as written
+    if set(doc["leaf_models"]) != expected:
         raise PersistenceError(f"{path}: leaf models do not cover every segment")
-    if set(scalers) != expected:
+    if set(doc["scalers"]) != expected:
         raise PersistenceError(f"{path}: scalers do not cover every segment")
-    if set(report) != expected:
+    if set(doc["fit_report"]) != expected:
         raise PersistenceError(f"{path}: fit report does not cover every segment")
     n_leaf_rows = sum(tree.count[tree.left < 0].tolist())
     if n_train_rows != n_leaf_rows:

@@ -11,13 +11,12 @@ a model always comes back able to predict.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import cart
-from .data import Dataset, Scaler
+from .data import DataError, Dataset, Scaler, _integer, _real
 from .leaf_models import (ConstantModel, KernelParams, LeafFitError, LeafModel,
                           fit_constant, fit_gp, fit_ols)
 from .outliers import anomaly_score_batch, fit_forest, removal_indices
@@ -47,10 +46,6 @@ class OutlierConfig:
             raise PipelineError("subsample must be >= 2")
 
 
-# Keys accepted in FitConfig.gp_init to pin individual kernel parameters.
-_GP_PARAM_NAMES = tuple(f.name for f in dataclasses.fields(KernelParams))
-
-
 @dataclass(frozen=True)
 class FitConfig:
     """Everything that determines a fit, so runs are reproducible."""
@@ -76,12 +71,15 @@ class FitConfig:
         if self.gp_init is not None:
             if not isinstance(self.gp_init, dict):
                 raise PipelineError("gp_init must map kernel parameter names to values")
-            unknown = set(self.gp_init) - set(_GP_PARAM_NAMES)
+            unknown = set(self.gp_init) - {f.name for f in dataclasses.fields(KernelParams)}
             if unknown:
                 raise PipelineError(f"unknown gp_init keys: {sorted(unknown)}")
             for name, v in self.gp_init.items():
-                if not (isinstance(v, (int, float)) and not isinstance(v, bool)
-                        and v > 0 and math.isfinite(v)):
+                try:
+                    positive = _real(name, v) > 0
+                except DataError:
+                    positive = False
+                if not positive:
                     raise PipelineError(f"gp_init {name} must be a positive finite real, got {v!r}")
 
     def to_doc(self) -> dict:
@@ -92,21 +90,23 @@ class FitConfig:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "FitConfig":
-        """Inverse of `to_doc`; values are coerced to their field types, except
-        `outlier.enabled`, which must already be a boolean."""
+        """Inverse of `to_doc`, and the one reader of fit settings: numbers
+        must pass `data._integer`/`data._real`, and `outlier.enabled` must be
+        a boolean. Keys it does not know are ignored."""
         out = doc["outlier"]
+        gp_init = doc.get("gp_init")
         return cls(
-            leaf_size=int(doc["leaf_size"]),
-            leaf_method=str(doc["leaf_method"]),
-            seed=int(doc["seed"]),
-            ridge_eps=float(doc["ridge_eps"]),
-            gp_max_iters=int(doc["gp_max_iters"]),
-            gp_init=dict(doc["gp_init"]) if doc.get("gp_init") else None,
+            leaf_size=_integer("leaf_size", doc["leaf_size"]),
+            leaf_method=doc["leaf_method"],
+            seed=_integer("seed", doc["seed"]),
+            ridge_eps=_real("ridge_eps", doc["ridge_eps"]),
+            gp_max_iters=_integer("gp_max_iters", doc["gp_max_iters"]),
+            gp_init=dict(gp_init) or None if isinstance(gp_init, dict) else gp_init,
             outlier=OutlierConfig(
                 enabled=out["enabled"],
-                contamination=float(out["contamination"]),
-                n_trees=int(out["n_trees"]),
-                subsample=int(out["subsample"])))
+                contamination=_real("outlier.contamination", out["contamination"]),
+                n_trees=_integer("outlier.n_trees", out["n_trees"]),
+                subsample=_integer("outlier.subsample", out["subsample"])))
 
 
 @dataclass(frozen=True)
@@ -283,8 +283,3 @@ def predict(model: SegmentedModel, x) -> float:
     if x.shape[0] != model.n_features:
         raise PipelineError(f"expected {model.n_features} feature values, got {x.shape[0]}")
     return float(predict_batch(model, x[None, :])[0])
-
-
-def with_leaf_size(config: FitConfig, leaf_size: int) -> FitConfig:
-    """Copy of config at a different leaf size (sweep helper)."""
-    return dataclasses.replace(config, leaf_size=leaf_size)

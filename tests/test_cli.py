@@ -203,6 +203,7 @@ class TestFit:
         {"split": {"train_fraction": "most"}},
         {"sweep": {"leaf_sizes": [20.7]}},
         {"sweep": {"leaf_sizes": 20}},
+        {"fit": {"gp_init": {"noise_variance": 10 ** 400}}},
     ])
     def test_invalid_config_value_exits_2(self, data_csv, tmp_path, capsys, doc):
         doc.setdefault("data", {})["path"] = data_csv
@@ -240,6 +241,52 @@ class TestFit:
         code = run(["fit", "--config", config_path, "--out-dir", str(tmp_path / "run14")])
         assert code == 2
         assert calls == []
+
+    @pytest.mark.parametrize("fit_text", ['{"ridge_eps": 1e400}', '{"ridge_eps": NaN}',
+                                          '{"outlier": {"contamination": -Infinity}}'])
+    def test_non_finite_config_number_exits_2_before_any_fit(self, data_csv, tmp_path,
+                                                             monkeypatch, capsys, fit_text):
+        calls = []
+        monkeypatch.setattr(cart, "build_tree", lambda *a, **k: calls.append("tree"))
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            fh.write('{"data": {"path": %s}, "fit": %s}' % (json.dumps(data_csv), fit_text))
+        out = str(tmp_path / "run17")
+        assert run(["fit", "--config", config_path, "--out-dir", out]) == 2
+        assert "must be a finite number" in capsys.readouterr().err
+        assert calls == []
+        assert not os.path.exists(os.path.join(out, "resolved_config.json"))
+
+    def test_non_finite_flag_exits_2(self, data_csv, tmp_path, capsys):
+        code = run(["fit", "--data", data_csv, "--out-dir", str(tmp_path / "run18"),
+                    "--ridge-eps", "nan"])
+        assert code == 2
+        assert "ridge_eps must be a finite number" in capsys.readouterr().err
+
+    def test_resolved_config_reproduces_the_run(self, data_csv, tmp_path):
+        config_path = str(tmp_path / "run.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"path": data_csv, "tag": "synth"},
+                       "split": {"train_fraction": 0.75, "seed": 2},
+                       "fit": {"leaf_size": 50.0, "seed": 4, "ridge_eps": 1,
+                               "gp_init": {"noise_variance": 2},
+                               "outlier": {"enabled": True, "n_trees": 30}},
+                       "sweep": {"leaf_sizes": [30, 60]}}, fh)
+        first, second = str(tmp_path / "first"), str(tmp_path / "second")
+        assert run(["fit", "--config", config_path, "--out-dir", first,
+                    "--leaf-method", "linear", "--contamination", "0.04"]) == 0
+        assert run(["fit", "--config", os.path.join(first, "resolved_config.json"),
+                    "--out-dir", second]) == 0
+
+        def read(run_dir, name):
+            with open(os.path.join(run_dir, name), "rb") as fh:
+                return fh.read()
+
+        resolved = [json.loads(read(d, "resolved_config.json")) for d in (first, second)]
+        assert [r.pop("out_dir") for r in resolved] == [first, second]
+        assert resolved[0] == resolved[1]
+        assert resolved[0]["fit"]["gp_init"] == {"noise_variance": 2}
+        assert read(first, "model.json") == read(second, "model.json")
 
 
 class TestPredict:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from treeseg.data import (ColumnSpec, DataError, Dataset, Scaler, ingest,
+from treeseg.data import (ColumnSpec, DataError, Dataset, Scaler, _integer, _real, ingest,
                           load_csv, train_test_split, write_csv)
 
 
@@ -195,3 +195,31 @@ class TestScaler:
         whole = scaler.transform(X)
         one = scaler.transform(X[7:8, :])
         assert np.array_equal(whole[7:8, :], one)
+
+
+class TestNumberRules:
+    """The rules for every number read from a run config or model document."""
+
+    @pytest.mark.parametrize("value,expected", [(70, 70), (70.0, 70), (-3, -3),
+                                                (10 ** 30, 10 ** 30)])
+    def test_integer_accepts_whole_numbers(self, value, expected):
+        got = _integer("n", value)
+        assert got == expected and type(got) is int
+
+    @pytest.mark.parametrize("value", [20.7, True, False, "7", None, [1],
+                                       float("nan"), float("inf"), float("-inf")])
+    def test_integer_rejects(self, value):
+        with pytest.raises(DataError, match="n must be an integer"):
+            _integer("n", value)
+
+    @pytest.mark.parametrize("value,expected", [(0.05, 0.05), (3, 3.0), (-1e300, -1e300)])
+    def test_real_accepts_finite_numbers(self, value, expected):
+        got = _real("x", value)
+        assert got == expected and type(got) is float
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf"),
+                                       pytest.param(10 ** 400, id="integer-1e400"),
+                                       True, "0.5", None, {}])
+    def test_real_rejects(self, value):
+        with pytest.raises(DataError, match="x must be a finite number"):
+            _real("x", value)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from treeseg.persistence import load_model, save_model
 from treeseg import pipeline
 from treeseg.cart import build_tree, predict_mean_batch
 from treeseg.pipeline import (FitConfig, OutlierConfig, PipelineError, fit_segmented,
-                              predict_batch, with_leaf_size)
+                              predict_batch)
 
 
 def make_split(rng, n=300, f=0.7):
@@ -176,7 +177,7 @@ class TestModelSweep:
         report = model_generalization_sweep(split, grid, config)
         assert len(calls) == 1
         for row in report.rows:
-            model = fit_segmented(split.train, with_leaf_size(config, row.leaf_size))
+            model = fit_segmented(split.train, dataclasses.replace(config, leaf_size=row.leaf_size))
             kept = kept_training_set(split.train, model)
             assert model.n_removed_outliers > 0
             assert (row.train_rmse, row.test_rmse, row.n_leaves) == (
@@ -191,7 +192,7 @@ class TestModelSweep:
                            outlier=OutlierConfig(enabled=True, contamination=0.2,
                                                  n_trees=20, subsample=64))
         with pytest.raises(PipelineError, match="outlier filtering left fewer rows"):
-            fit_segmented(split.train, with_leaf_size(config, 70))
+            fit_segmented(split.train, dataclasses.replace(config, leaf_size=70))
         with pytest.raises(PipelineError, match="outlier filtering left fewer rows"):
             model_generalization_sweep(split, [10, 70], config)
 

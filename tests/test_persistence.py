@@ -189,6 +189,17 @@ def test_string_outlier_enabled_rejected(rng, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("section", ["leaf_models", "scalers", "fit_report"])
+def test_second_key_for_a_segment_rejected(rng, tmp_path, section):
+    # "01" parses to segment 1 too; it must not replace or shadow the "1" entry.
+    model = fitted_model(rng, "linear")
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    rewrite(path, lambda doc: doc[section].update({"01": doc[section]["1"]}))
+    with pytest.raises(PersistenceError, match="cover every segment"):
+        load_model(path)
+
+
 def test_missing_fit_report_entry_rejected(rng, tmp_path):
     model = fitted_model(rng, "linear")
     path = str(tmp_path / "model.json")
@@ -232,6 +243,77 @@ def test_non_finite_gp_arrays_rejected(rng, tmp_path, field, value):
 
     rewrite(path, edit)
     with pytest.raises(PersistenceError, match="not finite"):
+        load_model(path)
+
+
+def first_leaf(doc, kind):
+    return next(d for d in doc["leaf_models"].values() if d["type"] == kind)
+
+
+# Each edit corrupts one field of a saved linear model. The "@1e400@" marker
+# is written as the bare JSON literal 1e400, which parses to infinity.
+CORRUPTIONS = {
+    "config leaf_size 20.7": lambda doc: doc["config"].update(leaf_size=20.7),
+    "config seed string": lambda doc: doc["config"].update(seed="7"),
+    "config gp_max_iters true": lambda doc: doc["config"].update(gp_max_iters=True),
+    "config ridge_eps 1e400": lambda doc: doc["config"].update(ridge_eps="@1e400@"),
+    "config contamination NaN": lambda doc: doc["config"]["outlier"].update(
+        contamination=float("nan")),
+    "used_fallback string": lambda doc: first_leaf(doc, "linear").update(used_fallback="false"),
+    "used_fallback 0": lambda doc: first_leaf(doc, "linear").update(used_fallback=0),
+    "intercept NaN": lambda doc: first_leaf(doc, "linear").update(intercept=float("nan")),
+    "weight 1e400": lambda doc: first_leaf(doc, "linear")["weights"].__setitem__(0, "@1e400@"),
+    "root feature 1.9": lambda doc: doc["tree"]["root"].update(feature=1.9),
+    "root feature out of range": lambda doc: doc["tree"]["root"].update(feature=2),
+    "root feature negative": lambda doc: doc["tree"]["root"].update(feature=-1),
+    "root threshold NaN": lambda doc: doc["tree"]["root"].update(threshold=float("nan")),
+    "tree leaf_size 60.5": lambda doc: doc["tree"].update(leaf_size=60.5),
+    "scaler std Infinity": lambda doc: next(iter(doc["scalers"].values()))["std"].__setitem__(
+        0, float("inf")),
+    "scaler mean NaN": lambda doc: next(iter(doc["scalers"].values()))["mean"].__setitem__(
+        0, float("nan")),
+    "n_train_rows float": lambda doc: doc.update(n_train_rows=doc["n_train_rows"] + 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupted_field_rejected(rng, tmp_path, name):
+    model = fitted_model(rng, "linear")
+    assert model.tree.n_leaves > 1  # the root is a split
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    CORRUPTIONS[name](doc)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(doc).replace('"@1e400@"', "1e400"))
+    with pytest.raises(PersistenceError, match="failed validation|not finite|true or false"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("converged", "true"),
+    ("converged", 1),
+    ("jitter", float("nan")),
+    ("log_marginal", float("-inf")),
+    ("n_iterations", 2.5),
+])
+def test_corrupted_gp_field_rejected(rng, tmp_path, field, value):
+    model = fitted_model(rng, "gp", gp_max_iters=3)
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    rewrite(path, lambda doc: first_leaf(doc, "gp").update({field: value}))
+    with pytest.raises(PersistenceError, match=field):
+        load_model(path)
+
+
+@pytest.mark.parametrize("value", [float("nan"), pytest.param(10 ** 400, id="integer-1e400")])
+def test_non_finite_gp_parameter_rejected(rng, tmp_path, value):
+    model = fitted_model(rng, "gp", gp_max_iters=3)
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    rewrite(path, lambda doc: first_leaf(doc, "gp")["params"].update(rbf_lengthscale=value))
+    with pytest.raises(PersistenceError, match="rbf_lengthscale"):
         load_model(path)
 
 

@@ -7,7 +7,7 @@ from treeseg.leaf_models import ConstantModel, GPModel, LinearModel, fit_ols
 from treeseg.pipeline import (FitConfig, OutlierConfig, PipelineError,
                               SegmentedModel, default_gp_init, fit_segmented,
                               predict, predict_batch, predict_with_segments,
-                              score_outliers, with_leaf_size)
+                              score_outliers)
 
 
 def make_dataset(X, y, names=None):
@@ -59,21 +59,33 @@ class TestConfig:
         with pytest.raises(PipelineError, match="enabled"):
             FitConfig.from_doc(doc)
 
-    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan"), "1.0", True])
+    @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan"), "1.0", True,
+                                       pytest.param(10 ** 400, id="integer-1e400")])
     def test_gp_init_values_must_be_positive_finite_reals(self, value):
         with pytest.raises(PipelineError, match="rbf_lengthscale"):
             FitConfig(leaf_method="gp", gp_init={"rbf_lengthscale": value})
 
+    @pytest.mark.parametrize("key,value", [
+        ("leaf_size", 20.7), ("leaf_size", True), ("seed", "7"), ("gp_max_iters", True),
+        ("ridge_eps", float("inf")), ("ridge_eps", "0"), ("subsample", 64.5),
+        ("n_trees", None), ("contamination", float("nan"))])
+    def test_from_doc_number_rules(self, key, value):
+        doc = FitConfig().to_doc()
+        (doc["outlier"] if key in doc["outlier"] else doc)[key] = value
+        with pytest.raises(ValueError, match=key):
+            FitConfig.from_doc(doc)
+
+    def test_from_doc_inverts_to_doc(self):
+        config = FitConfig(leaf_size=7, leaf_method="gp", seed=3, ridge_eps=0.5, gp_max_iters=9,
+                           gp_init={"noise_variance": 2}, outlier=OutlierConfig(enabled=True))
+        assert FitConfig.from_doc(config.to_doc()) == config
+        doc = FitConfig().to_doc()
+        doc.update(leaf_size=70.0, gp_init={})
+        assert FitConfig.from_doc(doc) == FitConfig(leaf_size=70)
+
     def test_gp_init_must_be_a_mapping(self):
         with pytest.raises(PipelineError, match="gp_init"):
             FitConfig(gp_init=5)
-
-    def test_with_leaf_size(self):
-        config = FitConfig(leaf_size=50, leaf_method="constant", seed=9)
-        other = with_leaf_size(config, 200)
-        assert other.leaf_size == 200
-        assert other.leaf_method == "constant" and other.seed == 9
-        assert config.leaf_size == 50  # original untouched
 
     def test_gp_init_defaults(self, rng):
         y = rng.normal(2.0, 3.0, size=100)
