@@ -19,8 +19,7 @@ from .evaluation import (AblationReport, SegmentSummary, SweepReport,
 from .leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
                           LinearModel, fit_constant, fit_gp, fit_ols,
                           gp_predict, kernel_matrix, log_marginal_likelihood)
-from .outliers import (IsolationForest, IsolationTree, anomaly_score,
-                       anomaly_score_batch, fit_forest)
+from .outliers import IsolationForest, anomaly_score_batch, fit_forest
 from .persistence import PersistenceError, load_model, save_model
 from .pipeline import (FitConfig, LeafFitStatus, OutlierConfig, PipelineError,
                        SegmentedModel, fit_segmented, predict, predict_batch)

@@ -314,18 +314,19 @@ def build_trees(train: Dataset, leaf_sizes
             for size in sizes}
 
 
-def route(tree, X: np.ndarray) -> np.ndarray:
+def route(tree, X: np.ndarray, start: int = 0) -> np.ndarray:
     """Leaf node of every row of X, for any tree in the flat layout.
 
-    `tree` needs `feature`, `threshold`, `left` and `right` arrays; a row
-    goes left at node i when `X[row, feature[i]] <= threshold[i]`. Only
-    children that some rows reach are walked, so routing few rows costs
-    time in proportion to the depth, not to the size of the tree.
+    `tree` needs `feature`, `threshold`, `left` and `right` arrays; the walk
+    begins at node `start`, and a row goes left at node i when
+    `X[row, feature[i]] <= threshold[i]`. Only children that some rows
+    reach are walked, so routing few rows costs time in proportion to the
+    depth, not to the size of the tree.
     """
     feature, threshold, left, right = tree.feature, tree.threshold, tree.left, tree.right
     columns = X.T  # a 1-D gather from one column is cheaper than X[idx, j]
     out = np.empty(X.shape[0], dtype=np.intp)
-    walk = [(0, np.arange(X.shape[0], dtype=np.intp))]
+    walk = [(start, np.arange(X.shape[0], dtype=np.intp))]
     while walk:
         node, idx = walk.pop()
         if left[node] < 0:

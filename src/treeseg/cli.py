@@ -13,7 +13,7 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from .pipeline import (LEAF_METHODS, FitConfig, OutlierConfig, PipelineError, fi
                        predict_batch, predict_with_segments, score_outliers)
 
 _DEFAULT_SWEEP = [10, 20, 40, 70, 100, 200, 400, 700, 1000, 2000]
+# Keys that older run configs may hold and that are now ignored, by dotted path.
+_RETIRED_KEYS = frozenset({"threads"})
+_COLUMN_KEYS = frozenset(f.name for f in fields(ColumnSpec))
 
 
 @dataclass
@@ -59,18 +62,27 @@ def _columns_from_doc(items) -> list[ColumnSpec]:
     for c in items:
         if not (isinstance(c, dict) and isinstance(c.get("name"), str)):
             raise DataError(f"a column must be an object with a string \"name\", got {c!r}")
+        unknown = sorted(set(c) - _COLUMN_KEYS)
+        if unknown:
+            raise DataError(f"unknown key {unknown[0]!r} in column {c['name']!r}")
     return [ColumnSpec(name=c["name"], kind=str(c.get("kind", "numeric")),
                        transform=str(c.get("transform", "none"))) for c in items]
 
 
-def _overlay(base: dict, values: dict) -> dict:
+def _overlay(base: dict, values: dict, prefix: str = "") -> dict:
     """Lay the non-null entries of `values` over `base`, in place. Where
-    `base` holds an object, `values` must hold one too, laid over in turn."""
+    `base` holds an object, `values` must hold one too, laid over in turn.
+    A key that `base` lacks is an error, unless it is a retired key."""
     for key, value in values.items():
-        if isinstance(base.get(key), dict):
+        name = prefix + key
+        if key not in base:
+            if name in _RETIRED_KEYS:
+                continue
+            raise DataError(f"unknown config key {name!r}")
+        if isinstance(base[key], dict):
             if not isinstance(value, dict):
                 raise DataError(f"config section {key!r} must be a JSON object, got {value!r}")
-            _overlay(base[key], value)
+            _overlay(base[key], value, name + ".")
         elif value is not None:
             base[key] = value
     return base

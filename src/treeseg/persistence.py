@@ -173,17 +173,17 @@ def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
         raise PersistenceError(f"{path} is not a valid model document: {exc}") from exc
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise PersistenceError(f"{path} is not a model document")
-    version = doc["schema_version"]
-    if not isinstance(version, int) or version > SCHEMA_VERSION:
-        raise PersistenceError(
-            f"{path} has schema_version {version!r}, newer than the supported "
-            f"{SCHEMA_VERSION}; upgrade this package to read it")
-    if version != SCHEMA_VERSION:
-        raise PersistenceError(f"{path} has unsupported schema_version {version!r}")
-    if doc.get("kind") != _DOCUMENT_KIND:
-        raise PersistenceError(f"{path} is not a {_DOCUMENT_KIND} document")
 
     try:
+        version = _integer("schema_version", doc["schema_version"])
+        if version > SCHEMA_VERSION:
+            raise PersistenceError(
+                f"{path} has schema_version {version!r}, newer than the supported "
+                f"{SCHEMA_VERSION}; upgrade this package to read it")
+        if version != SCHEMA_VERSION:
+            raise PersistenceError(f"{path} has unsupported schema_version {version!r}")
+        if doc.get("kind") != _DOCUMENT_KIND:
+            raise PersistenceError(f"{path} is not a {_DOCUMENT_KIND} document")
         config = FitConfig.from_doc(doc["config"])
         tree = cart.tree_from_dict(doc["tree"])
         n_features = tree.n_features

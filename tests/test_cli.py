@@ -118,7 +118,7 @@ class TestFit:
 
     def test_config_with_threads_key_still_runs(self, data_csv, tmp_path):
         # Config files written when a "threads" setting existed keep working;
-        # the key is ignored like any other unknown key.
+        # the key is retired, so it is ignored where other unknown keys fail.
         config_path = str(tmp_path / "old.json")
         with open(config_path, "w", encoding="utf-8") as fh:
             json.dump({"data": {"path": data_csv}, "fit": {"leaf_size": 40},
@@ -127,6 +127,23 @@ class TestFit:
         assert run(["fit", "--config", config_path, "--out-dir", out]) == 0
         with open(os.path.join(out, "resolved_config.json"), encoding="utf-8") as fh:
             assert "threads" not in json.load(fh)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"fit": {"leafsize": 20}}, "'fit.leafsize'"),
+        ({"fit": {"outlier": {"n_tree": 5}}}, "'fit.outlier.n_tree'"),
+        ({"split": {"seed": 1, "sed": 2}}, "'split.sed'"),
+        ({"thread": 4}, "'thread'"),
+        ({"data": {"columns": [{"name": "a"}, {"name": "y", "knd": "target"}]}}, "'knd'"),
+    ])
+    def test_unknown_config_key_exits_2(self, data_csv, tmp_path, capsys, doc, key):
+        doc.setdefault("data", {})["path"] = data_csv
+        config_path = str(tmp_path / "typo.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        out = str(tmp_path / "typo")
+        assert run(["fit", "--config", config_path, "--out-dir", out]) == 2
+        assert key in capsys.readouterr().err
+        assert not os.path.exists(os.path.join(out, "model.json"))
 
     def test_outlier_flags(self, data_csv, tmp_path):
         out = str(tmp_path / "run9")

@@ -3,8 +3,9 @@
 `golden_model.json` pins the whole document format (config, tree, linear
 leaves, scalers, fit report) byte for byte, so a change to how any part of
 the model is held in memory cannot change what is written. Rewrite it only
-for a deliberate format change, by running this file as a script:
-`PYTHONPATH=src python tests/test_golden_model.py`.
+for a deliberate format change or a deliberate change of the seeded
+outlier forest (which moves the rows the filter removes), by running this
+file as a script: `PYTHONPATH=src python tests/test_golden_model.py`.
 """
 
 import os

@@ -157,6 +157,20 @@ def test_future_schema_version_rejected(rng, tmp_path):
         load_model(path)
 
 
+@pytest.mark.parametrize("version", [True, "1"])
+def test_non_integer_schema_version_rejected(rng, tmp_path, version):
+    # true == 1 in Python, so the version must be read as an integer proper.
+    path = str(tmp_path / "model.json")
+    save_model(fitted_model(rng, "constant"), path)
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["schema_version"] = version
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(PersistenceError, match="schema_version must be an integer"):
+        load_model(path)
+
+
 def test_missing_leaf_model_rejected(rng, tmp_path):
     model = fitted_model(rng, "linear")
     path = str(tmp_path / "model.json")
