@@ -11,14 +11,12 @@ from .cart import (CartError, RegressionTree, SplitRule, assign_leaf_batch,
                    best_split, build_tree, predict_mean_batch, segment_profile,
                    tree_from_dict, tree_to_dict)
 from .data import (ColumnSpec, DataError, Dataset, IngestionReport, Scaler,
-                   SplitPair, ingest, load_csv, train_test_split, write_csv)
-from .evaluation import (AblationReport, SegmentSummary, SweepReport,
-                         ablation_outliers, compare_external,
-                         model_generalization_sweep, rmse, segment_summary,
+                   SplitPair, ingest, load_csv, train_test_split)
+from .evaluation import (SweepReport, model_generalization_sweep, rmse,
                          tree_generalization_sweep)
 from .leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
                           LinearModel, fit_constant, fit_gp, fit_ols,
-                          gp_predict, kernel_matrix, log_marginal_likelihood)
+                          kernel_matrix, log_marginal_likelihood)
 from .outliers import IsolationForest, anomaly_score_batch, fit_forest
 from .persistence import PersistenceError, load_model, save_model
 from .pipeline import (FitConfig, LeafFitStatus, OutlierConfig, PipelineError,

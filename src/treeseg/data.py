@@ -133,7 +133,6 @@ class SplitPair:
 
     train: Dataset
     test: Dataset
-    seed: int
 
 
 @dataclass
@@ -322,21 +321,6 @@ def load_csv(path: str, specs: list[ColumnSpec]) -> tuple[Dataset, IngestionRepo
     return Dataset(features, response, tuple(names)), report
 
 
-def write_csv(data: Dataset, path: str, target_name: str = "target") -> None:
-    """Write a Dataset back to CSV at full double precision.
-
-    Values are formatted with `repr`, so reloading the file reproduces every
-    finite double bit-for-bit.
-    """
-    import csv
-
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(list(data.feature_names) + [target_name])
-        for i in range(data.n_rows):
-            writer.writerow([repr(float(v)) for v in data.features[i]] + [repr(float(data.response[i]))])
-
-
 def train_test_split(data: Dataset, train_fraction: float, seed: int) -> SplitPair:
     """Deterministic uniform random split; |train| = round(fraction * N)."""
     n = data.n_rows
@@ -348,7 +332,7 @@ def train_test_split(data: Dataset, train_fraction: float, seed: int) -> SplitPa
     if n_train == 0 or n_train == n:
         raise DataError(f"train_fraction={train_fraction} produces an empty train or test set for N={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    return SplitPair(train=data.take(perm[:n_train]), test=data.take(perm[n_train:]), seed=seed)
+    return SplitPair(train=data.take(perm[:n_train]), test=data.take(perm[n_train:]))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""RMSE, leaf-size generalization sweeps, segment summaries, ablation.
+"""RMSE and the two leaf-size generalization sweeps.
 
 Two sweep flavors: `tree_generalization_sweep` scores the bare tree (leaf
 means only) to show how the train/test gap narrows as leaves grow, and
@@ -17,8 +17,7 @@ import numpy as np
 
 from . import cart
 from .data import Dataset, SplitPair
-from .pipeline import (FitConfig, PipelineError, filter_outliers, fit_filtered,
-                       fit_segmented, predict_batch)
+from .pipeline import FitConfig, PipelineError, filter_outliers, fit_filtered, predict_batch
 
 
 def rmse(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -47,7 +46,6 @@ class SweepReport:
     rows: list[SweepRow]
     kind: str                    # "tree_only" | "full_model"
     dataset_tag: str
-    config: FitConfig | None
     n_train: int
     n_test: int
     best_leaf_size: int | None = None  # test-RMSE minimizer (full_model sweeps)
@@ -113,7 +111,7 @@ def tree_generalization_sweep(split: SplitPair, leaf_sizes,
             n_leaves=tree.n_leaves,
             fit_seconds=elapsed))
     return SweepReport(rows=rows, kind="tree_only", dataset_tag=dataset_tag,
-                       config=None, n_train=train.n_rows, n_test=test.n_rows)
+                       n_train=train.n_rows, n_test=test.n_rows)
 
 
 def model_generalization_sweep(split: SplitPair, leaf_sizes, config: FitConfig,
@@ -147,7 +145,7 @@ def model_generalization_sweep(split: SplitPair, leaf_sizes, config: FitConfig,
         if best is None or row.test_rmse < best.test_rmse:
             best = row
     return SweepReport(rows=rows, kind="full_model", dataset_tag=dataset_tag,
-                       config=config, n_train=train.n_rows, n_test=test.n_rows,
+                       n_train=train.n_rows, n_test=test.n_rows,
                        best_leaf_size=best.leaf_size if best else None)
 
 
@@ -165,94 +163,3 @@ def kept_training_set(train: Dataset, model) -> Dataset:
             "the rows the outlier filter kept are known only to the process that "
             "fit the model; a loaded model does not carry them")
     return train.take(model.kept_rows)
-
-
-@dataclass(frozen=True)
-class SegmentRow:
-    segment_id: int
-    count: int
-    mean_response: float
-    response_std: float
-    profile_text: str
-
-
-@dataclass
-class SegmentSummary:
-    rows: list[SegmentRow]
-
-    def to_text(self) -> str:
-        parts = []
-        for r in self.rows:
-            parts.append(f"[count={r.count} mean={r.mean_response:.6g} "
-                         f"std={r.response_std:.6g}]\n{r.profile_text}")
-        return "\n\n".join(parts)
-
-
-def segment_summary(model, data: Dataset) -> SegmentSummary:
-    """Per-segment count / mean / std of the routed rows, sorted by mean.
-
-    Only segments that receive at least one row appear; counts sum to the
-    number of rows in `data`.
-    """
-    ids = cart.assign_leaf_batch(model.tree, data.features)
-    rows = []
-    for segment_id in np.unique(ids):
-        sel = ids == segment_id
-        y = data.response[sel]
-        rows.append(SegmentRow(
-            segment_id=int(segment_id),
-            count=int(sel.sum()),
-            mean_response=float(y.mean()),
-            response_std=float(y.std()),
-            profile_text=cart.segment_profile(model.tree, int(segment_id)).to_text()))
-    rows.sort(key=lambda r: r.mean_response)
-    return SegmentSummary(rows=rows)
-
-
-@dataclass(frozen=True)
-class AblationReport:
-    test_rmse_without_filter: float
-    test_rmse_with_filter: float
-    removed_rows: int
-    contamination: float
-
-    def to_text(self) -> str:
-        return "\n".join([
-            f"test RMSE without outlier removal: {self.test_rmse_without_filter:.6g}",
-            f"test RMSE after outlier removal:   {self.test_rmse_with_filter:.6g}",
-            f"rows removed: {self.removed_rows} (contamination={self.contamination:g})",
-        ])
-
-
-def ablation_outliers(split: SplitPair, config: FitConfig) -> AblationReport:
-    """Fit with and without the outlier filter (same seed), compare test RMSE."""
-    off = dataclasses.replace(config, outlier=dataclasses.replace(config.outlier, enabled=False))
-    on = dataclasses.replace(config, outlier=dataclasses.replace(config.outlier, enabled=True))
-    model_off = fit_segmented(split.train, off)
-    model_on = fit_segmented(split.train, on)
-    return AblationReport(
-        test_rmse_without_filter=rmse(predict_batch(model_off, split.test), split.test.response),
-        test_rmse_with_filter=rmse(predict_batch(model_on, split.test), split.test.response),
-        removed_rows=model_on.n_removed_outliers,
-        contamination=config.outlier.contamination)
-
-
-def compare_external(pred_file: str, test: Dataset) -> float:
-    """RMSE of externally produced predictions (one value per row, test order)."""
-    values = []
-    with open(pred_file, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if lineno == 1:
-                try:
-                    values.append(float(text))
-                except ValueError:
-                    continue  # header line
-            else:
-                values.append(float(text))
-    if len(values) != test.n_rows:
-        raise ValueError(f"{pred_file} has {len(values)} predictions "
-                         f"for {test.n_rows} test rows")
-    return rmse(np.asarray(values, dtype=np.float64), test.response)

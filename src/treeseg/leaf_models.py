@@ -23,18 +23,16 @@ scaled by 1/lengthscale, one feature at a time on 2-D (rows x m) arrays,
 so a query costs O(m d) with no n x m x d temporary. Both per-model
 constants are derived from (params, training inputs, alpha) on the first
 prediction and cached, so a fitted and a loaded model predict the same
-bits. The factor is built (and cached) only when gp_predict asks for a
-variance. Loading a model does not build it either: check_covariance
-certifies in O(m d), from a bound on the rounding in how K is formed,
-that the factorization would succeed, and factorizes only when the bound
-cannot tell.
+bits. Loading does not build the factor either: check_covariance certifies
+in O(m d), from a bound on the rounding in how K is formed, that the
+factorization would succeed, and factorizes only when the bound cannot tell.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 import scipy.linalg
@@ -427,9 +425,6 @@ class GPModel:
     n_iterations: int = 0        # L-BFGS iterations
     n_evaluations: int = 0       # L-BFGS objective evaluations
     converged: bool = False      # L-BFGS reported success
-    # Lower-triangular L with L L^T = K + (noise + jitter) I. Only gp_predict
-    # needs it; it builds and caches it on first use.
-    chol_factor: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @functools.cached_property
     def _mean_constants(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -559,29 +554,6 @@ def gp_predict_mean_batch(model: GPModel, X: np.ndarray) -> np.ndarray:
         out[s:s + _CHUNK] += K.sum(axis=1)
     out += model.y_mean
     return out
-
-
-def gp_predict(model: GPModel, x: np.ndarray) -> tuple[float, float]:
-    """Posterior mean and variance at a single point.
-
-    The mean goes through the same code path as batch prediction (a one-row
-    batch). The variance is k(x,x) - |L^-1 k(X,x)|^2, clamped at zero; the
-    factor L is built on the first call and cached on the model.
-    """
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != model.training_inputs.shape[1]:
-        raise ValueError(f"expected {model.training_inputs.shape[1]} feature values")
-    row = x[None, :]
-    mean = float(gp_predict_mean_batch(model, row)[0])
-    if model.chol_factor is None:
-        model.chol_factor = covariance_factor(model.params, model.training_inputs,
-                                              model.jitter)
-    k_star = kernel_matrix(model.params, model.training_inputs, row)[:, 0]
-    z = scipy.linalg.solve_triangular(model.chol_factor, k_star, lower=True,
-                                      check_finite=False)
-    k_self = float(kernel_matrix(model.params, row, row)[0, 0])
-    variance = max(k_self - float(z @ z), 0.0)
-    return mean, variance
 
 
 LeafModel = ConstantModel | LinearModel | GPModel

@@ -44,13 +44,13 @@ def average_path_length(n: int) -> float:
 class IsolationForest:
     """Every tree of the forest in one flat layout that `cart.route` walks.
 
-    Tree t starts at node `roots[t]`. Internal node i sends x to `left[i]`
-    when x[feature[i]] < p, for the cut p drawn at that node, and to
-    `right[i]` otherwise. The router tests `<=`, so `threshold[i]` holds
-    nextafter(p, -inf), the largest double below p: for doubles, x < p
-    exactly when x <= nextafter(p, -inf). Leaves have left[i] == -1 and
-    carry `leaf_value[i]` = depth + c(count). Nodes are numbered level by
-    level across all trees: the roots first, then every tree's depth-1
+    Internal node i sends x to `left[i]` when x[feature[i]] < p, for the
+    cut p drawn at that node, and to `right[i]` otherwise. The router tests
+    `<=`, so `threshold[i]` holds nextafter(p, -inf), the largest double
+    below p: for doubles, x < p exactly when x <= nextafter(p, -inf).
+    Leaves have left[i] == -1 and carry `leaf_value[i]` = depth + c(count).
+    Nodes are numbered level by level across all trees: the `n_trees`
+    roots first, so tree t starts at node t, then every tree's depth-1
     nodes, and so on.
     """
 
@@ -59,15 +59,9 @@ class IsolationForest:
     left: np.ndarray
     right: np.ndarray
     leaf_value: np.ndarray
-    roots: np.ndarray
-    subsample_size: int
+    n_trees: int
     c_psi: float
     n_features: int
-    seed: int
-
-    @property
-    def n_trees(self) -> int:
-        return self.roots.size
 
 
 def fit_forest(data: Dataset, n_trees: int = 100, subsample: int = 256,
@@ -153,9 +147,8 @@ def fit_forest(data: Dataset, n_trees: int = 100, subsample: int = 256,
         first += k
     feature, threshold, left, right, leaf_value = (np.concatenate(a) for a in zip(*levels))
     return IsolationForest(feature=feature, threshold=threshold, left=left, right=right,
-                           leaf_value=leaf_value, roots=np.arange(n_trees, dtype=np.int64),
-                           subsample_size=subsample, c_psi=average_path_length(subsample),
-                           n_features=data.n_features, seed=seed)
+                           leaf_value=leaf_value, n_trees=n_trees,
+                           c_psi=average_path_length(subsample), n_features=data.n_features)
 
 
 def anomaly_score_batch(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
@@ -164,8 +157,8 @@ def anomaly_score_batch(forest: IsolationForest, X: np.ndarray) -> np.ndarray:
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise ValueError(f"expected a matrix with {forest.n_features} columns")
     total = np.zeros(X.shape[0], dtype=np.float64)
-    for root in forest.roots.tolist():
-        total += forest.leaf_value[route(forest, X, root)]
+    for t in range(forest.n_trees):
+        total += forest.leaf_value[route(forest, X, t)]
     mean_path = total / forest.n_trees
     return np.power(2.0, -mean_path / forest.c_psi)
 

@@ -13,13 +13,13 @@ covariance would not factorize at the stored jitter through
 `leaf_models.check_covariance`: an O(m d) rounding-error certificate that
 builds no m x m matrix, with the factorization itself as the fallback when
 the certificate cannot decide. It also checks that the fit report covers
-every segment, that n_train_rows equals the rows the tree's leaves hold,
+every segment with entries a fit could write, that n_train_rows equals
+the rows the tree's leaves hold and n_removed_outliers is not negative,
 and that every number passes the run config's rules (`data._integer`,
-`data._real`; arrays must be finite). Posterior means depend
-only on the kernel parameters, the training inputs and alpha (the model
-derives its mean-path constants from them on first use), so round-tripped
-predictions are bit-identical without the factor; `leaf_models.gp_predict`
-rebuilds it on demand for variances.
+`data._real`; arrays must be finite). Posterior means depend only on the
+kernel parameters, the training inputs and alpha (the model derives its
+mean-path constants from them on first use), so round-tripped predictions
+are bit-identical without the factor.
 """
 
 from __future__ import annotations
@@ -116,6 +116,17 @@ def _leaf_model_from_doc(doc: dict, n_features: int):
     raise PersistenceError(f"unknown leaf model type {kind!r}")
 
 
+def _fit_status_from_doc(segment_id: int, doc: dict, leaf_type: str) -> LeafFitStatus:
+    """A fit-report entry as a fit writes it: a known status, the type of
+    the segment's stored model as its method, and a string or null reason."""
+    status, method, reason = doc["status"], doc["method"], doc.get("reason")
+    if (status not in ("fitted", "fallback") or method != leaf_type
+            or not isinstance(reason, (str, type(None)))):
+        raise PersistenceError(f"fit report of segment {segment_id} is not one a fit "
+                               f"writes: {doc!r}")
+    return LeafFitStatus(segment_id, status, method, reason)
+
+
 def _scaler_doc(scaler: Scaler | None) -> dict | None:
     if scaler is None:
         return None
@@ -187,27 +198,28 @@ def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
         config = FitConfig.from_doc(doc["config"])
         tree = cart.tree_from_dict(doc["tree"])
         n_features = tree.n_features
+        expected = {str(i) for i in range(tree.n_leaves)}  # one key per segment, as written
+        if set(doc["leaf_models"]) != expected:
+            raise PersistenceError(f"{path}: leaf models do not cover every segment")
+        if set(doc["scalers"]) != expected:
+            raise PersistenceError(f"{path}: scalers do not cover every segment")
+        if set(doc["fit_report"]) != expected:
+            raise PersistenceError(f"{path}: fit report does not cover every segment")
         leaf_models = {int(k): _leaf_model_from_doc(v, n_features)
                        for k, v in doc["leaf_models"].items()}
         scalers = {int(k): _scaler_from_doc(v, n_features)
                    for k, v in doc["scalers"].items()}
-        report = {int(k): LeafFitStatus(segment_id=int(k), status=str(v["status"]),
-                                        method=str(v["method"]), reason=v.get("reason"))
+        report = {int(k): _fit_status_from_doc(int(k), v, doc["leaf_models"][k]["type"])
                   for k, v in doc["fit_report"].items()}
         n_train_rows = _integer("n_train_rows", doc["n_train_rows"])
         n_removed = _integer("n_removed_outliers", doc["n_removed_outliers"])
+        if n_removed < 0:
+            raise PersistenceError(f"{path}: n_removed_outliers is negative ({n_removed})")
     except (KeyError, TypeError, ValueError, cart.CartError) as exc:
         if isinstance(exc, PersistenceError):
             raise
         raise PersistenceError(f"{path} failed validation: {exc}") from exc
 
-    expected = {str(i) for i in range(tree.n_leaves)}  # one key per segment, as written
-    if set(doc["leaf_models"]) != expected:
-        raise PersistenceError(f"{path}: leaf models do not cover every segment")
-    if set(doc["scalers"]) != expected:
-        raise PersistenceError(f"{path}: scalers do not cover every segment")
-    if set(doc["fit_report"]) != expected:
-        raise PersistenceError(f"{path}: fit report does not cover every segment")
     n_leaf_rows = sum(tree.count[tree.left < 0].tolist())
     if n_train_rows != n_leaf_rows:
         raise PersistenceError(

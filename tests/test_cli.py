@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -506,7 +507,15 @@ class TestProfile:
         stdout = capsys.readouterr().out
         assert stdout.count("segment ") >= 2
         assert "[response std" in stdout
-        assert "training rows" in stdout
+        # One block per segment, in rising mean_response, closed by the total.
+        heads = re.findall(r"^segment (\d+): count=(\d+) mean_response=(\S+)$", stdout, re.M)
+        model = load_model(model_path)
+        assert sorted(int(sid) for sid, _, _ in heads) == list(range(model.tree.n_leaves))
+        means = [float(mean) for _, _, mean in heads]
+        assert means == sorted(means)
+        assert sum(int(count) for _, count, _ in heads) == model.n_train_rows
+        assert stdout.rstrip().endswith(
+            f"{model.tree.n_leaves} segments, {model.n_train_rows} training rows")
         assert run(["profile", "--model", model_path, "--segment", "0"]) == 0
         single = capsys.readouterr().out
         assert single.startswith("segment 0:")

@@ -4,11 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from treeseg.data import Dataset, SplitPair, train_test_split
-from treeseg.evaluation import (AblationReport, SweepReport, ablation_outliers,
-                                compare_external, kept_training_set,
-                                model_generalization_sweep, rmse,
-                                segment_summary, tree_generalization_sweep)
+from treeseg.data import Dataset, train_test_split
+from treeseg.evaluation import (kept_training_set, model_generalization_sweep, rmse,
+                                tree_generalization_sweep)
 from treeseg.outliers import anomaly_score_batch, fit_forest, removal_indices
 from treeseg.persistence import load_model, save_model
 from treeseg import pipeline
@@ -226,105 +224,3 @@ class TestModelSweep:
         assert len(lines) == 1 + len(report.rows)
         first = lines[1].split(",")
         assert float(first[1]) == report.rows[0].train_rmse  # repr round-trips
-
-
-class TestSegmentSummary:
-    def test_single_leaf(self, rng):
-        split = make_split(rng)
-        model = fit_segmented(split.train,
-                              FitConfig(leaf_size=split.train.n_rows,
-                                        leaf_method="constant"))
-        summary = segment_summary(model, split.train)
-        assert len(summary.rows) == 1
-        row = summary.rows[0]
-        assert row.count == split.train.n_rows
-        assert row.mean_response == pytest.approx(float(split.train.response.mean()))
-        assert "entire training set" in row.profile_text
-
-    def test_two_plateaus(self, rng):
-        n = 400
-        X = np.column_stack([np.concatenate([rng.uniform(-2, -0.5, n // 2),
-                                             rng.uniform(0.5, 2, n // 2)])])
-        y = np.where(X[:, 0] <= 0, 10.0, -10.0) + rng.normal(size=n) * 0.1
-        data = Dataset(X, y, ("x",))
-        model = fit_segmented(data, FitConfig(leaf_size=200, leaf_method="constant"))
-        summary = segment_summary(model, data)
-        assert len(summary.rows) == 2
-        means = [r.mean_response for r in summary.rows]
-        tol = 3.0 * 0.1 / math.sqrt(n // 2)
-        assert means[0] == pytest.approx(-10.0, abs=tol)
-        assert means[1] == pytest.approx(10.0, abs=tol)
-
-    def test_counts_sum_and_sorted(self, rng):
-        split = make_split(rng, n=500)
-        model = fit_segmented(split.train, FitConfig(leaf_size=40))
-        summary = segment_summary(model, split.test)
-        assert sum(r.count for r in summary.rows) == split.test.n_rows
-        means = [r.mean_response for r in summary.rows]
-        assert means == sorted(means)
-        assert summary.to_text().count("[count=") == len(summary.rows)
-
-
-class TestAblation:
-    def test_zero_contamination_equals_off_arm(self, rng):
-        split = make_split(rng)
-        config = FitConfig(leaf_size=30, leaf_method="linear",
-                           outlier=OutlierConfig(enabled=True, contamination=0.0,
-                                                 n_trees=10, subsample=32))
-        report = ablation_outliers(split, config)
-        assert report.test_rmse_with_filter == report.test_rmse_without_filter
-        assert report.removed_rows == 0
-
-    def test_removed_count_follows_contract(self, rng):
-        split = make_split(rng, n=300)  # 210 train rows
-        config = FitConfig(leaf_size=30, leaf_method="constant",
-                           outlier=OutlierConfig(enabled=True, contamination=0.05,
-                                                 n_trees=20, subsample=64))
-        report = ablation_outliers(split, config)
-        assert report.removed_rows == math.floor(0.05 * 210 + 0.5) == 11
-        assert "rows removed: 11" in report.to_text()
-
-    def test_filter_helps_on_polluted_training_data(self, rng):
-        # Wild rows contaminate the training half only; evaluation is on
-        # clean data. Dropping them should sharpen the fit.
-        X = rng.uniform(-2, 2, size=(288, 2))
-        y = X[:, 0] + 0.1 * rng.normal(size=288)
-        X[:8] = rng.uniform(40, 50, size=(8, 2))
-        y[:8] = 1000.0
-        Xt = rng.uniform(-2, 2, size=(100, 2))
-        yt = Xt[:, 0] + 0.1 * rng.normal(size=100)
-        split = SplitPair(train=Dataset(X, y, ("a", "b")),
-                          test=Dataset(Xt, yt, ("a", "b")), seed=0)
-        config = FitConfig(leaf_size=40, leaf_method="linear",
-                           outlier=OutlierConfig(enabled=True, contamination=0.03,
-                                                 n_trees=100, subsample=128))
-        report = ablation_outliers(split, config)
-        assert report.test_rmse_with_filter < report.test_rmse_without_filter
-
-
-class TestCompareExternal:
-    def test_identity_and_shift(self, rng, tmp_path):
-        split = make_split(rng, n=100)
-        path = str(tmp_path / "preds.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(repr(float(v)) for v in split.test.response) + "\n")
-        assert compare_external(path, split.test) == 0.0
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(repr(float(v) + 1.0) for v in split.test.response) + "\n")
-        assert compare_external(path, split.test) == pytest.approx(1.0)
-
-    def test_header_line_skipped(self, rng, tmp_path):
-        split = make_split(rng, n=100)
-        path = str(tmp_path / "preds.csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("prediction\n")
-            fh.write("\n".join(repr(float(v)) for v in split.test.response) + "\n")
-        assert compare_external(path, split.test) == 0.0
-
-    def test_row_count_mismatch(self, rng, tmp_path):
-        split = make_split(rng, n=100)
-        path = str(tmp_path / "preds.txt")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write("1.0\n2.0\n")
-        with pytest.raises(ValueError, match="row"):
-            compare_external(path, split.test)

@@ -16,7 +16,7 @@ from treeseg.data import Dataset
 from treeseg.leaf_models import (ConstantModel, GPModel, KernelParams,
                                  LeafFitError, LinearModel, check_covariance,
                                  covariance_factor, fit_constant, fit_gp, fit_ols,
-                                 gp_predict, gp_predict_mean_batch, kernel_matrix,
+                                 gp_predict_mean_batch, kernel_matrix,
                                  log_marginal_likelihood)
 from treeseg.persistence import PersistenceError, load_model, save_model
 from treeseg.pipeline import FitConfig, fit_segmented
@@ -374,49 +374,18 @@ class TestFitGP:
 
 
 class TestGPPredict:
-    def make_single_point_model(self):
-        # Hand-built one-point posterior: y_mean forced to zero so the
-        # closed forms are non-trivial.
-        params = KernelParams(0.5, 1.5, 1.0, 0.2)
-        X = np.array([[1.0]])
-        k00 = 0.5 * 1.0 + 1.5
-        kn = k00 + 0.2
-        y0 = 2.0
-        return params, X, k00, kn, y0, GPModel(
-            params=params,
-            training_inputs=X,
-            alpha=np.array([y0 / kn]),
-            chol_factor=np.array([[math.sqrt(kn)]]),
-            y_mean=0.0,
-            jitter=0.0,
-            log_marginal=0.0,
-        )
-
     def test_single_point_closed_form(self):
-        params, _, _, kn, y0, model = self.make_single_point_model()
+        # Hand-built one-point posterior: y_mean forced to zero so the
+        # closed form is non-trivial.
+        kn = 0.5 * 1.0 + 1.5 + 0.2
+        y0 = 2.0
+        model = GPModel(params=KernelParams(0.5, 1.5, 1.0, 0.2),
+                        training_inputs=np.array([[1.0]]), alpha=np.array([y0 / kn]),
+                        y_mean=0.0, jitter=0.0, log_marginal=0.0)
         xs = 0.4
         k_star = 0.5 * xs * 1.0 + 1.5 * math.exp(-((xs - 1.0) ** 2) / 2.0)
-        k_self = 0.5 * xs * xs + 1.5
-        mean, var = gp_predict(model, np.array([xs]))
+        mean = gp_predict_mean_batch(model, np.array([[xs]]))[0]
         assert mean == pytest.approx(k_star * y0 / kn, rel=1e-12)
-        assert var == pytest.approx(k_self - k_star**2 / kn, rel=1e-12)
-
-    def test_variance_nonnegative_and_bounded_by_prior(self, rng):
-        X = rng.normal(size=(30, 2))
-        y = rng.normal(size=30)
-        model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.0, 0.1), max_iters=10)
-        for _ in range(20):
-            x = rng.normal(size=2) * 3.0
-            _, var = gp_predict(model, x)
-            k_self = float(kernel_matrix(model.params, x[None, :], x[None, :])[0, 0])
-            assert 0.0 <= var <= k_self + 1e-10
-
-    def test_variance_small_at_training_point(self, rng):
-        X = rng.normal(size=(15, 1))
-        y = np.cos(X[:, 0])
-        model = fit_gp(X, y, KernelParams(1e-6, 1.0, 1.0, 1e-4), max_iters=0)
-        _, var = gp_predict(model, X[3])
-        assert var < 1e-3
 
     def test_single_equals_batch_bitwise(self, rng):
         X = rng.normal(size=(20, 3))
@@ -425,26 +394,14 @@ class TestGPPredict:
         queries = rng.normal(size=(40, 3))
         batch = gp_predict_mean_batch(model, queries)
         for i in range(40):
-            mean, _ = gp_predict(model, queries[i])
-            assert mean == batch[i]  # bitwise
-
-    def test_batch_result_independent_of_batch_size(self, rng):
-        # 600 rows crosses the internal chunk boundary more than once.
-        X = rng.normal(size=(25, 2))
-        y = rng.normal(size=25)
-        model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.0, 0.2), max_iters=5)
-        queries = rng.normal(size=(600, 2))
-        whole = gp_predict_mean_batch(model, queries)
-        pieces = np.concatenate([gp_predict_mean_batch(model, queries[i:i + 7])
-                                 for i in range(0, 600, 7)])
-        assert np.array_equal(whole, pieces)
+            assert gp_predict_mean_batch(model, queries[i][None, :])[0] == batch[i]  # bitwise
 
     def test_dimension_mismatch(self, rng):
         X = rng.normal(size=(10, 2))
         model = fit_gp(X, rng.normal(size=10), KernelParams(1.0, 1.0, 1.0, 0.2),
                        max_iters=0)
         with pytest.raises(ValueError):
-            gp_predict(model, np.zeros(3))
+            gp_predict_mean_batch(model, np.zeros((1, 3)))
 
 
 class TestMeanPath:
@@ -473,6 +430,17 @@ class TestMeanPath:
         ones = np.array([gp_predict_mean_batch(model, q[None, :])[0] for q in queries])
         assert np.array_equal(batch, ones)
 
+    def test_batch_result_independent_of_batch_size(self, rng):
+        # 600 rows crosses the internal chunk boundary more than once.
+        X = rng.normal(size=(25, 2))
+        y = rng.normal(size=25)
+        model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.0, 0.2), max_iters=5)
+        queries = rng.normal(size=(600, 2))
+        whole = gp_predict_mean_batch(model, queries)
+        pieces = np.concatenate([gp_predict_mean_batch(model, queries[i:i + 7])
+                                 for i in range(0, 600, 7)])
+        assert np.array_equal(whole, pieces)
+
     def test_loaded_model_predicts_the_same_bits(self, rng, tmp_path):
         # Every GP leaf scores every query, in and out of its own segment.
         X = rng.uniform(-2, 2, size=(240, 3))
@@ -491,7 +459,8 @@ class TestMeanPath:
 
 
 class TestCholeskyFactorLifecycle:
-    """Fitted and loaded models keep no factor; gp_predict builds one on demand."""
+    """Fitted and loaded models keep no factor: their posterior mean matches
+    a dense solve, and load rejects a covariance that would not factorize."""
 
     @staticmethod
     def check_against_dense_solve(model, y_leaf, queries):
@@ -501,20 +470,14 @@ class TestCholeskyFactorLifecycle:
               + (model.params.noise_variance + model.jitter) * np.eye(m))
         K_star = dense_kernel(model.params, queries, X)
         mean_ref = K_star @ np.linalg.solve(Kn, y_leaf - y_leaf.mean()) + y_leaf.mean()
-        var_ref = (np.diag(dense_kernel(model.params, queries, queries))
-                   - np.einsum("ij,ji->i", K_star, np.linalg.solve(Kn, K_star.T)))
-        for q, mu, var in zip(queries, mean_ref, var_ref):
-            mean, variance = gp_predict(model, q)
-            assert mean == pytest.approx(mu, rel=1e-8, abs=1e-8)
-            assert variance == pytest.approx(max(var, 0.0), rel=1e-6, abs=1e-8)
+        assert gp_predict_mean_batch(model, queries) == pytest.approx(mean_ref, rel=1e-8,
+                                                                      abs=1e-8)
 
     def test_fitted_model_matches_dense_solve(self, rng):
         X = rng.normal(size=(50, 3))
         y = np.sin(X[:, 0]) + rng.normal(size=50) * 0.1
         model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.0, 0.1), max_iters=10)
-        assert model.chol_factor is None
         self.check_against_dense_solve(model, y, rng.normal(size=(15, 3)))
-        assert model.chol_factor is not None
 
     def test_loaded_model_matches_dense_solve(self, rng, tmp_path):
         X = rng.uniform(-2, 2, size=(240, 2))
@@ -527,8 +490,6 @@ class TestCholeskyFactorLifecycle:
         gps = {sid: m for sid, m in loaded.leaf_models.items() if isinstance(m, GPModel)}
         assert len(gps) >= 2
         for sid, model in gps.items():
-            assert fresh.leaf_models[sid].chol_factor is None
-            assert model.chol_factor is None
             rows = cart.assign_leaf_batch(fresh.tree, X) == sid
             queries = rng.normal(size=(5, 2))
             self.check_against_dense_solve(model, y[rows], queries)

@@ -90,7 +90,7 @@ class TestForest:
     def test_subsample_larger_than_dataset(self, rng):
         data = make_dataset(rng.normal(size=(10, 1)))
         forest = fit_forest(data, n_trees=5, subsample=64, seed=0)
-        assert forest.subsample_size == 64
+        assert forest.c_psi == average_path_length(64)
         scores = anomaly_score_batch(forest, data.features)
         assert np.isfinite(scores).all()
 
@@ -105,7 +105,7 @@ class TestForest:
             anomaly_score_batch(forest, rng.normal(size=(5, 2)))
 
 
-FOREST_ARRAYS = ("feature", "threshold", "left", "right", "leaf_value", "roots")
+FOREST_ARRAYS = ("feature", "threshold", "left", "right", "leaf_value")
 
 
 def check_forest(data, forest, n_trees, subsample, seed):
@@ -119,11 +119,11 @@ def check_forest(data, forest, n_trees, subsample, seed):
     """
     rng = np.random.default_rng(seed)
     height_limit = max(1, math.ceil(math.log2(subsample)))
-    level = [(t, int(forest.roots[t]),
+    level = [(t, t,  # tree t starts at node t
               data.features[rng.choice(data.n_rows, size=subsample,
                                        replace=subsample > data.n_rows)])
              for t in range(n_trees)]
-    assert forest.n_trees == forest.roots.size == n_trees
+    assert forest.n_trees == n_trees
     leaf_rows = np.zeros(n_trees, dtype=int)
     first = 0
     for depth in range(height_limit + 1):
@@ -205,7 +205,7 @@ class TestForestBuild:
         assert internal.any() and not np.any(forest.feature[internal] == 1)
         # The root's feature is uniform over the two splittable columns
         # (binomial(400, 1/2): sd 10).
-        picks = np.bincount(forest.feature[forest.roots], minlength=3)
+        picks = np.bincount(forest.feature[:forest.n_trees], minlength=3)
         assert 150 <= picks[0] <= 250 and 150 <= picks[2] <= 250
 
     def test_duplicate_rows_give_root_leaves(self):
@@ -224,7 +224,7 @@ class TestForestBuild:
         data = make_dataset(x[:, None])
         forest = fit_forest(data, n_trees=20, subsample=3, seed=0)
         check_forest(data, forest, 20, 3, 0)
-        assert np.all(np.nextafter(forest.threshold[forest.roots], np.inf) == x[1])
+        assert np.all(np.nextafter(forest.threshold[:forest.n_trees], np.inf) == x[1])
 
     def test_range_wider_than_the_largest_double(self):
         # hi - lo overflows; the cut falls back to nextafter(lo, hi).

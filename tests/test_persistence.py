@@ -223,6 +223,38 @@ def test_missing_fit_report_entry_rejected(rng, tmp_path):
         load_model(path)
 
 
+def linear_report_entry(doc):
+    """The fit-report entry of the first segment that holds a linear model."""
+    return doc["fit_report"][next(k for k, d in doc["leaf_models"].items()
+                                  if d["type"] == "linear")]
+
+
+# Each edit writes a fit-report entry, or a removed-row count, that no fit writes.
+REPORT_CORRUPTIONS = {
+    "status banana": lambda doc: linear_report_entry(doc).update(status="banana"),
+    "status null": lambda doc: linear_report_entry(doc).update(status=None),
+    "method unknown": lambda doc: linear_report_entry(doc).update(method="spline"),
+    "method gp on a linear leaf": lambda doc: linear_report_entry(doc).update(method="gp"),
+    "method constant on a linear leaf": lambda doc: linear_report_entry(doc).update(
+        method="constant"),
+    "reason list": lambda doc: linear_report_entry(doc).update(reason=[1, 2]),
+    "reason number": lambda doc: linear_report_entry(doc).update(reason=3),
+    "status, method and reason": lambda doc: linear_report_entry(doc).update(
+        status="banana", method="gp", reason=[1, 2]),
+    "n_removed_outliers negative": lambda doc: doc.update(n_removed_outliers=-1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_CORRUPTIONS))
+def test_report_entry_no_fit_writes_rejected(rng, tmp_path, name):
+    model = fitted_model(rng, "linear")
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    rewrite(path, REPORT_CORRUPTIONS[name])
+    with pytest.raises(PersistenceError, match="fit report of segment|n_removed_outliers"):
+        load_model(path)
+
+
 @pytest.mark.parametrize("delta", [-1, 1])
 def test_train_row_count_must_match_leaf_counts(rng, tmp_path, delta):
     model = fitted_model(rng, "constant")
