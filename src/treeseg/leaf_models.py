@@ -6,12 +6,16 @@ likelihood in log-space. Leaves are small enough that the exact O(m^3)
 solve is affordable, which is the entire point of segmenting first.
 
 Fitting follows GPML (Rasmussen & Williams 2006, Alg. 5.1): the training
-Gram and squared distances are built once per leaf with BLAS, each
-likelihood evaluation factors K once, takes K^-1 from the factor with
-LAPACK potri and reads the whole gradient off W = alpha alpha^T - K^-1.
-The model's value and alpha at the initial and the optimized parameters
-come from the evaluations L-BFGS already made; only a start point that
-was clipped into the bounds is solved again, by value only.
+Gram and squared distances are built once per leaf with BLAS and kept
+read-only. Each likelihood evaluation works in two m x m buffers. One
+holds the RBF term. The other holds K, which LAPACK potrf factors in
+place; potrs solves for alpha on that factor, potri turns it into K^-1 in
+the same memory, and the gradient weights W = alpha alpha^T - K^-1, from
+which the whole gradient is read, are built there too. The model's value and alpha at the start and the
+optimized parameters come from the evaluations L-BFGS already made; the
+start is exp(log(init)), within an ulp of init, and only a start point
+that was clipped into the bounds is replaced by init and solved again,
+by value only.
 
 A fitted model keeps alpha, not the Cholesky factor. Prediction avoids BLAS
 matrix products on purpose: every step is elementwise or a reduction along
@@ -216,12 +220,6 @@ def _rbf(sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
     return K_rbf
 
 
-def _combine(gram: np.ndarray, sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
-    K = _rbf(sqdist, params)
-    K += params.linear_variance * gram
-    return K
-
-
 def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Kernel cross-matrix: entry (i, j) = k(A_i, B_j)."""
     A = np.asarray(A, dtype=np.float64)
@@ -253,30 +251,37 @@ def _training_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
-def _factorize(K: np.ndarray, noise_variance: float,
+def _factorize(gram: np.ndarray, K_rbf: np.ndarray, params: KernelParams,
                ladder: tuple[float, ...] = _JITTER_LADDER) -> tuple[np.ndarray, float]:
-    """Cholesky of K + (noise + jitter) I, escalating jitter until it works.
+    """Cholesky factor of K + (noise + jitter) I, K = linear_variance gram + K_rbf,
+    escalating jitter until it works; returns the factor and the jitter.
 
-    Overwrites the diagonal of K.
+    One m x m buffer holds K and then its factor: LAPACK potrf runs in place
+    on the buffer's Fortran view, so the buffer ends with L in its lower
+    triangle and zeros above (potrf's clean step). A failed rung leaves the buffer
+    partly factored, so the next rung forms K in it again.
     """
-    m = K.shape[0]
-    base = K.diagonal().copy()
+    m = gram.shape[0]
+    L = np.empty_like(gram)
     for jitter in ladder:
-        np.fill_diagonal(K, base + noise_variance + jitter)
-        try:
-            return np.linalg.cholesky(K), jitter
-        except np.linalg.LinAlgError:
-            continue
+        # linear_variance gram + K_rbf: the same bits as K_rbf + linear_variance
+        # gram, since floating-point addition commutes.
+        np.multiply(gram, params.linear_variance, out=L)
+        L += K_rbf
+        np.fill_diagonal(L, L.diagonal() + params.noise_variance + jitter)
+        _, info = scipy.linalg.lapack.dpotrf(L.T, overwrite_a=1)
+        if info == 0:
+            return L, jitter
     raise LeafFitError(
         f"covariance factorization failed at jitter {ladder[-1]:g} "
         f"(m={m}); leaf is numerically ill-conditioned")
 
 
-def _solve(K: np.ndarray, noise_variance: float, y: np.ndarray):
-    """Factor K + noise I (K is overwritten); LML value, factor, alpha, jitter."""
-    L, jitter = _factorize(K, noise_variance)
-    alpha = scipy.linalg.cho_solve((L, True), y, check_finite=False)
-    value = float(-0.5 * (y @ alpha) - np.log(np.diag(L)).sum()
+def _solve(gram: np.ndarray, K_rbf: np.ndarray, params: KernelParams, y: np.ndarray):
+    """Factor K + noise I; LML value, factor, alpha and jitter."""
+    L, jitter = _factorize(gram, K_rbf, params)
+    alpha, _ = scipy.linalg.lapack.dpotrs(L.T, y)
+    value = float(-0.5 * (y @ alpha) - np.log(L.diagonal()).sum()
                   - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
     return value, L, alpha, jitter
 
@@ -284,32 +289,35 @@ def _solve(K: np.ndarray, noise_variance: float, y: np.ndarray):
 def _lml_terms(params: KernelParams, gram: np.ndarray, sqdist: np.ndarray,
                y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Log marginal likelihood, its log-space gradient (GPML Alg. 5.1), alpha
-    and the jitter the factorization needed."""
-    K_rbf = _rbf(sqdist, params)
-    K = params.linear_variance * gram + K_rbf  # the same bits as _combine
-    value, L, alpha, jitter = _solve(K, params.noise_variance, y)
-    del K
+    and the jitter the factorization needed.
 
-    # K^-1 in place over the factor: L.T is the Fortran-ordered upper factor,
-    # so potri writes the inverse into L's lower triangle and leaves the
+    Works in two m x m buffers, K_rbf and the one _factorize returns, which
+    holds K, then L, then K^-1 and then the gradient weights W.
+    """
+    K_rbf = _rbf(sqdist, params)
+    value, W, alpha, jitter = _solve(gram, K_rbf, params, y)
+
+    # K^-1 in place over the factor: W.T is the Fortran-ordered upper factor,
+    # so potri writes the inverse into W's lower triangle and leaves the
     # zeros above it.
-    W, info = scipy.linalg.lapack.dpotri(L.T, lower=0, overwrite_c=1)
+    _, info = scipy.linalg.lapack.dpotri(W.T, overwrite_c=1)
     if info != 0:
         raise LeafFitError(f"covariance inverse failed (potri info {info})")
-    W = W.T
     trace_kinv = float(np.trace(W))
     # Weights for symmetric dK: vdot(W, dK) = sum((alpha alpha^T - K^-1) * dK)
     # with K^-1 taken from its lower triangle only.
     W *= -2.0
     diag = np.arange(W.shape[0])
     W[diag, diag] *= 0.5
-    W += np.outer(alpha, alpha)
+    scipy.linalg.blas.dger(1.0, alpha, alpha, a=W.T, overwrite_a=1)  # W += alpha alpha^T
 
     ell2 = params.rbf_lengthscale * params.rbf_lengthscale
+    grad_linear = params.linear_variance * np.vdot(W, gram)  # d/d log linear_variance
+    grad_rbf = np.vdot(W, K_rbf)                             # d/d log rbf_variance
+    W *= K_rbf
+    grad_lengthscale = np.vdot(W, sqdist) / ell2             # d/d log rbf_lengthscale
     grad = 0.5 * np.array([
-        params.linear_variance * np.vdot(W, gram),  # d/d log linear_variance
-        np.vdot(W, K_rbf),                          # d/d log rbf_variance
-        np.vdot(W, K_rbf * sqdist) / ell2,          # d/d log rbf_lengthscale
+        grad_linear, grad_rbf, grad_lengthscale,
         params.noise_variance * (float(alpha @ alpha) - trace_kinv),
     ])
     return value, grad, alpha, jitter
@@ -334,12 +342,13 @@ def log_marginal_likelihood(params: KernelParams, X: np.ndarray,
 def covariance_factor(params: KernelParams, X: np.ndarray, jitter: float) -> np.ndarray:
     """Lower Cholesky factor of K(X, X) + (noise + jitter) I over training rows.
 
-    Built from the same training Gram as the fit, so a fitted model's jitter
-    reproduces the fit's factor. Raises LeafFitError when K is not
-    numerically positive definite at that jitter.
+    Built from the same training Gram and through the same _factorize as the
+    fit, so a fitted model's jitter reproduces the fit's factor bit for bit
+    and fit and load agree on which covariances factorize. Raises
+    LeafFitError when K is not numerically positive definite at that jitter.
     """
-    K = _combine(*_training_parts(X), params)
-    return _factorize(K, params.noise_variance, ladder=(jitter,))[0]
+    gram, sqdist = _training_parts(X)
+    return _factorize(gram, _rbf(sqdist, params), params, ladder=(jitter,))[0]
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -361,8 +370,8 @@ def check_covariance(params: KernelParams, X: np.ndarray, jitter: float) -> None
     row norm of X, l the lengthscale, and A = K(X, X) + s I in exact
     arithmetic. The linear and RBF kernels are positive semi-definite for
     any X, so lambda_min(A) >= s. The matrix potrf actually sees is A + E,
-    where E is the rounding in how _training_parts, _rbf, _combine and
-    _factorize form it. To first order, and for any summation order:
+    where E is the rounding in how _training_parts, _rbf and _factorize
+    form it. To first order, and for any summation order:
       - gram entries are off by at most d u r^2, and the squared distances
         |a|^2 + |b|^2 - 2 a.b by at most (4d + 6) u r^2 (the clamp at zero
         only moves them closer to the true value, which is >= 0);
@@ -393,7 +402,11 @@ def check_covariance(params: KernelParams, X: np.ndarray, jitter: float) -> None
     the test and fall back to the factorization.
 
     The bound holds only for K formed as it is today. Revisit it whenever
-    _training_parts, _rbf, _combine or _factorize change how K is built.
+    _training_parts, _rbf or _factorize change how K is built. It was last
+    revisited when _factorize moved to an in-place scipy potrf on a buffer
+    that holds linear_variance gram + K_rbf: that sum has the same bits as
+    the earlier K_rbf + linear_variance gram, and Thm 10.7 covers any
+    potrf, so the bound did not change.
     """
     X = np.asarray(X, dtype=np.float64)
     m, d = X.shape
@@ -458,9 +471,13 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
     Quasi-Newton (L-BFGS-B) ascent over the four log-parameters, stopping
     when the projected gradient max-norm drops below 1e-5 or after
     max_iters steps. The returned model never has a lower marginal
-    likelihood than the initial parameters; with max_iters=0 the initial
-    parameters are used as-is. The response is centered internally and the
-    mean re-added at prediction time.
+    likelihood than its start point. That start point is exp(log(init)),
+    which is init to within an ulp, when the log of init lies inside the
+    optimizer's bounds: L-BFGS's own first evaluation then serves as the
+    baseline and nothing is solved twice. A start point clipped into the
+    bounds is replaced by init itself, solved again by value only. With
+    max_iters=0 init is used as given. The response is centered internally
+    and the mean re-added at prediction time.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -477,10 +494,12 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
     inputs = np.array(X, dtype=np.float64, order="C", copy=True)
     inputs.setflags(write=False)
     gram, sqdist = _training_parts(inputs)
+    # Shared by every evaluation, so no in-place step may write to them.
+    gram.setflags(write=False)
+    sqdist.setflags(write=False)
 
     def value_only(params: KernelParams) -> tuple[float, np.ndarray, float]:
-        value, _, alpha, jitter = _solve(_combine(gram, sqdist, params),
-                                         params.noise_variance, yc)
+        value, _, alpha, jitter = _solve(gram, _rbf(sqdist, params), params, yc)
         return value, alpha, jitter
 
     best = init
@@ -490,7 +509,7 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
         value, alpha, jitter = value_only(init)
     else:
         # (value, alpha, jitter) of every evaluation L-BFGS makes, keyed by
-        # the exact bytes of its point, so the initial and the returned
+        # the exact bytes of its point, so the start and the returned
         # parameters need no second solve.
         seen: dict[bytes, tuple[float, np.ndarray, float]] = {}
 
@@ -504,17 +523,22 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
             return -lml, -grad
 
         bounds = [(_LOG_LOWER, _LOG_UPPER)] * 3 + [(_NOISE_LOG_LOWER, _LOG_UPPER)]
-        z0 = np.clip(init.to_log(), [b[0] for b in bounds], [b[1] for b in bounds])
+        z_init = init.to_log()
+        z0 = np.clip(z_init, [b[0] for b in bounds], [b[1] for b in bounds])
         result = scipy.optimize.minimize(
             objective, z0, jac=True, method="L-BFGS-B", bounds=bounds,
             options={"maxiter": max_iters, "gtol": 1e-5})
         n_iterations = int(result.nit)
         n_evaluations = int(result.nfev)
         converged = bool(result.success)
-        # L-BFGS evaluates z0 first; it stands for init when exp(z0) gives
-        # back init's exact bits (not clipped, and the log round-trips).
-        start = seen.get(z0.tobytes()) if KernelParams.from_log(z0) == init else None
-        value, alpha, jitter = start if start is not None else value_only(init)
+        # L-BFGS evaluates z0 first. Unless init was clipped, that evaluation
+        # is the baseline and exp(z0), within an ulp of init, the fallback.
+        start = seen.get(z0.tobytes()) if np.array_equal(z0, z_init) else None
+        if start is not None:
+            best = KernelParams.from_log(z0)
+            value, alpha, jitter = start
+        else:
+            value, alpha, jitter = value_only(init)
         candidate = KernelParams.from_log(result.x)
         trial = seen.get(result.x.tobytes())
         if trial is None:

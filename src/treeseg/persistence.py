@@ -81,6 +81,8 @@ def _flag(name: str, value) -> bool:
 
 
 def _leaf_model_from_doc(doc: dict, n_features: int):
+    if not isinstance(doc, dict):
+        raise PersistenceError(f"a leaf model must be an object, got {doc!r}")
     kind = doc.get("type")
     if kind == "constant":
         return ConstantModel(mean=_real("mean", doc["mean"]))
@@ -199,6 +201,9 @@ def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
         tree = cart.tree_from_dict(doc["tree"])
         n_features = tree.n_features
         expected = {str(i) for i in range(tree.n_leaves)}  # one key per segment, as written
+        for section in ("leaf_models", "scalers", "fit_report"):
+            if not isinstance(doc[section], dict):
+                raise PersistenceError(f"{path}: {section} is not an object keyed by segment")
         if set(doc["leaf_models"]) != expected:
             raise PersistenceError(f"{path}: leaf models do not cover every segment")
         if set(doc["scalers"]) != expected:

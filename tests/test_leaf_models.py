@@ -7,6 +7,7 @@ degeneracy. None of them share code with the production implementation.
 """
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from treeseg.leaf_models import (ConstantModel, GPModel, KernelParams,
                                  gp_predict_mean_batch, kernel_matrix,
                                  log_marginal_likelihood)
 from treeseg.persistence import PersistenceError, load_model, save_model
-from treeseg.pipeline import FitConfig, fit_segmented
+from treeseg.pipeline import FitConfig, default_gp_init, fit_segmented
 
 
 def naive_kernel(params, A, B):
@@ -313,6 +314,19 @@ class TestFitGP:
         assert model.log_marginal == pytest.approx(
             dense_lml(params, X, yc, model.jitter), rel=1e-6)
 
+    def test_jitter_ladder_ends_on_the_one_rung_factor(self, rng):
+        # Each failed rung leaves the buffer partly factored; the rung that
+        # succeeds must factor K exactly as a one-rung call at its jitter does.
+        X = np.repeat(rng.normal(size=(20, 2)), 3, axis=0)
+        params = KernelParams(1.0, 1.0, 2.0, 1e-20)
+        gram, sqdist = leaf_models._training_parts(X)
+        K_rbf = leaf_models._rbf(sqdist, params)
+        L, jitter = leaf_models._factorize(gram, K_rbf, params)
+        assert jitter > 0.0
+        one, same = leaf_models._factorize(gram, K_rbf, params, ladder=(jitter,))
+        assert same == jitter and np.array_equal(L, one)
+        assert not np.triu(L, 1).any()
+
     def test_records_optimizer_outcome(self, rng):
         X = rng.normal(size=(30, 2))
         y = np.sin(X[:, 0]) + rng.normal(size=30) * 0.1
@@ -326,25 +340,8 @@ class TestFitGP:
         assert (still.n_iterations, still.n_evaluations, still.converged) == (0, 0, False)
 
     @staticmethod
-    def count_factorizations(monkeypatch):
-        calls = []
-        real = leaf_models._factorize
-
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(leaf_models, "_factorize", counting)
-        return calls
-
-    def test_reuses_optimizer_evaluations(self, rng, monkeypatch):
-        # One factorization per L-BFGS evaluation: the initial and the
-        # returned parameters are read from the evaluations it already made.
-        calls = self.count_factorizations(monkeypatch)
-        X = rng.normal(size=(40, 2))
-        y = np.sin(X[:, 0]) + rng.normal(size=40) * 0.1
-        init = KernelParams(1.0, 1.0, 1.0, 0.25)
-        assert KernelParams.from_log(init.to_log()) == init
+    def check_one_factorization_per_evaluation(monkeypatch, X, y, init):
+        calls = count_factorizations(monkeypatch)
         for max_iters in (1, 3, 50):
             calls.clear()
             model = fit_gp(X, y, init, max_iters=max_iters)
@@ -352,10 +349,44 @@ class TestFitGP:
             base = naive_lml(init, X, y - y.mean())
             assert model.log_marginal >= base - 1e-8 * (1.0 + abs(base))
 
+    def test_reuses_optimizer_evaluations(self, rng, monkeypatch):
+        # One factorization per L-BFGS evaluation: the initial and the
+        # returned parameters are read from the evaluations it already made.
+        X = rng.normal(size=(40, 2))
+        y = np.sin(X[:, 0]) + rng.normal(size=40) * 0.1
+        init = KernelParams(1.0, 1.0, 1.0, 0.25)
+        assert KernelParams.from_log(init.to_log()) == init
+        self.check_one_factorization_per_evaluation(monkeypatch, X, y, init)
+
+    def test_default_init_start_is_not_solved_again(self, rng, monkeypatch):
+        # default_gp_init's variances and sqrt(d) lengthscale rarely survive
+        # exp(log(.)) bit for bit; L-BFGS's first evaluation is still the
+        # baseline, so nothing is factorized twice.
+        X = rng.normal(size=(40, 3))
+        y = np.sin(X[:, 0]) + rng.normal(size=40) * 0.1
+        init = default_gp_init(y, X.shape[1])
+        assert KernelParams.from_log(init.to_log()) != init
+        self.check_one_factorization_per_evaluation(monkeypatch, X, y, init)
+
+    def test_shared_leaf_arrays_are_read_only(self, rng, monkeypatch):
+        # Every evaluation reads the same Gram and squared distances; an
+        # in-place step that wrote to them would corrupt the next one.
+        flags = []
+        real = leaf_models._lml_terms
+
+        def spy(params, gram, sqdist, y):
+            flags.append((gram.flags.writeable, sqdist.flags.writeable))
+            return real(params, gram, sqdist, y)
+
+        monkeypatch.setattr(leaf_models, "_lml_terms", spy)
+        X = rng.normal(size=(30, 2))
+        fit_gp(X, np.sin(X[:, 0]), KernelParams(1.0, 1.0, 1.0, 0.1), max_iters=3)
+        assert flags and set(flags) == {(False, False)}
+
     def test_clipped_init_is_solved_again(self, rng, monkeypatch):
         # A noise variance below the optimizer's bound is clipped, so the
         # optimizer never evaluates init itself.
-        calls = self.count_factorizations(monkeypatch)
+        calls = count_factorizations(monkeypatch)
         X = rng.normal(size=(30, 2))
         y = np.sin(X[:, 0]) + rng.normal(size=30) * 0.1
         model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.0, 1e-12), max_iters=5)
@@ -371,6 +402,24 @@ class TestFitGP:
         rmse = float(np.sqrt(np.mean((pred - truth) ** 2)))
         assert rmse < 0.15
         assert model.n_iterations > 0
+
+
+def test_one_evaluation_holds_two_m_by_m_buffers(rng):
+    # K, its factor, K^-1 and the gradient weights share one buffer beside
+    # the RBF term: the traced peak stays near 2 m x m doubles.
+    m = 400
+    X = rng.normal(size=(m, 4))
+    y = rng.normal(size=m)
+    gram, sqdist = leaf_models._training_parts(X)
+    params = KernelParams(1.0, 1.0, 1.5, 0.1)
+    leaf_models._lml_terms(params, gram, sqdist, y)  # first-call set-up is not counted
+    tracemalloc.start()
+    try:
+        leaf_models._lml_terms(params, gram, sqdist, y)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * m * m * 8
 
 
 class TestGPPredict:

@@ -214,6 +214,26 @@ def test_second_key_for_a_segment_rejected(rng, tmp_path, section):
         load_model(path)
 
 
+@pytest.mark.parametrize("section", ["leaf_models", "scalers", "fit_report"])
+def test_list_valued_section_rejected(rng, tmp_path, section):
+    # The section's keys as a JSON list: no .items() to call.
+    model = fitted_model(rng, "linear")
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    rewrite(path, lambda doc: doc.update({section: sorted(doc[section])}))
+    with pytest.raises(PersistenceError, match=f"{section} is not an object"):
+        load_model(path)
+
+
+def test_list_valued_leaf_model_rejected(rng, tmp_path):
+    model = fitted_model(rng, "linear")
+    path = str(tmp_path / "model.json")
+    save_model(model, path)
+    rewrite(path, lambda doc: doc["leaf_models"].update({"0": ["linear"]}))
+    with pytest.raises(PersistenceError, match="leaf model must be an object"):
+        load_model(path)
+
+
 def test_missing_fit_report_entry_rejected(rng, tmp_path):
     model = fitted_model(rng, "linear")
     path = str(tmp_path / "model.json")
