@@ -13,12 +13,13 @@ import csv
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import cart, evaluation
-from .data import ColumnSpec, DataError, _integer, _real, ingest, load_csv, train_test_split
+from .data import (ColumnSpec, DataError, _integer, _real, columns_from_doc, ingest, load_csv,
+                   train_test_split)
 from .persistence import PersistenceError, load_bundle, save_model
 from .pipeline import (LEAF_METHODS, FitConfig, OutlierConfig, PipelineError, fit_segmented,
                        predict_batch, predict_with_segments, score_outliers)
@@ -26,7 +27,6 @@ from .pipeline import (LEAF_METHODS, FitConfig, OutlierConfig, PipelineError, fi
 _DEFAULT_SWEEP = [10, 20, 40, 70, 100, 200, 400, 700, 1000, 2000]
 # Keys that older run configs may hold and that are now ignored, by dotted path.
 _RETIRED_KEYS = frozenset({"threads"})
-_COLUMN_KEYS = frozenset(f.name for f in fields(ColumnSpec))
 
 
 @dataclass
@@ -54,19 +54,6 @@ class RunConfig:
             "sweep": {"leaf_sizes": self.sweep_sizes},
             "out_dir": self.out_dir,
         }
-
-
-def _columns_from_doc(items) -> list[ColumnSpec]:
-    if not isinstance(items, list):
-        raise DataError(f"columns must be a list of column objects, got {items!r}")
-    for c in items:
-        if not (isinstance(c, dict) and isinstance(c.get("name"), str)):
-            raise DataError(f"a column must be an object with a string \"name\", got {c!r}")
-        unknown = sorted(set(c) - _COLUMN_KEYS)
-        if unknown:
-            raise DataError(f"unknown key {unknown[0]!r} in column {c['name']!r}")
-    return [ColumnSpec(name=c["name"], kind=str(c.get("kind", "numeric")),
-                       transform=str(c.get("transform", "none"))) for c in items]
 
 
 def _overlay(base: dict, values: dict, prefix: str = "") -> dict:
@@ -125,7 +112,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         tag = os.path.splitext(os.path.basename(data_path))[0] or "dataset"
     return RunConfig(
         data_path=data_path,
-        columns=None if data["columns"] is None else _columns_from_doc(data["columns"]),
+        columns=None if data["columns"] is None else columns_from_doc(data["columns"]),
         train_fraction=_real("split.train_fraction", doc["split"]["train_fraction"]),
         split_seed=_integer("split.seed", doc["split"]["seed"]),
         fit=FitConfig.from_doc(doc["fit"]),
@@ -205,16 +192,15 @@ def cmd_fit(args: argparse.Namespace) -> int:
 
 def cmd_predict(args: argparse.Namespace) -> int:
     model, recipe = load_bundle(args.model)
-    if recipe is None:
-        # Fall back to the model's feature names, all numeric.
-        recipe = {"columns": [{"name": n} for n in model.feature_names], "levels": {}}
-
-    specs = _columns_from_doc(recipe["columns"])
-    levels = {name: tuple(lv) for name, lv in recipe.get("levels", {}).items()}
+    # Without a recipe, the model's feature names, all numeric.
+    specs, levels = recipe or ([ColumnSpec(n) for n in model.feature_names], {})
     # One pass over the file: the rows echoed to the output are the raw
     # cells of the rows ingest parsed, so the two cannot disagree.
-    features, _, _, report = ingest(args.input, specs, levels=levels,
-                                    require_target=False, keep_rows=True)
+    features, _, names, report = ingest(args.input, specs, levels=levels,
+                                        require_target=False, keep_rows=True)
+    if tuple(names) != model.feature_names:
+        raise DataError(f"{args.model}: its ingestion recipe gives the features {names}, but "
+                        f"the model was fit on {list(model.feature_names)}")
     if report.rows_dropped:
         raise DataError(
             f"{args.input}: {report.rows_dropped} rows have missing or unparseable "

@@ -15,8 +15,9 @@ builds no m x m matrix, with the factorization itself as the fallback when
 the certificate cannot decide. It also checks that the fit report covers
 every segment with entries a fit could write, that n_train_rows equals
 the rows the tree's leaves hold and n_removed_outliers is not negative,
-and that every number passes the run config's rules (`data._integer`,
-`data._real`; arrays must be finite). Posterior means depend only on the
+that every number passes the run config's rules (`data._integer`,
+`data._real`; arrays must be finite), and that the ingestion recipe reads
+under `data.recipe_from_doc`. Posterior means depend only on the
 kernel parameters, the training inputs and alpha (the model derives its
 mean-path constants from them on first use), so round-tripped predictions
 are bit-identical without the factor.
@@ -31,7 +32,7 @@ import os
 import numpy as np
 
 from . import cart
-from .data import Scaler, _integer, _real
+from .data import ColumnSpec, Scaler, _integer, _real, recipe_from_doc
 from .leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
                           LinearModel, check_covariance)
 from .pipeline import FitConfig, LeafFitStatus, SegmentedModel
@@ -177,8 +178,11 @@ def save_model(model: SegmentedModel, path: str, ingestion: dict | None = None) 
     os.replace(tmp, path)
 
 
-def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
-    """Load and validate a model document; also returns its ingestion recipe."""
+def load_bundle(path: str) -> tuple[SegmentedModel,
+                                   tuple[list[ColumnSpec], dict[str, tuple[str, ...]]] | None]:
+    """Load and validate a model document; also returns its ingestion recipe
+    as read by `data.recipe_from_doc`: the column specs and known category
+    levels, or None when the document has none."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
@@ -220,6 +224,7 @@ def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
         n_removed = _integer("n_removed_outliers", doc["n_removed_outliers"])
         if n_removed < 0:
             raise PersistenceError(f"{path}: n_removed_outliers is negative ({n_removed})")
+        recipe = recipe_from_doc(doc.get("ingestion"))
     except (KeyError, TypeError, ValueError, cart.CartError) as exc:
         if isinstance(exc, PersistenceError):
             raise
@@ -233,7 +238,7 @@ def load_bundle(path: str) -> tuple[SegmentedModel, dict | None]:
     model = SegmentedModel(tree=tree, leaf_models=leaf_models, scalers=scalers,
                            config=config, fit_report=report,
                            n_train_rows=n_train_rows, n_removed_outliers=n_removed)
-    return model, doc.get("ingestion")
+    return model, recipe
 
 
 def load_model(path: str) -> SegmentedModel:

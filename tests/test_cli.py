@@ -437,6 +437,26 @@ class TestPredict:
             rows = list(csv.reader(fh))
         assert rows == [["a", "b", "c", "prediction", "segment_id"]]
 
+    @pytest.mark.parametrize("recipe", [
+        {"columns": [{"name": "a"}], "levels": []},
+        {"levels": {}},
+        [1, 2],
+        {"columns": [{"name": "a"}], "levels": {"a": 5}},
+        {"columns": [{"name": "b"}, {"name": "a"}, {"name": "c"}], "levels": {}},
+    ], ids=["levels-list", "no-columns", "recipe-list", "levels-not-lists", "columns-reordered"])
+    def test_malformed_recipe_exits_2(self, data_csv, tmp_path, capsys, recipe):
+        model_path = self.fit_once(data_csv, tmp_path)
+        with open(model_path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        doc["ingestion"] = recipe
+        with open(model_path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+        capsys.readouterr()
+        code = run(["predict", "--model", model_path,
+                    "--input", data_csv, "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+
     def test_missing_model_file(self, tmp_path):
         code = run(["predict", "--model", str(tmp_path / "no.json"),
                     "--input", str(tmp_path / "no.csv"),

@@ -1,10 +1,16 @@
 import csv
+import os
+import tempfile
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from treeseg.data import (ColumnSpec, DataError, Dataset, Scaler, _integer, _real, ingest,
-                          load_csv, train_test_split)
+from treeseg import data as data_module
+from treeseg.data import (ColumnSpec, DataError, Dataset, IngestionReport, Scaler, _integer,
+                          _parse_float, _real, ingest, load_csv, train_test_split)
 
 
 def write_text(path, text):
@@ -138,6 +144,12 @@ class TestIngestion:
         feats, resp, _, report = ingest(path, specs, require_target=False)
         assert resp is None and feats.tolist() == [[1.0]] and report.rows is None
 
+    def test_no_column_left_to_read(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_text(path, "x\n1\n")
+        with pytest.raises(DataError, match="no columns to read"):
+            ingest(path, [ColumnSpec("y", kind="target")], require_target=False)
+
     def test_write_read_round_trip_bit_exact(self, tmp_path, rng):
         X = rng.normal(size=(50, 3)) * 1e3
         y = rng.normal(size=50) / 7.0
@@ -150,6 +162,187 @@ class TestIngestion:
                                   ColumnSpec("target", kind="target")])
         assert np.array_equal(back.features, X)
         assert np.array_equal(back.response, y)
+
+
+def reference_read_rows(path, specs, require_target, keep_rows):
+    """The per-row reader that the block-wise, column-at-a-time reader
+    replaced: one `_parse_float` call per cell, stopping at a row's first
+    bad cell. Returns what `data._read_rows` returns."""
+    names = [s.name for s in specs]
+    if len(set(names)) != len(names):
+        raise DataError("duplicate column names in specs")
+    report = IngestionReport(path=path, rows=[] if keep_rows else None)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise DataError(f"empty file: {path}") from None
+        header = report.header = [h.strip() for h in header]
+        if not require_target:
+            specs = [s for s in specs if s.kind != "target" or s.name in header]
+        col_idx = {}
+        for spec in specs:
+            if spec.name not in header:
+                raise DataError(f"column {spec.name!r} not found in header of {path}")
+            col_idx[spec.name] = header.index(spec.name)
+        rows = []
+        max_idx = max(col_idx.values())
+        for raw in reader:
+            if not raw or (len(raw) == 1 and raw[0].strip() == ""):
+                continue
+            report.rows_read += 1
+            if len(raw) <= max_idx:
+                report.rows_dropped += 1
+                continue
+            values = []
+            ok = True
+            for spec in specs:
+                cell = raw[col_idx[spec.name]].strip()
+                if spec.kind == "categorical":
+                    if cell == "":
+                        ok = False
+                        break
+                    values.append(cell)
+                else:
+                    v = _parse_float(cell)
+                    if v is None:
+                        ok = False
+                        break
+                    values.append(v)
+            if ok:
+                rows.append(values)
+                if keep_rows:
+                    report.rows.append(raw)
+            else:
+                report.rows_dropped += 1
+    columns = {}
+    for i, spec in enumerate(specs):
+        cells = [r[i] for r in rows]
+        columns[spec.name] = cells if spec.kind == "categorical" else np.asarray(cells, dtype=np.float64)
+    report.n_rows = len(rows)
+    return specs, columns, report
+
+
+# Cells on which a float parser can disagree with Python's `float`, plus
+# plain numbers and category names. csv.writer quotes the ones with commas.
+_CELLS = ["1_0", " 2.5 ", "nan", "-inf", "1e400", "1e-400", "-0", "0x10", "\u0661\u0662", "",
+          "+.5", "3", "-1.25", " 7 ", "red", "a, b", '"q"', "1,5"]
+_HEADER = ["a", "b", "c", "y"]
+
+
+@st.composite
+def csv_cases(draw):
+    lines = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["row", "row", "row", "short", "blank"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "   ", "\t"])))
+        else:
+            width = draw(st.integers(0, 3)) if kind == "short" else draw(st.integers(4, 5))
+            lines.append(draw(st.lists(st.sampled_from(_CELLS), min_size=width, max_size=width)))
+    b_kind = draw(st.sampled_from(["numeric", "categorical"]))
+    specs = [ColumnSpec("a", transform=draw(st.sampled_from(["none", "log"]))),
+             ColumnSpec("b", kind=b_kind)]
+    if draw(st.booleans()):
+        specs.append(ColumnSpec("c", kind="categorical"))
+    require_target = draw(st.booleans())
+    target = draw(st.sampled_from(["y", "missing"])) if not require_target else "y"
+    if require_target or draw(st.booleans()):
+        specs.append(ColumnSpec(target, kind="target"))
+    specs = draw(st.permutations(specs))
+    levels = None
+    if draw(st.booleans()):
+        levels = {s.name: tuple(draw(st.lists(st.sampled_from(_CELLS[:12] + ["red"]), unique=True,
+                                              max_size=4)))
+                  for s in specs if s.kind == "categorical" and draw(st.booleans())}
+    return lines, specs, levels, require_target, draw(st.booleans()), draw(st.integers(1, 3))
+
+
+def write_lines(path, lines):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(_HEADER)
+        for line in lines:
+            if isinstance(line, str):
+                fh.write(line + "\r\n")
+            else:
+                writer.writerow(line)
+
+
+def ingest_or_error(*args, **kwargs):
+    try:
+        return ingest(*args, **kwargs)
+    except DataError as exc:
+        return str(exc)
+
+
+class TestReaderParity:
+    """The block-wise reader gives the per-row reader's arrays, counts and
+    kept rows, bit for bit, wherever the block boundaries fall."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(csv_cases())
+    def test_matches_per_row_reader(self, case):
+        lines, specs, levels, require_target, keep_rows, block_rows = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "t.csv")
+            write_lines(path, lines)
+            kwargs = dict(levels=levels, require_target=require_target, keep_rows=keep_rows)
+            with mock.patch.object(data_module, "_BLOCK_ROWS", block_rows):
+                got = ingest_or_error(path, specs, **kwargs)
+            with mock.patch.object(data_module, "_read_rows", reference_read_rows):
+                want = ingest_or_error(path, specs, **kwargs)
+        if isinstance(want, str):
+            assert got == want
+            return
+        assert not isinstance(got, str), got
+        (feats, resp, names, report), (ref_feats, ref_resp, ref_names, ref) = got, want
+        assert feats.shape == ref_feats.shape and feats.tobytes() == ref_feats.tobytes()
+        assert (resp is None) == (ref_resp is None)
+        if resp is not None:
+            assert resp.dtype == np.float64 and resp.tobytes() == ref_resp.tobytes()
+        assert names == ref_names
+        assert (report.rows_read, report.rows_dropped, report.unseen_category_rows,
+                report.n_rows, report.encodings, report.header, report.rows) == \
+            (ref.rows_read, ref.rows_dropped, ref.unseen_category_rows, ref.n_rows,
+             ref.encodings, ref.header, ref.rows)
+
+    def test_block_boundaries_and_float_rule(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_text(path, "x,y\n1_0,1\n0x10,2\n\n\u0661\u0662,3\n-0,4\n1e400,5\n 2.5 ,6\n")
+        for block_rows in (1, 2, 4096):
+            with mock.patch.object(data_module, "_BLOCK_ROWS", block_rows):
+                feats, resp, _, report = ingest(path, [ColumnSpec("x"), ColumnSpec("y", kind="target")])
+            assert feats.ravel().tolist() == [10.0, 12.0, -0.0, 2.5]
+            assert np.signbit(feats[2, 0]) and resp.tolist() == [1.0, 3.0, 4.0, 6.0]
+            assert (report.rows_read, report.rows_dropped) == (6, 2)
+
+
+def test_load_csv_peak_memory_below_per_row_reader(tmp_path, rng):
+    """Blocks keep only one block's cell strings alive at a time: the
+    traced peak of `load_csv` on a 20000 x 9 file stays below that of the
+    per-row reader, which holds every row's values at once."""
+    path = str(tmp_path / "big.csv")
+    table = rng.normal(size=(20000, 9)) * 1e3
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"c{j}" for j in range(8)] + ["target"])
+        writer.writerows([repr(float(v)) for v in row] for row in table)
+    specs = [ColumnSpec(f"c{j}") for j in range(8)] + [ColumnSpec("target", kind="target")]
+
+    def traced_peak():
+        tracemalloc.start()
+        try:
+            load_csv(path, specs)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak = traced_peak()
+    with mock.patch.object(data_module, "_read_rows", reference_read_rows):
+        reference_peak = traced_peak()
+    assert peak < reference_peak
 
 
 class TestSplit:

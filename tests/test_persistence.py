@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from treeseg.data import Dataset
+from treeseg.data import ColumnSpec, Dataset
 from treeseg.leaf_models import GPModel
 from treeseg.persistence import (SCHEMA_VERSION, PersistenceError,
                                  load_bundle, load_model, model_document,
@@ -108,7 +108,7 @@ def test_ingestion_recipe_rides_along(rng, tmp_path):
     path = str(tmp_path / "model.json")
     save_model(model, path, ingestion=recipe)
     loaded, stored = load_bundle(path)
-    assert stored == recipe
+    assert stored == ([ColumnSpec("a"), ColumnSpec("b"), ColumnSpec("y", kind="target")], {})
     _, none_stored = load_bundle_without_recipe(rng, tmp_path)
     assert none_stored is None
 
