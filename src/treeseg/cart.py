@@ -137,13 +137,22 @@ def _pick(gains: np.ndarray, lo: int, xs: np.ndarray, y: np.ndarray, order: np.n
           sse_parent: float) -> SplitRule | None:
     """Best split among the candidate cuts after sorted positions lo, lo+1, ...
     whose float64 gains are the columns of `gains` (features x positions)."""
-    best_gain = float(gains.max(initial=-np.inf))
+    if gains.size == 0:
+        return None
+    best = int(np.argmax(gains))  # the first maximum, or the first NaN
+    best_gain = float(gains.flat[best])
     if best_gain == -np.inf:
         return None
     if not (np.isfinite(best_gain) and np.isfinite(sse_parent)):
         raise CartError("the response is too large for float64 split gains")
 
     band = _BAND_REL * max(sse_parent, abs(best_gain))
+    if best_gain > band and np.count_nonzero(gains >= best_gain - band) == 1:
+        feature, k = divmod(best, gains.shape[1])
+        lower, upper = float(xs[feature, lo + k]), float(xs[feature, lo + k + 1])
+        threshold = 0.5 * (lower + upper)
+        return SplitRule(feature, lower if threshold >= upper else threshold, best_gain)
+
     # Feature first, then rising position (so rising threshold): the tie order.
     features, ks = np.divmod(np.flatnonzero(gains >= best_gain - band), gains.shape[1])
     ks += lo
@@ -152,9 +161,6 @@ def _pick(gains: np.ndarray, lo: int, xs: np.ndarray, y: np.ndarray, order: np.n
     # Midpoints of adjacent representable values can round up to the right
     # value; clamp so `value <= threshold` always realizes the intended cut.
     thresholds = np.where(thresholds >= upper, lower, thresholds)
-
-    if ks.size == 1 and best_gain > band:
-        return SplitRule(feature=int(features[0]), threshold=float(thresholds[0]), gain=best_gain)
 
     # Near-tie or sign in doubt: settle it with exact rational arithmetic.
     best_rule = None
@@ -185,7 +191,7 @@ def _scan(columns: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarra
     if n < 2 * m:
         return rules
     y_node = y[rows]
-    mean = y_node.mean()
+    mean = np.add.reduce(y_node) / n  # ndarray.mean's bits, with less call overhead
     yc = y_node - mean
     sse_parent = float(yc @ yc)
     if sse_parent == 0.0:
@@ -193,7 +199,7 @@ def _scan(columns: np.ndarray, y: np.ndarray, rows: np.ndarray, order: np.ndarra
 
     # Column c of the candidate block is the cut after sorted position
     # m-1+c, for c = 0 .. n-2m; every array below is features x positions.
-    xs = np.take_along_axis(columns, order, axis=1)
+    xs = columns[np.arange(order.shape[0])[:, None], order]
     prefix = np.cumsum(y[order] - mean, axis=1)
     lo, hi = m - 1, n - m
     s_tot = prefix[:, -1:].copy()
@@ -293,7 +299,12 @@ def build_trees(train: Dataset, leaf_sizes
                 tree[parent][4] = node
             if rule is None:
                 if leaf is None:
-                    leaf = [int(rows.size), float(y[rows].mean()), float(y[rows].std())]
+                    # The bits of ndarray.mean and .std, with less call overhead.
+                    v = y[rows]
+                    mean = np.add.reduce(v) / v.size
+                    dev = v - mean
+                    var = np.add.reduce(dev * dev) / v.size
+                    leaf = [int(v.size), float(mean), float(np.sqrt(var))]
                 tree.append([-1, 0.0, 0.0, -1, -1, len(leaf_rows[size]), *leaf])
                 leaf_rows[size].append(rows)
             else:

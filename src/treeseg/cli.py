@@ -195,9 +195,10 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # Without a recipe, the model's feature names, all numeric.
     specs, levels = recipe or ([ColumnSpec(n) for n in model.feature_names], {})
     # One pass over the file: the rows echoed to the output are the raw
-    # cells of the rows ingest parsed, so the two cannot disagree.
-    features, _, names, report = ingest(args.input, specs, levels=levels,
-                                        require_target=False, keep_rows=True)
+    # cells of the rows ingest parsed, so the two cannot disagree. The
+    # target is never read, so a blank target cell is echoed, not refused.
+    features, _, names, report = ingest(args.input, [s for s in specs if s.kind != "target"],
+                                        levels=levels, require_target=False, keep_rows=True)
     if tuple(names) != model.feature_names:
         raise DataError(f"{args.model}: its ingestion recipe gives the features {names}, but "
                         f"the model was fit on {list(model.feature_names)}")

@@ -249,7 +249,8 @@ def _read_rows(path: str, specs: list[ColumnSpec], require_target: bool, keep_ro
     a row with too few cells is read and dropped.
 
     Without require_target, a target spec whose column the file lacks is
-    dropped rather than reported missing.
+    dropped rather than reported missing. A column that a spec reads must
+    appear once in the header; other columns may repeat.
     """
     import csv
 
@@ -272,6 +273,8 @@ def _read_rows(path: str, specs: list[ColumnSpec], require_target: bool, keep_ro
         for spec in specs:
             if spec.name not in header:
                 raise DataError(f"column {spec.name!r} not found in header of {path}")
+            if header.count(spec.name) > 1:
+                raise DataError(f"column {spec.name!r} appears twice in the header of {path}")
             col_idx.append(header.index(spec.name))
         min_len = max(col_idx) + 1
         parts = [[] for _ in specs]

@@ -20,11 +20,14 @@ by value only.
 A fitted model keeps alpha, not the Cholesky factor. Prediction avoids BLAS
 matrix products on purpose: every step is elementwise or a reduction along
 one row, so predicting one record and predicting a batch give
-bitwise-identical numbers regardless of batch size or chunking. The linear
+bitwise-identical numbers regardless of batch size or blocking. The linear
 term of the posterior mean folds into one d-vector, linear_variance X^T
 alpha, so a query pays O(d) for it. The RBF cross-kernel is built on inputs
-scaled by 1/lengthscale, one feature at a time on 2-D (rows x m) arrays,
-so a query costs O(m d) with no n x m x d temporary. Both per-model
+scaled by 1/lengthscale, one feature at a time, in place, in blocks of
+max(1, _BLOCK_ENTRIES // m) query rows that stay in cache with their one
+scratch buffer, so a query costs O(m d) with no n x m x d temporary. Each entry
+gets the same operations in the same order whatever the block, and each
+row is summed on its own, so no block size changes a bit. Both per-model
 constants are derived from (params, training inputs, alpha) on the first
 prediction and cached, so a fitted and a loaded model predict the same
 bits. Loading does not build the factor either: check_covariance certifies
@@ -170,7 +173,9 @@ class KernelParams:
         return KernelParams(*np.exp(np.asarray(z, dtype=np.float64)).tolist())
 
 
-_CHUNK = 256
+# Kernel entries per block of the posterior mean: 32768 doubles (256 KB),
+# so a block and its scratch buffer stay in a typical L2 cache.
+_BLOCK_ENTRIES = 32768
 
 
 def _linear_cross(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
@@ -183,30 +188,28 @@ def _linear_cross(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
     return out
 
 
-def _sqdist_cross(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
-    """Squared distances between the rows of A and the columns of BT.
-
-    Accumulated one feature at a time on 2-D arrays, so each entry is the
-    same sum in the same order whatever other rows A holds.
-    """
-    out = np.zeros((A.shape[0], BT.shape[1]), dtype=np.float64)
-    diff = np.empty_like(out)
-    for k in range(A.shape[1]):
-        np.subtract.outer(A[:, k], BT[k], out=diff)
-        diff *= diff
-        out += diff
-    return out
-
-
 def _scaled_columns(X: np.ndarray, params: KernelParams) -> np.ndarray:
     """X / lengthscale, transposed to one contiguous row per feature."""
     return np.ascontiguousarray((X / params.rbf_lengthscale).T)
 
 
-def _unit_rbf_cross(A: np.ndarray, scaled_BT: np.ndarray,
-                    params: KernelParams) -> np.ndarray:
-    """exp(-|a - b|^2 / (2 l^2)) for the rows of A against scaled columns."""
-    K = _sqdist_cross(A / params.rbf_lengthscale, scaled_BT)
+def _unit_rbf_into(K: np.ndarray, scratch: np.ndarray, queries: np.ndarray,
+                   columns: np.ndarray) -> np.ndarray:
+    """exp(-|a - b|^2 / 2) in place in K, for scaled query columns (d x
+    rows of K) against scaled columns (d x columns of K); returns K.
+
+    Squared differences accumulate one feature at a time on 2-D arrays in
+    place, the first straight into K (0 + t == t for t >= 0), so each entry
+    is the same sum in the same order whatever other rows K holds.
+    """
+    if not columns.shape[0]:
+        K.fill(0.0)  # no features: every distance is 0
+    for k in range(columns.shape[0]):
+        term = scratch if k else K
+        np.subtract.outer(queries[k], columns[k], out=term)
+        term *= term
+        if k:
+            K += term
     K *= -0.5
     np.exp(K, out=K)
     return K
@@ -226,7 +229,8 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     B = np.asarray(B, dtype=np.float64)
     if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[1]:
         raise ValueError("A and B must be 2-D with the same number of columns")
-    K = _unit_rbf_cross(A, _scaled_columns(B, params), params)
+    K = np.empty((A.shape[0], B.shape[0]))
+    _unit_rbf_into(K, np.empty_like(K), _scaled_columns(A, params), _scaled_columns(B, params))
     K *= params.rbf_variance
     K += params.linear_variance * _linear_cross(A, B.T)
     return K
@@ -561,21 +565,29 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
 def gp_predict_mean_batch(model: GPModel, X: np.ndarray) -> np.ndarray:
     """Posterior mean for each query row: k(x, X_train) . alpha + y_mean.
 
-    The linear term is x . (linear_variance X^T alpha); the RBF term is
-    built feature by feature against the model's scaled training columns,
-    _CHUNK query rows at a time, and reduced along each row. No step mixes
-    rows, so the result for any given row does not depend on the batch it
-    came in.
+    The linear term is x . (linear_variance X^T alpha). The RBF term is
+    built against the model's m scaled training columns in blocks of
+    max(1, _BLOCK_ENTRIES // m) query rows, in a block and a scratch buffer
+    allocated once per call (_unit_rbf_into), then scaled by rbf_variance
+    alpha and summed one row at a time. Every entry gets the same operations
+    in the same order whatever the block, and no step mixes rows, so the
+    result for any given row does not depend on the batch it came in.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.training_inputs.shape[1]:
         raise ValueError(f"expected a matrix with {model.training_inputs.shape[1]} columns")
     linear_weights, rbf_columns, rbf_weights = model._mean_constants
     out = (X * linear_weights).sum(axis=1)
-    for s in range(0, X.shape[0], _CHUNK):
-        K = _unit_rbf_cross(X[s:s + _CHUNK], rbf_columns, model.params)
+    queries = _scaled_columns(X, model.params)
+    n, m = X.shape[0], rbf_columns.shape[1]
+    rows = max(1, _BLOCK_ENTRIES // max(m, 1))
+    block = np.empty((min(rows, n), m))
+    scratch = np.empty_like(block)
+    for s in range(0, n, rows):
+        e = min(s + rows, n)
+        K = _unit_rbf_into(block[:e - s], scratch[:e - s], queries[:, s:e], rbf_columns)
         K *= rbf_weights
-        out[s:s + _CHUNK] += K.sum(axis=1)
+        out[s:e] += K.sum(axis=1)
     out += model.y_mean
     return out
 

@@ -416,6 +416,31 @@ class TestPredict:
         assert rows[0][-2:] == ["prediction", "segment_id"]
         assert len(rows) == 241
 
+    def test_blank_target_cell_is_echoed(self, tmp_path):
+        # Prediction never reads the target, so a blank target cell is no
+        # reason to refuse the row; the output echoes it as it was.
+        data_path = str(tmp_path / "abc.csv")
+        with open(data_path, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["a", "b", "y"])
+            for i in range(60):
+                writer.writerow([repr(i / 60.0), repr((i % 7) / 7.0), repr(i / 30.0 + i % 2)])
+        out = str(tmp_path / "fit")
+        assert run(["fit", "--data", data_path, "--out-dir", out, "--leaf-size", "20"]) == 0
+        model_path = os.path.join(out, "model.json")
+        in_path = str(tmp_path / "score.csv")
+        with open(in_path, "w", encoding="utf-8") as fh:
+            fh.write("a,b,y\n0.5,0.1,\n0.2,0.3,1.0\n")
+        out_path = str(tmp_path / "scored.csv")
+        assert run(["predict", "--model", model_path,
+                    "--input", in_path, "--output", out_path]) == 0
+        with open(out_path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0] == ["a", "b", "y", "prediction", "segment_id"]
+        assert [r[:3] for r in rows[1:]] == [["0.5", "0.1", ""], ["0.2", "0.3", "1.0"]]
+        expect = predict_batch(load_model(model_path), np.array([[0.5, 0.1], [0.2, 0.3]]))
+        assert [float(r[3]) for r in rows[1:]] == expect.tolist()
+
     def test_malformed_row_is_an_error(self, data_csv, tmp_path):
         model_path = self.fit_once(data_csv, tmp_path)
         in_path = str(tmp_path / "broken.csv")

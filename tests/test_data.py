@@ -90,6 +90,20 @@ class TestIngestion:
         with pytest.raises(DataError, match="not found"):
             load_csv(path, [ColumnSpec("nope"), ColumnSpec("target", kind="target")])
 
+    def test_duplicated_read_column_rejected(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_text(path, "x,x,y\n1,100,5\n2,200,6\n")
+        with pytest.raises(DataError, match="'x' appears twice"):
+            load_csv(path, [ColumnSpec("x"), ColumnSpec("y", kind="target")])
+
+    def test_duplicated_unread_column_still_loads(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_text(path, "note,x,note,y\na,1,b,5\nc,2,d,6\n")
+        data, report = load_csv(path, [ColumnSpec("x"), ColumnSpec("y", kind="target")])
+        assert data.features.ravel().tolist() == [1.0, 2.0]
+        assert data.response.tolist() == [5.0, 6.0]
+        assert report.header == ["note", "x", "note", "y"]
+
     def test_categorical_one_hot_sorted_levels(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_text(path, "color,target\nred,1\nblue,2\ngreen,3\nred,4\n")

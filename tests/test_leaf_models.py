@@ -8,9 +8,12 @@ degeneracy. None of them share code with the production implementation.
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from treeseg import cart, leaf_models
 from treeseg.data import Dataset
@@ -453,6 +456,51 @@ class TestGPPredict:
             gp_predict_mean_batch(model, np.zeros((1, 3)))
 
 
+def reference_mean(model, X):
+    """The posterior mean as the blocked kernel replaced it: 256 query rows
+    at a time, each chunk scaled by 1/lengthscale on its own, its squared
+    distances summed from zeros feature by feature, in fresh arrays."""
+    p, train, alpha = model.params, model.training_inputs, model.alpha
+    X = np.asarray(X, dtype=np.float64)
+    columns = np.ascontiguousarray((train / p.rbf_lengthscale).T)
+    out = (X * (p.linear_variance * (train * alpha[:, None]).sum(axis=0))).sum(axis=1)
+    for s in range(0, X.shape[0], 256):
+        A = X[s:s + 256] / p.rbf_lengthscale
+        K = np.zeros((A.shape[0], columns.shape[1]))
+        diff = np.empty_like(K)
+        for k in range(A.shape[1]):
+            np.subtract.outer(A[:, k], columns[k], out=diff)
+            diff *= diff
+            K += diff
+        K *= -0.5
+        np.exp(K, out=K)
+        K *= p.rbf_variance * alpha
+        out[s:s + 256] += K.sum(axis=1)
+    out += model.y_mean
+    return out
+
+
+def block_rows(m):
+    """Query rows per block of the posterior mean against m training rows."""
+    return max(1, leaf_models._BLOCK_ENTRIES // m)
+
+
+_COORD = st.floats(-30.0, 30.0, allow_nan=False, allow_infinity=False)
+_PARAM = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def mean_cases(draw):
+    """A GP model of m x d training rows, n queries and a block constant."""
+    m, d, n = draw(st.integers(1, 40)), draw(st.integers(1, 8)), draw(st.integers(0, 150))
+    model = GPModel(params=KernelParams(*(draw(_PARAM) for _ in range(4))),
+                    training_inputs=draw(arrays(np.float64, (m, d), elements=_COORD)),
+                    alpha=draw(arrays(np.float64, m, elements=_COORD)),
+                    y_mean=draw(_COORD), jitter=0.0, log_marginal=0.0)
+    queries = draw(arrays(np.float64, (n, d), elements=_COORD))
+    return model, queries, draw(st.sampled_from([1, 7, 64]))
+
+
 class TestMeanPath:
     """The posterior mean folds the linear kernel into one d-vector and builds
     the RBF cross-kernel feature by feature; these pin it to the dense form
@@ -463,32 +511,43 @@ class TestMeanPath:
         X = rng.normal(size=(60, d))
         y = X.sum(axis=1) + np.sin(X[:, 0]) + rng.normal(size=60) * 0.1
         model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.5, 0.1), max_iters=5)
-        queries = rng.normal(size=(2 * leaf_models._CHUNK + 37, d)) * 1.5
+        queries = rng.normal(size=(2 * block_rows(60) + 37, d)) * 1.5
         ref = kernel_matrix(model.params, queries, model.training_inputs) @ model.alpha
         ref += model.y_mean
         pred = gp_predict_mean_batch(model, queries)
         assert pred == pytest.approx(ref, rel=1e-10, abs=1e-10 * np.abs(ref).max())
 
     def test_single_row_equals_batch_bitwise_beyond_one_chunk(self, rng):
-        m = leaf_models._CHUNK + 44
+        m = 300
         X = rng.normal(size=(m, 4))
         y = np.cos(X[:, 1]) + X[:, 2] + rng.normal(size=m) * 0.1
         model = fit_gp(X, y, KernelParams(0.7, 1.3, 1.1, 0.05), max_iters=0)
-        queries = rng.normal(size=(leaf_models._CHUNK + 9, 4))
+        queries = rng.normal(size=(2 * block_rows(m) + 9, 4))
         batch = gp_predict_mean_batch(model, queries)
         ones = np.array([gp_predict_mean_batch(model, q[None, :])[0] for q in queries])
         assert np.array_equal(batch, ones)
 
     def test_batch_result_independent_of_batch_size(self, rng):
-        # 600 rows crosses the internal chunk boundary more than once.
+        # n rows cross the internal block boundary more than once.
         X = rng.normal(size=(25, 2))
         y = rng.normal(size=25)
         model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.0, 0.2), max_iters=5)
-        queries = rng.normal(size=(600, 2))
+        n = 2 * block_rows(25) + 37
+        queries = rng.normal(size=(n, 2))
         whole = gp_predict_mean_batch(model, queries)
         pieces = np.concatenate([gp_predict_mean_batch(model, queries[i:i + 7])
-                                 for i in range(0, 600, 7)])
+                                 for i in range(0, n, 7)])
         assert np.array_equal(whole, pieces)
+
+    @settings(max_examples=300, deadline=None)
+    @given(mean_cases())
+    def test_blocked_mean_keeps_the_chunked_bits(self, case):
+        # Block constants of 1, 7 and 64 entries put block boundaries
+        # everywhere, down to one query row per block.
+        model, queries, entries = case
+        with mock.patch.object(leaf_models, "_BLOCK_ENTRIES", entries):
+            got = gp_predict_mean_batch(model, queries)
+        assert np.array_equal(got, reference_mean(model, queries))
 
     def test_loaded_model_predicts_the_same_bits(self, rng, tmp_path):
         # Every GP leaf scores every query, in and out of its own segment.
