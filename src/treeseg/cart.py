@@ -470,7 +470,9 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     add(doc["root"])
     leaf_size = _integer("leaf_size", doc["leaf_size"])
     n_leaves = _integer("n_leaves", doc["n_leaves"])
-    feature_names = tuple(doc["feature_names"])
+    feature_names = doc["feature_names"]
+    if not (isinstance(feature_names, list) and all(isinstance(n, str) for n in feature_names)):
+        raise CartError(f"tree feature_names must be a list of strings, got {feature_names!r}")
     if sorted(row[5] for row in nodes if row[3] < 0) != list(range(n_leaves)):
         raise CartError("tree document has inconsistent segment ids")
     if any(not 0 <= row[0] < len(feature_names) for row in nodes if row[3] >= 0):

@@ -121,43 +121,21 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         dataset_tag=str(tag))
 
 
-def _infer_columns(path: str) -> list[ColumnSpec]:
-    """Default schema: every column numeric, the last one is the target."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-    header = [h.strip() for h in header]
-    if len(header) < 2:
-        raise DataError(f"{path} needs at least one feature column and a target column")
-    specs = [ColumnSpec(name=n) for n in header[:-1]]
-    specs.append(ColumnSpec(name=header[-1], kind="target"))
-    return specs
-
-
 def _prepare(cfg: RunConfig):
-    """Shared front half: output dir, config echo, ingestion, split."""
+    """Shared front half: output dir, config echo, ingestion. Returns the
+    dataset and its ingestion report."""
     os.makedirs(cfg.out_dir, exist_ok=True)
     with open(os.path.join(cfg.out_dir, "resolved_config.json"), "w", encoding="utf-8") as fh:
         json.dump(cfg.to_doc(), fh, indent=1, sort_keys=True)
         fh.write("\n")
-    columns = cfg.columns if cfg.columns is not None else _infer_columns(cfg.data_path)
-    data, report = load_csv(cfg.data_path, columns)
+    data, report = load_csv(cfg.data_path, cfg.columns)
     print(report.to_text(), file=sys.stderr)
-    return columns, data, report
-
-
-def _ingestion_recipe(columns: list[ColumnSpec], report) -> dict:
-    return {
-        "columns": [asdict(c) for c in columns],
-        "levels": {name: list(levels) for name, levels in report.encodings.items()},
-    }
+    return data, report
 
 
 def cmd_fit(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    columns, data, report = _prepare(cfg)
+    data, report = _prepare(cfg)
     split = train_test_split(data, cfg.train_fraction, cfg.split_seed)
     model = fit_segmented(split.train, cfg.fit)
 
@@ -166,7 +144,7 @@ def cmd_fit(args: argparse.Namespace) -> int:
     test_rmse = evaluation.rmse(predict_batch(model, split.test), split.test.response)
 
     model_path = os.path.join(cfg.out_dir, "model.json")
-    save_model(model, model_path, ingestion=_ingestion_recipe(columns, report))
+    save_model(model, model_path, ingestion=report.recipe())
 
     lines = [
         f"dataset: {cfg.data_path} ({data.n_rows} rows, {data.n_features} features)",
@@ -198,7 +176,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
     # cells of the rows ingest parsed, so the two cannot disagree. The
     # target is never read, so a blank target cell is echoed, not refused.
     features, _, names, report = ingest(args.input, [s for s in specs if s.kind != "target"],
-                                        levels=levels, require_target=False, keep_rows=True)
+                                        levels=levels, keep_rows=True)
     if tuple(names) != model.feature_names:
         raise DataError(f"{args.model}: its ingestion recipe gives the features {names}, but "
                         f"the model was fit on {list(model.feature_names)}")
@@ -223,7 +201,7 @@ def cmd_predict(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    _, data, _ = _prepare(cfg)
+    data, _ = _prepare(cfg)
     split = train_test_split(data, cfg.train_fraction, cfg.split_seed)
     if args.kind == "tree":
         report = evaluation.tree_generalization_sweep(split, cfg.sweep_sizes,
@@ -262,7 +240,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
 
 def cmd_outliers(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
-    _, data, _ = _prepare(cfg)
+    data, _ = _prepare(cfg)
     scores, removed = score_outliers(data, cfg.fit)
     removed = set(removed.tolist())
     out_path = os.path.join(cfg.out_dir, "outlier_scores.csv")

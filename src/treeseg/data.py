@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -191,7 +191,17 @@ class IngestionReport:
     n_rows: int = 0
     n_features: int = 0
     header: list[str] = field(default_factory=list)  # column names, stripped
+    columns: list[ColumnSpec] = field(default_factory=list)  # the specs read
     rows: list[list[str]] | None = None  # raw cells of the kept rows (keep_rows)
+
+    def recipe(self) -> dict:
+        """The ingestion recipe a model document carries, as
+        `recipe_from_doc` reads it: the column specs read and the category
+        levels found."""
+        return {
+            "columns": [asdict(c) for c in self.columns],
+            "levels": {name: list(levels) for name, levels in self.encodings.items()},
+        }
 
     def to_text(self) -> str:
         lines = [
@@ -235,12 +245,13 @@ def _parse_column(cells: list[str]) -> np.ndarray:
                         dtype=np.float64)
 
 
-def _read_rows(path: str, specs: list[ColumnSpec], require_target: bool, keep_rows: bool):
+def _read_rows(path: str, specs: list[ColumnSpec] | None, keep_rows: bool):
     """Parse the CSV in one pass, a block of `_BLOCK_ROWS` rows at a time:
-    the specs in use, the per-spec values of the kept rows (a float64 array
-    for a numeric or target column, a list of stripped strings for a
-    categorical one), and a report of the header, the counts and (with
-    keep_rows) the raw cells of the kept rows.
+    the per-spec values of the kept rows (a float64 array for a numeric or
+    target column, a list of stripped strings for a categorical one), and a
+    report of the header, the specs read, the counts and (with keep_rows)
+    the raw cells of the kept rows. With specs None, every column of the
+    header is read as numeric and the last one as the target.
 
     Within a block each column is parsed in one pass, but the rule for a
     cell is the per-cell one: Python's `float` on the stripped cell, and a
@@ -248,15 +259,11 @@ def _read_rows(path: str, specs: list[ColumnSpec], require_target: bool, keep_ro
     categorical cells is empty. Blank lines are skipped and not counted;
     a row with too few cells is read and dropped.
 
-    Without require_target, a target spec whose column the file lacks is
-    dropped rather than reported missing. A column that a spec reads must
-    appear once in the header; other columns may repeat.
+    A column that a spec reads must appear once in the header; other
+    columns may repeat.
     """
     import csv
 
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise DataError("duplicate column names in specs")
     report = IngestionReport(path=path, rows=[] if keep_rows else None)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -265,8 +272,11 @@ def _read_rows(path: str, specs: list[ColumnSpec], require_target: bool, keep_ro
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
         header = report.header = [h.strip() for h in header]
-        if not require_target:
-            specs = [s for s in specs if s.kind != "target" or s.name in header]
+        if specs is None:
+            if len(header) < 2:
+                raise DataError(f"{path} needs at least one feature column and a target column")
+            specs = [*map(ColumnSpec, header[:-1]), ColumnSpec(header[-1], kind="target")]
+        specs = report.columns = list(specs)
         if not specs:
             raise DataError(f"no columns to read from {path}")
         col_idx = []
@@ -312,7 +322,7 @@ def _read_rows(path: str, specs: list[ColumnSpec], require_target: bool, keep_ro
         else:
             columns[spec.name] = np.concatenate(part) if part else np.empty(0)
     report.n_rows = report.rows_read - report.rows_dropped
-    return specs, columns, report
+    return columns, report
 
 
 def _apply_transform(spec: ColumnSpec, col: np.ndarray) -> np.ndarray:
@@ -323,29 +333,32 @@ def _apply_transform(spec: ColumnSpec, col: np.ndarray) -> np.ndarray:
     return col
 
 
-def ingest(path: str, specs: list[ColumnSpec], levels: dict[str, tuple[str, ...]] | None = None,
-           require_target: bool = True, keep_rows: bool = False):
+def ingest(path: str, specs: list[ColumnSpec] | None,
+           levels: dict[str, tuple[str, ...]] | None = None, keep_rows: bool = False):
     """Core CSV ingestion shared by training and scoring paths.
 
-    Returns ``(features, response, feature_names, report)``. ``response`` is
-    None when no target column is read (scoring inputs); without
-    ``require_target`` a target spec whose column the file lacks is ignored.
-    When ``levels`` is provided, categorical columns are encoded against
-    those known levels and rows showing unseen levels get an all-zero
-    indicator block (counted in the report); otherwise levels are discovered
-    from the file and sorted. With ``keep_rows`` the report also carries the
-    raw cells of every kept row, aligned with the feature rows, from the same
-    single pass over the file.
+    Reads exactly the given specs, of which at most one is the target, or
+    with specs None every column as numeric and the last as the target.
+    Returns ``(features, response, feature_names, report)``; ``response`` is
+    None when no target is read (scoring inputs), and ``report.columns`` is
+    the specs read. When ``levels`` is provided, categorical columns are
+    encoded against those known levels and rows showing unseen levels get
+    an all-zero indicator block (counted in the report); otherwise levels
+    are discovered from the file and sorted. With ``keep_rows`` the report
+    also carries the raw cells of every kept row, aligned with the feature
+    rows, from the same single pass over the file.
     """
-    specs = list(specs)
-    targets = [s for s in specs if s.kind == "target"]
-    if require_target and len(targets) != 1:
-        raise DataError(f"exactly one target column required, got {len(targets)}")
-    if not require_target and len(targets) > 1:
-        raise DataError(f"at most one target column allowed, got {len(targets)}")
+    if specs is not None:
+        names = [s.name for s in specs]
+        if len(set(names)) != len(names):
+            raise DataError("duplicate column names in specs")
+        n_targets = sum(s.kind == "target" for s in specs)
+        if n_targets > 1:
+            raise DataError(f"at most one target column allowed, got {n_targets}")
 
-    specs, columns, report = _read_rows(path, specs, require_target, keep_rows)
-    targets = [s for s in specs if s.kind == "target"]
+    columns, report = _read_rows(path, specs, keep_rows)
+    specs = report.columns
+    target = next((s for s in specs if s.kind == "target"), None)
     n = report.n_rows
 
     feature_blocks: list[np.ndarray] = []
@@ -379,24 +392,26 @@ def ingest(path: str, specs: list[ColumnSpec], levels: dict[str, tuple[str, ...]
             report.encodings[spec.name] = lv
 
     features = np.hstack(feature_blocks) if feature_blocks else np.empty((n, 0))
-    response = None
-    if targets:
-        response = _apply_transform(targets[0], columns[targets[0].name])
+    response = None if target is None else _apply_transform(target, columns[target.name])
 
     report.unseen_category_rows = int(unseen_rows.sum())
     report.n_features = features.shape[1]
     return features, response, feature_names, report
 
 
-def load_csv(path: str, specs: list[ColumnSpec]) -> tuple[Dataset, IngestionReport]:
-    """Load a CSV file into a Dataset per the column specs.
+def load_csv(path: str, specs: list[ColumnSpec] | None) -> tuple[Dataset, IngestionReport]:
+    """Load a CSV file into a Dataset per the column specs, which hold
+    exactly one target; with specs None, every column is numeric and the
+    last one is the target.
 
     Categorical columns are one-hot encoded (levels sorted for determinism),
     the target is extracted and transformed per its spec, and rows with
     missing or unparseable cells are dropped. The report carries the drop
-    count and encoding summary.
+    count, the encoding summary and the recipe of what was read.
     """
-    features, response, names, report = ingest(path, specs, require_target=True)
+    if specs is not None and (n_targets := sum(s.kind == "target" for s in specs)) != 1:
+        raise DataError(f"exactly one target column required, got {n_targets}")
+    features, response, names, report = ingest(path, specs)
     return Dataset(features, response, tuple(names)), report
 
 

@@ -15,9 +15,10 @@ builds no m x m matrix, with the factorization itself as the fallback when
 the certificate cannot decide. It also checks that the fit report covers
 every segment with entries a fit could write, that n_train_rows equals
 the rows the tree's leaves hold and n_removed_outliers is not negative,
-that every number passes the run config's rules (`data._integer`,
-`data._real`; arrays must be finite), and that the ingestion recipe reads
-under `data.recipe_from_doc`. Posterior means depend only on the
+that the tree's leaf_size is the config's, that every number passes the
+run config's rules (`data._integer`, `data._real`; arrays must be
+finite), and that the ingestion recipe reads under
+`data.recipe_from_doc`. Posterior means depend only on the
 kernel parameters, the training inputs and alpha (the model derives its
 mean-path constants from them on first use), so round-tripped predictions
 are bit-identical without the factor.
@@ -203,6 +204,9 @@ def load_bundle(path: str) -> tuple[SegmentedModel,
             raise PersistenceError(f"{path} is not a {_DOCUMENT_KIND} document")
         config = FitConfig.from_doc(doc["config"])
         tree = cart.tree_from_dict(doc["tree"])
+        if tree.leaf_size != config.leaf_size:
+            raise PersistenceError(f"{path} failed validation: the tree's leaf_size "
+                                   f"{tree.leaf_size} is not the config's {config.leaf_size}")
         n_features = tree.n_features
         expected = {str(i) for i in range(tree.n_leaves)}  # one key per segment, as written
         for section in ("leaf_models", "scalers", "fit_report"):

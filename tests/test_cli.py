@@ -70,6 +70,15 @@ class TestFit:
         model = load_model(os.path.join(out, "model.json"))
         assert model.feature_names == ("a", "b", "c")
 
+    def test_inferred_columns_reject_a_repeated_header_name(self, tmp_path, capsys):
+        path = str(tmp_path / "dup.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("x,x,y\n" + "".join(f"{i},{-i},{i % 3}\n" for i in range(50)))
+        code = run(["fit", "--data", path, "--out-dir", str(tmp_path / "run3b"),
+                    "--leaf-size", "10"])
+        assert code == 2
+        assert "column 'x' appears twice in the header" in capsys.readouterr().err
+
     def test_categorical_column_spec(self, tmp_path, rng):
         path = str(tmp_path / "cat.csv")
         with open(path, "w", newline="", encoding="utf-8") as fh:

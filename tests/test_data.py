@@ -10,7 +10,8 @@ from hypothesis import given, settings, strategies as st
 
 from treeseg import data as data_module
 from treeseg.data import (ColumnSpec, DataError, Dataset, IngestionReport, Scaler, _integer,
-                          _parse_float, _real, ingest, load_csv, train_test_split)
+                          _parse_float, _real, ingest, load_csv, recipe_from_doc,
+                          train_test_split)
 
 
 def write_text(path, text):
@@ -112,13 +113,13 @@ class TestIngestion:
         assert data.feature_names == ("color=blue", "color=green", "color=red")
         assert data.features[0].tolist() == [0.0, 0.0, 1.0]
         assert report.encodings["color"] == ("blue", "green", "red")
+        assert recipe_from_doc(report.recipe()) == (specs, {"color": ("blue", "green", "red")})
 
     def test_known_levels_and_unseen_category(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_text(path, "color\nred\npurple\n")
         feats, resp, names, report = ingest(path, [ColumnSpec("color", kind="categorical")],
-                                            levels={"color": ("blue", "red")},
-                                            require_target=False)
+                                            levels={"color": ("blue", "red")})
         assert resp is None
         assert names == ["color=blue", "color=red"]
         assert feats.tolist() == [[0.0, 1.0], [0.0, 0.0]]
@@ -138,31 +139,55 @@ class TestIngestion:
         with pytest.raises(DataError, match="strictly positive"):
             load_csv(path, specs)
 
-    def test_require_target(self, tmp_path):
+    def test_load_csv_needs_a_target(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_text(path, "x\n1\n")
-        with pytest.raises(DataError, match="target"):
-            ingest(path, [ColumnSpec("x")], require_target=True)
+        with pytest.raises(DataError, match="exactly one target column required, got 0"):
+            load_csv(path, [ColumnSpec("x")])
+        with pytest.raises(DataError, match="at most one target column allowed, got 2"):
+            ingest(path, [ColumnSpec("x", kind="target"), ColumnSpec("y", kind="target")])
 
     def test_kept_raw_rows_align_with_features(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_text(path, 'x,note,y\n1,"a, b",2\n\nbad,c,3\n4,,5\n')
         specs = [ColumnSpec("x"), ColumnSpec("y", kind="target")]
-        feats, resp, _, report = ingest(path, specs, require_target=False, keep_rows=True)
+        feats, resp, _, report = ingest(path, specs, keep_rows=True)
         assert report.header == ["x", "note", "y"]
         assert report.rows == [["1", "a, b", "2"], ["4", "", "5"]]
         assert feats.ravel().tolist() == [1.0, 4.0] and resp.tolist() == [2.0, 5.0]
         assert report.rows_dropped == 1
-        # Without the target column a scoring input still ingests.
+        # Without a target spec a scoring input still ingests.
         write_text(path, "x\n1\n")
-        feats, resp, _, report = ingest(path, specs, require_target=False)
+        feats, resp, _, report = ingest(path, specs[:1])
         assert resp is None and feats.tolist() == [[1.0]] and report.rows is None
 
     def test_no_column_left_to_read(self, tmp_path):
         path = str(tmp_path / "t.csv")
         write_text(path, "x\n1\n")
         with pytest.raises(DataError, match="no columns to read"):
-            ingest(path, [ColumnSpec("y", kind="target")], require_target=False)
+            ingest(path, [])
+
+    def test_default_schema_matches_declared_specs(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_text(path, "a, b ,y\n1,2.5,3\n4,,6\n-1e3,0x1,7\n7,8,9\n")
+        specs = [ColumnSpec("a"), ColumnSpec("b"), ColumnSpec("y", kind="target")]
+        data, report = load_csv(path, None)
+        want, want_report = load_csv(path, specs)
+        assert data.feature_names == want.feature_names == ("a", "b")
+        assert data.features.tobytes() == want.features.tobytes()
+        assert data.response.tobytes() == want.response.tobytes()
+        assert report.columns == specs
+        assert report.recipe() == want_report.recipe() == {
+            "columns": [{"name": "a", "kind": "numeric", "transform": "none"},
+                        {"name": "b", "kind": "numeric", "transform": "none"},
+                        {"name": "y", "kind": "target", "transform": "none"}],
+            "levels": {}}
+
+    def test_default_schema_needs_two_columns(self, tmp_path):
+        path = str(tmp_path / "t.csv")
+        write_text(path, "y\n1\n")
+        with pytest.raises(DataError, match="needs at least one feature column and a target"):
+            load_csv(path, None)
 
     def test_write_read_round_trip_bit_exact(self, tmp_path, rng):
         X = rng.normal(size=(50, 3)) * 1e3
@@ -178,13 +203,10 @@ class TestIngestion:
         assert np.array_equal(back.response, y)
 
 
-def reference_read_rows(path, specs, require_target, keep_rows):
+def reference_read_rows(path, specs, keep_rows):
     """The per-row reader that the block-wise, column-at-a-time reader
     replaced: one `_parse_float` call per cell, stopping at a row's first
     bad cell. Returns what `data._read_rows` returns."""
-    names = [s.name for s in specs]
-    if len(set(names)) != len(names):
-        raise DataError("duplicate column names in specs")
     report = IngestionReport(path=path, rows=[] if keep_rows else None)
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -193,8 +215,9 @@ def reference_read_rows(path, specs, require_target, keep_rows):
         except StopIteration:
             raise DataError(f"empty file: {path}") from None
         header = report.header = [h.strip() for h in header]
-        if not require_target:
-            specs = [s for s in specs if s.kind != "target" or s.name in header]
+        if specs is None:
+            specs = [*map(ColumnSpec, header[:-1]), ColumnSpec(header[-1], kind="target")]
+        report.columns = specs
         col_idx = {}
         for spec in specs:
             if spec.name not in header:
@@ -235,7 +258,7 @@ def reference_read_rows(path, specs, require_target, keep_rows):
         cells = [r[i] for r in rows]
         columns[spec.name] = cells if spec.kind == "categorical" else np.asarray(cells, dtype=np.float64)
     report.n_rows = len(rows)
-    return specs, columns, report
+    return columns, report
 
 
 # Cells on which a float parser can disagree with Python's `float`, plus
@@ -260,17 +283,17 @@ def csv_cases(draw):
              ColumnSpec("b", kind=b_kind)]
     if draw(st.booleans()):
         specs.append(ColumnSpec("c", kind="categorical"))
-    require_target = draw(st.booleans())
-    target = draw(st.sampled_from(["y", "missing"])) if not require_target else "y"
-    if require_target or draw(st.booleans()):
-        specs.append(ColumnSpec(target, kind="target"))
+    if draw(st.booleans()):
+        specs.append(ColumnSpec("y", kind="target"))
     specs = draw(st.permutations(specs))
     levels = None
     if draw(st.booleans()):
         levels = {s.name: tuple(draw(st.lists(st.sampled_from(_CELLS[:12] + ["red"]), unique=True,
                                               max_size=4)))
                   for s in specs if s.kind == "categorical" and draw(st.booleans())}
-    return lines, specs, levels, require_target, draw(st.booleans()), draw(st.integers(1, 3))
+    if draw(st.integers(0, 7)) == 0:
+        specs = None  # the default schema: every column numeric, the last the target
+    return lines, specs, levels, draw(st.booleans()), draw(st.integers(1, 3))
 
 
 def write_lines(path, lines):
@@ -298,11 +321,11 @@ class TestReaderParity:
     @settings(max_examples=300, deadline=None)
     @given(csv_cases())
     def test_matches_per_row_reader(self, case):
-        lines, specs, levels, require_target, keep_rows, block_rows = case
+        lines, specs, levels, keep_rows, block_rows = case
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "t.csv")
             write_lines(path, lines)
-            kwargs = dict(levels=levels, require_target=require_target, keep_rows=keep_rows)
+            kwargs = dict(levels=levels, keep_rows=keep_rows)
             with mock.patch.object(data_module, "_BLOCK_ROWS", block_rows):
                 got = ingest_or_error(path, specs, **kwargs)
             with mock.patch.object(data_module, "_read_rows", reference_read_rows):
@@ -318,9 +341,9 @@ class TestReaderParity:
             assert resp.dtype == np.float64 and resp.tobytes() == ref_resp.tobytes()
         assert names == ref_names
         assert (report.rows_read, report.rows_dropped, report.unseen_category_rows,
-                report.n_rows, report.encodings, report.header, report.rows) == \
+                report.n_rows, report.encodings, report.header, report.columns, report.rows) == \
             (ref.rows_read, ref.rows_dropped, ref.unseen_category_rows, ref.n_rows,
-             ref.encodings, ref.header, ref.rows)
+             ref.encodings, ref.header, ref.columns, ref.rows)
 
     def test_block_boundaries_and_float_rule(self, tmp_path):
         path = str(tmp_path / "t.csv")

@@ -167,18 +167,12 @@ class TestOLS:
 
 
 class TestKernel:
-    def test_matches_naive_loops(self, rng):
+    @pytest.mark.parametrize("shape_a,shape_b", [((17, 3), (9, 3)), ((300, 2), (5, 2))],
+                             ids=["17x3-by-9x3", "300x2-by-5x2"])
+    def test_matches_naive_loops(self, rng, shape_a, shape_b):
         params = random_params(rng)
-        A = rng.normal(size=(17, 3))
-        B = rng.normal(size=(9, 3))
-        K = kernel_matrix(params, A, B)
-        assert K == pytest.approx(naive_kernel(params, A, B), rel=1e-12, abs=1e-14)
-
-    def test_chunked_path_matches_naive(self, rng):
-        # More than one 256-row chunk on the left side.
-        params = random_params(rng)
-        A = rng.normal(size=(300, 2))
-        B = rng.normal(size=(5, 2))
+        A = rng.normal(size=shape_a)
+        B = rng.normal(size=shape_b)
         K = kernel_matrix(params, A, B)
         assert K == pytest.approx(naive_kernel(params, A, B), rel=1e-12, abs=1e-14)
 

@@ -334,6 +334,11 @@ CORRUPTIONS = {
     "root feature negative": lambda doc: doc["tree"]["root"].update(feature=-1),
     "root threshold NaN": lambda doc: doc["tree"]["root"].update(threshold=float("nan")),
     "tree leaf_size 60.5": lambda doc: doc["tree"].update(leaf_size=60.5),
+    "tree leaf_size -5": lambda doc: doc["tree"].update(leaf_size=-5),
+    "tree leaf_size off config": lambda doc: doc["tree"].update(
+        leaf_size=doc["config"]["leaf_size"] + 1),
+    "tree feature_names string": lambda doc: doc["tree"].update(feature_names="ab"),
+    "tree feature_names integers": lambda doc: doc["tree"].update(feature_names=[1, 2]),
     "scaler std Infinity": lambda doc: next(iter(doc["scalers"].values()))["std"].__setitem__(
         0, float("inf")),
     "scaler mean NaN": lambda doc: next(iter(doc["scalers"].values()))["mean"].__setitem__(
