@@ -20,6 +20,7 @@ import numpy as np
 from . import cart, evaluation
 from .data import (ColumnSpec, DataError, _integer, _real, columns_from_doc, ingest, load_csv,
                    train_test_split)
+from .leaf_models import GPModel
 from .persistence import PersistenceError, load_bundle, save_model
 from .pipeline import (LEAF_METHODS, FitConfig, OutlierConfig, PipelineError, fit_segmented,
                        predict_batch, predict_with_segments, score_outliers)
@@ -159,6 +160,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     for segment_id in sorted(model.fit_report):
         s = model.fit_report[segment_id]
         note = f" ({s.reason})" if s.reason else ""
+        leaf = model.leaf_models[segment_id]
+        if isinstance(leaf, GPModel):
+            note += (f" {leaf.training_inputs.shape[0]} rows, {leaf.n_iterations} L-BFGS "
+                     f"iterations, {leaf.n_evaluations} evaluations, "
+                     f"{'converged' if leaf.converged else 'not converged'}")
         lines.append(f"  segment {segment_id}: {s.status} [{s.method}]{note}")
     report_text = "\n".join(lines)
     with open(os.path.join(cfg.out_dir, "fit_report.txt"), "w", encoding="utf-8") as fh:

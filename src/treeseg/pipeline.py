@@ -2,15 +2,18 @@
 
 The training flow is: optionally drop outliers from the training set, grow
 the segmentation tree, then fit one regressor per leaf (with per-leaf input
-standardization for the linear and GP methods). Prediction routes a record
-down the tree and applies that segment's model. Any leaf whose fit fails
-falls back to the segment's constant mean and the fallback is recorded —
-a model always comes back able to predict.
+standardization for the linear and GP methods); segments do not depend on
+one another, so small GP leaves are fit on a thread pool. Prediction
+routes a record down the tree and applies that segment's model. Any leaf
+whose fit fails falls back to the segment's constant mean and the
+fallback is recorded — a model always comes back able to predict.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -18,7 +21,7 @@ import numpy as np
 from . import cart
 from .data import DataError, Dataset, Scaler, _integer, _real
 from .leaf_models import (ConstantModel, KernelParams, LeafFitError, LeafModel,
-                          fit_constant, fit_gp, fit_ols)
+                          _blas_threads, fit_constant, fit_gp, fit_ols)
 from .outliers import anomaly_score_batch, fit_forest, removal_indices
 
 LEAF_METHODS = ("constant", "linear", "gp")
@@ -216,23 +219,59 @@ def filter_outliers(train: Dataset, config: FitConfig) -> tuple[Dataset, np.ndar
     return train.take(kept_rows), kept_rows
 
 
+# GP leaves of at most this many rows are fit concurrently. A GP leaf works
+# in about 4 m^2 doubles, 32 MB at m = 1024; larger leaves are fit one at a
+# time on the calling thread, so that peak memory stays that of one leaf.
+_POOL_MAX_ROWS = 1024
+
+
+def _leaf_workers() -> int:
+    """Threads that fit small GP leaves: one per CPU this process may run on,
+    but only when scipy's BLAS runs each call on one thread; otherwise 1, and
+    every leaf is fit on the calling thread. More BLAS threads change the
+    fitted bits and would compete with the pool for the same CPUs."""
+    if _blas_threads() != 1:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def fit_filtered(kept: Dataset, config: FitConfig, kept_rows: np.ndarray | None,
                  n_removed: int) -> SegmentedModel:
     """Segment the rows `filter_outliers` kept and fit each segment.
 
     `kept_rows` and `n_removed` record the filter's outcome on the model.
+    Segments do not depend on one another. GP leaves of at most
+    _POOL_MAX_ROWS rows are fit in a thread pool of _leaf_workers() threads
+    when that is more than one; every other leaf is fit first, one at a time,
+    on the calling thread. Each leaf's fit is the same computation on any
+    thread, so the model does not depend on the pool.
     """
     if config.leaf_size > kept.n_rows:
         raise PipelineError(
             "outlier filtering left fewer rows than leaf_size; lower the "
             "contamination or the leaf size")
     tree, leaf_rows = cart.build_tree(kept, config.leaf_size)
+
+    def fit(segment_id: int):
+        rows = leaf_rows[segment_id]
+        return _fit_leaf(kept.features[rows], kept.response[rows], config, segment_id)
+
+    small = [s for s, rows in enumerate(leaf_rows)
+             if config.leaf_method == "gp" and len(rows) <= _POOL_MAX_ROWS]
+    workers = min(_leaf_workers(), len(small)) if len(small) > 1 else 1
+    pooled = set(small) if workers > 1 else set()
+    fits = {s: fit(s) for s in range(len(leaf_rows)) if s not in pooled}
+    if pooled:
+        with ThreadPoolExecutor(workers, thread_name_prefix="treeseg-leaf") as pool:
+            fits.update(zip(small, pool.map(fit, small)))
+
     leaf_models: dict[int, LeafModel] = {}
     scalers: dict[int, Scaler | None] = {}
     report: dict[int, LeafFitStatus] = {}
-    for segment_id, rows in enumerate(leaf_rows):
-        model, scaler, status = _fit_leaf(kept.features[rows], kept.response[rows],
-                                          config, segment_id)
+    for segment_id in range(len(leaf_rows)):
+        model, scaler, status = fits[segment_id]
         leaf_models[segment_id] = model
         scalers[segment_id] = scaler
         report[segment_id] = status

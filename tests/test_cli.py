@@ -48,6 +48,29 @@ class TestFit:
         assert "per-segment fit status:" in report
         assert "segment 0: fitted" in report
 
+    def test_report_gives_each_gp_segment_its_optimizer_run(self, data_csv, tmp_path):
+        out = str(tmp_path / "gp")
+        assert run(["fit", "--data", data_csv, "--out-dir", out, "--leaf-size", "60",
+                    "--leaf-method", "gp", "--gp-max-iters", "3"]) == 0
+        model = load_model(os.path.join(out, "model.json"))
+        with open(os.path.join(out, "fit_report.txt"), encoding="utf-8") as fh:
+            report = fh.read()
+        assert model.tree.n_leaves >= 2
+        for sid, leaf in model.leaf_models.items():
+            assert (f"  segment {sid}: fitted [gp] {leaf.training_inputs.shape[0]} rows, "
+                    f"{leaf.n_iterations} L-BFGS iterations, {leaf.n_evaluations} "
+                    f"evaluations, {'converged' if leaf.converged else 'not converged'}\n"
+                    ) in report
+        # A cap of 3 iterations stops every leaf short of convergence.
+        assert report.count("3 L-BFGS iterations") == model.tree.n_leaves
+        assert report.count("not converged") == model.tree.n_leaves
+        # Deterministic: the same fit writes the same report.
+        again = str(tmp_path / "gp-again")
+        assert run(["fit", "--data", data_csv, "--out-dir", again, "--leaf-size", "60",
+                    "--leaf-method", "gp", "--gp-max-iters", "3"]) == 0
+        with open(os.path.join(again, "fit_report.txt"), encoding="utf-8") as fh:
+            assert fh.read() == report
+
     def test_flags_override_config_file(self, data_csv, tmp_path):
         config_path = str(tmp_path / "run.json")
         with open(config_path, "w", encoding="utf-8") as fh:

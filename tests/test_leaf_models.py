@@ -5,6 +5,7 @@ a closed-form single-point marginal likelihood, central finite differences
 for the gradient, and a direct normal-equations ridge solve for the linear
 degeneracy. None of them share code with the production implementation.
 """
+import ctypes
 import json
 import math
 import tracemalloc
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.linalg import blas, cython_blas, cython_lapack, lapack
 
 from treeseg import cart, leaf_models
 from treeseg.data import Dataset
@@ -417,6 +419,97 @@ def test_one_evaluation_holds_two_m_by_m_buffers(rng):
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * m * m * 8
+
+
+# The LP64 signatures of scipy 1.17's Cython LAPACK and BLAS exports, which
+# the adapter's ctypes prototypes assume.
+_D_LAPACK = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
+_D_BLAS = "__pyx_t_5scipy_6linalg_11cython_blas_d *"
+LP64_SIGNATURES = {
+    "dpotrf": f"void (char *, int *, {_D_LAPACK}, int *, int *)",
+    "dpotrs": f"void (char *, int *, int *, {_D_LAPACK}, int *, {_D_LAPACK}, int *, int *)",
+    "dpotri": f"void (char *, int *, {_D_LAPACK}, int *, int *)",
+    "dlaset": f"void (char *, int *, int *, {_D_LAPACK}, {_D_LAPACK}, {_D_LAPACK}, int *)",
+    "dger": f"void (int *, int *, {_D_BLAS}, {_D_BLAS}, int *, {_D_BLAS}, int *, {_D_BLAS}, int *)",
+}
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def random_spd(rng, m):
+    A = rng.normal(size=(m, m))
+    return np.asfortranarray(A @ A.T + m * np.eye(m))
+
+
+class TestForeignLapack:
+    """The GIL-releasing adapter gives the bits of scipy's f2py wrappers."""
+
+    @pytest.mark.parametrize("m", [1, 2, 65, 300])
+    def test_potrf_potrs_potri_match_f2py(self, rng, m):
+        A = random_spd(rng, m)
+        ref, ref_info = lapack.dpotrf(A)
+        factor = A.copy(order="F")
+        assert leaf_models._potrf(factor) == ref_info == 0
+        assert same_bits(factor, ref) and not np.tril(factor, -1).any()
+
+        b = rng.normal(size=m)
+        ref_x, ref_info = lapack.dpotrs(ref, b)
+        x, info = leaf_models._potrs(factor, b)
+        assert info == ref_info == 0 and same_bits(x, ref_x)
+
+        ref_inv, ref_info = lapack.dpotri(ref)
+        assert leaf_models._potri(factor) == ref_info == 0
+        assert same_bits(factor, ref_inv)
+
+    @pytest.mark.parametrize("m", [1, 2, 65, 300])
+    def test_ger_matches_f2py(self, rng, m):
+        a = random_spd(rng, m)
+        x, y = rng.normal(size=m), rng.normal(size=m)
+        ref = blas.dger(-0.75, x, y, a=a)
+        leaf_models._ger(-0.75, x, y, a)
+        assert same_bits(a, ref)
+
+    @pytest.mark.parametrize("m", [1, 2, 65, 300])
+    def test_potrf_reports_the_failing_column(self, rng, m):
+        A = random_spd(rng, m)
+        A[m // 2, m // 2] = -1.0
+        ref, ref_info = lapack.dpotrf(A)
+        factor = A.copy(order="F")
+        assert leaf_models._potrf(factor) == ref_info == m // 2 + 1
+        assert same_bits(factor, ref)
+
+    def test_rejects_arrays_it_cannot_pass_on(self, rng):
+        A = random_spd(rng, 4)
+        with pytest.raises(ValueError, match="Fortran-contiguous"):
+            leaf_models._potrf(A[:, :3])
+        with pytest.raises(ValueError, match="Fortran-contiguous"):
+            leaf_models._potrf(np.ascontiguousarray(A[:3]))
+        A.setflags(write=False)
+        with pytest.raises(ValueError, match="writeable"):
+            leaf_models._potri(A)
+
+    def test_capsules_export_the_lp64_signatures(self):
+        capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+            ("PyCapsule_GetName", ctypes.pythonapi))
+        assert leaf_models._SIGNATURES == LP64_SIGNATURES
+        for name, signature in LP64_SIGNATURES.items():
+            module = cython_blas if name == "dger" else cython_lapack
+            assert capsule_name(module.__pyx_capi__[name]).decode() == signature
+
+    def test_another_signature_is_refused(self, monkeypatch):
+        ilp64 = LP64_SIGNATURES["dpotrf"].replace("int *", "long *")
+        monkeypatch.setitem(leaf_models._SIGNATURES, "dpotrf", ilp64)
+        with pytest.raises(ImportError, match="dpotrf") as err:
+            leaf_models._foreign(cython_lapack, "dpotrf")
+        assert LP64_SIGNATURES["dpotrf"] in str(err.value) and ilp64 in str(err.value)
+
+    def test_calls_release_the_gil(self):
+        # ctypes keeps the GIL only for prototypes made with PYFUNCTYPE.
+        for f in (leaf_models._dpotrf, leaf_models._dpotrs, leaf_models._dpotri,
+                  leaf_models._dlaset, leaf_models._dger):
+            assert not f._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 class TestGPPredict:

@@ -1,9 +1,15 @@
+import os
+import subprocess
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from treeseg import cart
+from treeseg import cart, pipeline
 from treeseg.data import Dataset
-from treeseg.leaf_models import ConstantModel, GPModel, LinearModel, fit_ols
+from treeseg.leaf_models import ConstantModel, GPModel, LeafFitError, LinearModel, fit_ols
+from treeseg.persistence import save_model
 from treeseg.pipeline import (FitConfig, OutlierConfig, PipelineError,
                               SegmentedModel, default_gp_init, fit_segmented,
                               predict, predict_batch, predict_with_segments,
@@ -225,6 +231,111 @@ class TestDeterminism:
         a = predict_batch(fit_segmented(train, config), queries)
         b = predict_batch(fit_segmented(train, config), queries)
         assert np.array_equal(a, b)
+
+
+def recording(monkeypatch, name, calls, result=None):
+    """Replace pipeline.<name> with a recorder of (rows, thread) per call.
+
+    The recorder calls the real function, or raises `result` when it is an
+    exception.
+    """
+    real = getattr(pipeline, name)
+
+    def record(X, *args, **kwargs):
+        calls.append((X.shape[0], threading.current_thread()))
+        if isinstance(result, BaseException):
+            raise result
+        return real(X, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, name, record)
+
+
+class TestLeafPool:
+    """Small GP leaves fit on a thread pool; the model does not depend on it."""
+
+    config = FitConfig(leaf_size=40, leaf_method="gp", gp_max_iters=8)
+
+    def test_pool_saves_the_serial_model_bytes(self, rng, monkeypatch, tmp_path):
+        train = piecewise_linear(rng, n=240)
+        saved = []
+        before = threading.active_count()
+        for workers in (3, 1):
+            calls = []
+            recording(monkeypatch, "fit_gp", calls)
+            monkeypatch.setattr(pipeline, "_leaf_workers", lambda: workers)
+            model = fit_segmented(train, self.config)
+            assert threading.active_count() == before  # no pool thread outlives the fit
+            assert all(isinstance(m, GPModel) for m in model.leaf_models.values())
+            assert len(calls) == len(model.leaf_models) >= 3
+            on_pool = {t is not threading.current_thread() for _, t in calls}
+            assert on_pool == {workers > 1}
+            path = tmp_path / f"model-{workers}.json"
+            save_model(model, str(path))
+            saved.append(path.read_bytes())
+            monkeypatch.undo()
+        assert saved[0] == saved[1]
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_an_error_in_a_leaf_leaves_the_fit_as_it_was(self, rng, monkeypatch, workers):
+        # Anything but a LeafFitError is a fault, not a fallback: it reaches
+        # the caller as it is, from the pool as from the calling thread, and
+        # no pool thread outlives the fit.
+        train = piecewise_linear(rng, n=240)
+        recording(monkeypatch, "fit_gp", [], MemoryError("a leaf ran out"))
+        monkeypatch.setattr(pipeline, "_leaf_workers", lambda: workers)
+        before = threading.active_count()
+        with pytest.raises(MemoryError, match="^a leaf ran out$"):
+            fit_segmented(train, self.config)
+        assert threading.active_count() == before
+
+    def test_large_gp_and_linear_leaves_fit_on_the_calling_thread(self, rng, monkeypatch):
+        monkeypatch.setattr(pipeline, "_leaf_workers", lambda: 3)
+        here = threading.current_thread()
+        gp_calls, ols_calls = [], []
+        recording(monkeypatch, "fit_gp", gp_calls, LeafFitError("stub"))
+        recording(monkeypatch, "fit_ols", ols_calls)
+
+        # Leaves of 1025 rows or more: none is pooled.
+        fit_segmented(piecewise_linear(rng, n=2600),
+                      FitConfig(leaf_size=pipeline._POOL_MAX_ROWS + 1, leaf_method="gp"))
+        assert len(gp_calls) >= 2 and all(rows > pipeline._POOL_MAX_ROWS for rows, _ in gp_calls)
+        assert all(t is here for _, t in gp_calls)
+
+        # Linear leaves, however small.
+        fit_segmented(piecewise_linear(rng, n=240), FitConfig(leaf_size=40))
+        assert len(ols_calls) >= 3 and all(t is here for _, t in ols_calls)
+
+    def test_only_leaves_above_the_row_limit_stay_on_the_calling_thread(self, rng,
+                                                                      monkeypatch):
+        monkeypatch.setattr(pipeline, "_leaf_workers", lambda: 3)
+        calls = []
+        recording(monkeypatch, "fit_gp", calls, LeafFitError("stub"))
+        monkeypatch.setattr(pipeline, "_POOL_MAX_ROWS", 60)
+        fit_segmented(piecewise_linear(rng, n=400), self.config)
+        here = threading.current_thread()
+        assert {rows > 60 for rows, _ in calls} == {True, False}
+        assert all((t is here) == (rows > 60) for rows, t in calls)
+
+    def test_scipy_blas_reports_its_thread_count(self):
+        # The pool runs only where the getter is found and reports one thread.
+        if pipeline._blas_threads() is None:
+            pytest.skip("scipy's BLAS has no OpenBLAS thread-count getter")
+        code = "from treeseg import pipeline; print(pipeline._blas_threads())"
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120).stdout
+        assert out.strip() == "1"
+
+    @pytest.mark.parametrize("blas_threads, one_per_cpu", [(1, True), (2, False), (None, False)])
+    def test_workers_follow_the_blas_thread_count(self, monkeypatch, blas_threads,
+                                                  one_per_cpu):
+        # A BLAS that runs a call on several threads, or does not say, keeps
+        # every leaf on the calling thread.
+        monkeypatch.setattr(pipeline, "_blas_threads", lambda: blas_threads)
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        assert pipeline._leaf_workers() == (cpus if one_per_cpu else 1)
 
 
 class TestOutlierIntegration:
