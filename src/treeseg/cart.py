@@ -451,6 +451,8 @@ def tree_from_dict(doc: dict) -> RegressionTree:
     nodes: list[list] = []
 
     def add(node_doc: dict) -> None:
+        if not isinstance(node_doc, dict):
+            raise CartError(f"a tree node must be an object, got {node_doc!r}")
         kind = node_doc.get("kind")
         if kind == "leaf":
             nodes.append([-1, 0.0, 0.0, -1, -1, _integer("segment_id", node_doc["segment_id"]),
@@ -467,13 +469,17 @@ def tree_from_dict(doc: dict) -> RegressionTree:
         else:
             raise CartError(f"unknown tree node kind {kind!r}")
 
-    add(doc["root"])
+    try:
+        add(doc["root"])
+    except RecursionError:  # a JSON parser may accept deeper nesting than Python calls
+        raise CartError("tree document is nested too deeply") from None
     leaf_size = _integer("leaf_size", doc["leaf_size"])
     n_leaves = _integer("n_leaves", doc["n_leaves"])
     feature_names = doc["feature_names"]
     if not (isinstance(feature_names, list) and all(isinstance(n, str) for n in feature_names)):
         raise CartError(f"tree feature_names must be a list of strings, got {feature_names!r}")
-    if sorted(row[5] for row in nodes if row[3] < 0) != list(range(n_leaves)):
+    segment_ids = sorted(row[5] for row in nodes if row[3] < 0)
+    if n_leaves != len(segment_ids) or segment_ids != list(range(n_leaves)):
         raise CartError("tree document has inconsistent segment ids")
     if any(not 0 <= row[0] < len(feature_names) for row in nodes if row[3] >= 0):
         raise CartError("tree document splits on a feature it does not name")

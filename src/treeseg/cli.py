@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cart, evaluation
 from .data import (ColumnSpec, DataError, _integer, _real, columns_from_doc, ingest, load_csv,
-                   train_test_split)
+                   read_json, train_test_split)
 from .leaf_models import GPModel
 from .persistence import PersistenceError, load_bundle, save_model
 from .pipeline import (LEAF_METHODS, FitConfig, OutlierConfig, PipelineError, fit_segmented,
@@ -83,14 +83,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     """
     doc = RunConfig(data_path=None, columns=None, dataset_tag=None).to_doc()
     if args.config:
-        try:
-            with open(args.config, "r", encoding="utf-8") as fh:
-                file_doc = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise DataError(f"cannot read config file {args.config}: {exc}") from exc
-        if not isinstance(file_doc, dict):
-            raise DataError(f"config file {args.config} must hold a JSON object")
-        _overlay(doc, file_doc)
+        _overlay(doc, read_json(args.config))
     _overlay(doc, {
         "data": {"path": args.data, "tag": args.tag},
         "split": {"train_fraction": args.train_fraction, "seed": args.split_seed},

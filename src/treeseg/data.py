@@ -5,6 +5,12 @@ dense numeric `Dataset` produced here. Categorical columns are one-hot
 encoded at ingestion; rows with missing or unparseable cells are dropped and
 counted so the loss is visible in the ingestion report.
 
+This module is the one place that opens and decodes the files treeseg
+reads: data CSVs (`load_csv`, `ingest`), and run configs and model
+documents (`read_json`). Each is read as UTF-8, a leading byte-order mark
+skipped. Content that is not UTF-8, not CSV or not a JSON object raises
+`DataError`; a file that cannot be opened raises `OSError`, unchanged.
+
 The CSV reader works through the file in blocks of rows and parses each
 column of a block in one pass, with no Python call per cell. The rule for
 a cell is Python's `float` on the stripped cell, and a row is kept only if
@@ -15,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import json
 import math
 from dataclasses import asdict, dataclass, field, fields
 
@@ -48,6 +55,24 @@ def _real(name: str, value) -> float:
         if math.isfinite(number):
             return number
     raise DataError(f"{name} must be a finite number, got {value!r}")
+
+
+def read_json(path: str) -> dict:
+    """The JSON object a UTF-8 file holds; a leading byte-order mark is skipped.
+
+    Raises DataError when the file is not UTF-8, is not JSON, is nested too
+    deeply to parse or holds anything but an object. OSError, as from a
+    missing file, passes through.
+    """
+    with open(path, encoding="utf-8-sig") as fh:
+        try:
+            doc = json.load(fh)
+        # ValueError covers bad UTF-8, bad JSON and integers too long to convert.
+        except (ValueError, RecursionError) as exc:
+            raise DataError(f"{path} is not a UTF-8 JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path} must hold a JSON object")
+    return doc
 
 
 @dataclass(frozen=True)
@@ -260,61 +285,69 @@ def _read_rows(path: str, specs: list[ColumnSpec] | None, keep_rows: bool):
     a row with too few cells is read and dropped.
 
     A column that a spec reads must appear once in the header; other
-    columns may repeat.
+    columns may repeat. Text that is not UTF-8, or that the csv module
+    cannot split into rows (a cell over its field size limit, say), raises
+    DataError naming the file, and the line for a CSV error.
     """
     import csv
 
     report = IngestionReport(path=path, rows=[] if keep_rows else None)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"empty file: {path}") from None
-        header = report.header = [h.strip() for h in header]
-        if specs is None:
-            if len(header) < 2:
-                raise DataError(f"{path} needs at least one feature column and a target column")
-            specs = [*map(ColumnSpec, header[:-1]), ColumnSpec(header[-1], kind="target")]
-        specs = report.columns = list(specs)
-        if not specs:
-            raise DataError(f"no columns to read from {path}")
-        col_idx = []
-        for spec in specs:
-            if spec.name not in header:
-                raise DataError(f"column {spec.name!r} not found in header of {path}")
-            if header.count(spec.name) > 1:
-                raise DataError(f"column {spec.name!r} appears twice in the header of {path}")
-            col_idx.append(header.index(spec.name))
-        min_len = max(col_idx) + 1
-        parts = [[] for _ in specs]
-        for block in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
-            rows = [raw for raw in block if raw and (len(raw) > 1 or raw[0].strip())]
-            report.rows_read += len(rows)
-            full = [raw for raw in rows if len(raw) >= min_len]
-            n = len(full)
-            keep = np.ones(n, dtype=bool)
-            values = []
-            for spec, j in zip(specs, col_idx):
-                cells = [raw[j].strip() for raw in full]
-                if spec.kind == "categorical":
-                    if "" in cells:
-                        keep &= np.array([c != "" for c in cells], dtype=bool)
-                    values.append(cells)
-                else:
-                    col = _parse_column(cells)
-                    keep &= np.isfinite(col)
-                    values.append(col)
-            n_kept = int(np.count_nonzero(keep))
-            report.rows_dropped += len(rows) - n_kept
-            if n_kept < n:
-                values = [v[keep] if isinstance(v, np.ndarray) else list(itertools.compress(v, keep))
-                          for v in values]
-                full = list(itertools.compress(full, keep))
-            for part, v in zip(parts, values):
-                part.append(v)
-            if keep_rows:
-                report.rows.extend(full)
+            header = next(reader, None)
+            if header is None:
+                raise DataError(f"empty file: {path}")
+            header = report.header = [h.strip() for h in header]
+            if specs is None:
+                if len(header) < 2:
+                    raise DataError(
+                        f"{path} needs at least one feature column and a target column")
+                specs = [*map(ColumnSpec, header[:-1]), ColumnSpec(header[-1], kind="target")]
+            specs = report.columns = list(specs)
+            if not specs:
+                raise DataError(f"no columns to read from {path}")
+            col_idx = []
+            for spec in specs:
+                if spec.name not in header:
+                    raise DataError(f"column {spec.name!r} not found in header of {path}")
+                if header.count(spec.name) > 1:
+                    raise DataError(
+                        f"column {spec.name!r} appears twice in the header of {path}")
+                col_idx.append(header.index(spec.name))
+            min_len = max(col_idx) + 1
+            parts = [[] for _ in specs]
+            for block in iter(lambda: list(itertools.islice(reader, _BLOCK_ROWS)), []):
+                rows = [raw for raw in block if raw and (len(raw) > 1 or raw[0].strip())]
+                report.rows_read += len(rows)
+                full = [raw for raw in rows if len(raw) >= min_len]
+                n = len(full)
+                keep = np.ones(n, dtype=bool)
+                values = []
+                for spec, j in zip(specs, col_idx):
+                    cells = [raw[j].strip() for raw in full]
+                    if spec.kind == "categorical":
+                        if "" in cells:
+                            keep &= np.array([c != "" for c in cells], dtype=bool)
+                        values.append(cells)
+                    else:
+                        col = _parse_column(cells)
+                        keep &= np.isfinite(col)
+                        values.append(col)
+                n_kept = int(np.count_nonzero(keep))
+                report.rows_dropped += len(rows) - n_kept
+                if n_kept < n:
+                    values = [v[keep] if isinstance(v, np.ndarray)
+                              else list(itertools.compress(v, keep)) for v in values]
+                    full = list(itertools.compress(full, keep))
+                for part, v in zip(parts, values):
+                    part.append(v)
+                if keep_rows:
+                    report.rows.extend(full)
+        except csv.Error as exc:
+            raise DataError(f"{path}, line {reader.line_num}: not valid CSV: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
     columns = {}
     for spec, part in zip(specs, parts):
         if spec.kind == "categorical":

@@ -306,16 +306,6 @@ class KernelParams:
 _BLOCK_ENTRIES = 32768
 
 
-def _linear_cross(A: np.ndarray, BT: np.ndarray) -> np.ndarray:
-    """Dot products of the rows of A with the columns of BT, feature by feature."""
-    out = np.zeros((A.shape[0], BT.shape[1]), dtype=np.float64)
-    term = np.empty_like(out)
-    for k in range(A.shape[1]):
-        np.multiply.outer(A[:, k], BT[k], out=term)
-        out += term
-    return out
-
-
 def _scaled_columns(X: np.ndarray, params: KernelParams) -> np.ndarray:
     """X / lengthscale, transposed to one contiguous row per feature."""
     return np.ascontiguousarray((X / params.rbf_lengthscale).T)
@@ -360,7 +350,7 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     K = np.empty((A.shape[0], B.shape[0]))
     _unit_rbf_into(K, np.empty_like(K), _scaled_columns(A, params), _scaled_columns(B, params))
     K *= params.rbf_variance
-    K += params.linear_variance * _linear_cross(A, B.T)
+    K += params.linear_variance * (A @ B.T)
     return K
 
 

@@ -18,7 +18,10 @@ the rows the tree's leaves hold and n_removed_outliers is not negative,
 that the tree's leaf_size is the config's, that every number passes the
 run config's rules (`data._integer`, `data._real`; arrays must be
 finite), and that the ingestion recipe reads under
-`data.recipe_from_doc`. Posterior means depend only on the
+`data.recipe_from_doc`. The file is decoded by `data.read_json`, as run
+configs are; a document that cannot be decoded or breaks any of these
+checks raises PersistenceError, and only a file that cannot be opened
+raises OSError. Posterior means depend only on the
 kernel parameters, the training inputs and alpha (the model derives its
 mean-path constants from them on first use), so round-tripped predictions
 are bit-identical without the factor.
@@ -33,7 +36,7 @@ import os
 import numpy as np
 
 from . import cart
-from .data import ColumnSpec, Scaler, _integer, _real, recipe_from_doc
+from .data import ColumnSpec, DataError, Scaler, _integer, _real, read_json, recipe_from_doc
 from .leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
                           LinearModel, check_covariance)
 from .pipeline import FitConfig, LeafFitStatus, SegmentedModel
@@ -69,7 +72,10 @@ def _leaf_model_doc(model) -> dict:
 
 def _finite_array(name: str, values) -> np.ndarray:
     """A read-only float64 array of finite numbers."""
-    array = np.asarray(values, dtype=np.float64)
+    try:
+        array = np.asarray(values, dtype=np.float64)
+    except OverflowError:  # an integer beyond the float range
+        raise PersistenceError(f"{name} are not finite") from None
     if not np.isfinite(array).all():
         raise PersistenceError(f"{name} are not finite")
     array.setflags(write=False)
@@ -92,7 +98,7 @@ def _leaf_model_from_doc(doc: dict, n_features: int):
         weights = _finite_array("linear weights", doc["weights"])
         if weights.shape != (n_features,):
             raise PersistenceError(
-                f"linear model has {weights.shape[0]} weights for {n_features} features")
+                f"linear model weights have shape {weights.shape} for {n_features} features")
         return LinearModel(weights=weights, intercept=_real("intercept", doc["intercept"]),
                            ridge_eps=_real("ridge_eps", doc["ridge_eps"]),
                            used_fallback=_flag("used_fallback", doc["used_fallback"]))
@@ -128,7 +134,7 @@ def _fit_status_from_doc(segment_id: int, doc: dict, leaf_type: str) -> LeafFitS
             or not isinstance(reason, (str, type(None)))):
         raise PersistenceError(f"fit report of segment {segment_id} is not one a fit "
                                f"writes: {doc!r}")
-    return LeafFitStatus(segment_id, status, method, reason)
+    return LeafFitStatus(status, method, reason)
 
 
 def _scaler_doc(scaler: Scaler | None) -> dict | None:
@@ -185,11 +191,10 @@ def load_bundle(path: str) -> tuple[SegmentedModel,
     as read by `data.recipe_from_doc`: the column specs and known category
     levels, or None when the document has none."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
+        doc = read_json(path)
+    except DataError as exc:
         raise PersistenceError(f"{path} is not a valid model document: {exc}") from exc
-    if not isinstance(doc, dict) or "schema_version" not in doc:
+    if "schema_version" not in doc:
         raise PersistenceError(f"{path} is not a model document")
 
     try:
@@ -234,14 +239,12 @@ def load_bundle(path: str) -> tuple[SegmentedModel,
             raise
         raise PersistenceError(f"{path} failed validation: {exc}") from exc
 
-    n_leaf_rows = sum(tree.count[tree.left < 0].tolist())
-    if n_train_rows != n_leaf_rows:
+    model = SegmentedModel(tree=tree, leaf_models=leaf_models, scalers=scalers,
+                           config=config, fit_report=report, n_removed_outliers=n_removed)
+    if n_train_rows != model.n_train_rows:
         raise PersistenceError(
             f"{path}: n_train_rows is {n_train_rows} but the tree's leaves hold "
-            f"{n_leaf_rows} rows")
-    model = SegmentedModel(tree=tree, leaf_models=leaf_models, scalers=scalers,
-                           config=config, fit_report=report,
-                           n_train_rows=n_train_rows, n_removed_outliers=n_removed)
+            f"{model.n_train_rows} rows")
     return model, recipe
 
 

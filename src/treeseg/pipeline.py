@@ -114,7 +114,6 @@ class FitConfig:
 
 @dataclass(frozen=True)
 class LeafFitStatus:
-    segment_id: int
     status: str            # "fitted" | "fallback"
     method: str            # model actually in place for this segment
     reason: str | None = None
@@ -127,7 +126,6 @@ class SegmentedModel:
     scalers: dict[int, Scaler | None]
     config: FitConfig
     fit_report: dict[int, LeafFitStatus]
-    n_train_rows: int           # rows the tree actually saw (post-filter)
     n_removed_outliers: int = 0
     # Rows of the fit's training set that the outlier filter kept, when the
     # filter ran in this process; never serialized, so None after a load.
@@ -136,6 +134,11 @@ class SegmentedModel:
     @property
     def n_features(self) -> int:
         return self.tree.n_features
+
+    @property
+    def n_train_rows(self) -> int:
+        """Rows the tree was grown on, after the outlier filter."""
+        return sum(self.tree.count[self.tree.left < 0].tolist())
 
     @property
     def feature_names(self) -> tuple[str, ...]:
@@ -157,12 +160,12 @@ def default_gp_init(y: np.ndarray, n_features: int,
     return KernelParams(**values)
 
 
-def _fit_leaf(X: np.ndarray, y: np.ndarray, config: FitConfig,
-              segment_id: int) -> tuple[LeafModel, Scaler | None, LeafFitStatus]:
+def _fit_leaf(X: np.ndarray, y: np.ndarray,
+              config: FitConfig) -> tuple[LeafModel, Scaler | None, LeafFitStatus]:
     method = config.leaf_method
     if method == "constant":
         return (fit_constant(y), None,
-                LeafFitStatus(segment_id, "fitted", "constant"))
+                LeafFitStatus("fitted", "constant"))
 
     scaler = Scaler.fit(X)
     Xs = scaler.transform(X)
@@ -170,15 +173,15 @@ def _fit_leaf(X: np.ndarray, y: np.ndarray, config: FitConfig,
         if method == "linear":
             model = fit_ols(Xs, y, config.ridge_eps)
             reason = "ridge fallback engaged" if model.used_fallback else None
-            return model, scaler, LeafFitStatus(segment_id, "fitted", "linear", reason)
+            return model, scaler, LeafFitStatus("fitted", "linear", reason)
         if float(np.var(y)) == 0.0:
             raise LeafFitError("response is constant within the segment")
         init = default_gp_init(y, X.shape[1], config.gp_init)
         model = fit_gp(Xs, y, init, max_iters=config.gp_max_iters)
-        return model, scaler, LeafFitStatus(segment_id, "fitted", "gp")
+        return model, scaler, LeafFitStatus("fitted", "gp")
     except LeafFitError as exc:
         return (fit_constant(y), None,
-                LeafFitStatus(segment_id, "fallback", "constant", str(exc)))
+                LeafFitStatus("fallback", "constant", str(exc)))
 
 
 def score_outliers(data: Dataset, config: FitConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -256,7 +259,7 @@ def fit_filtered(kept: Dataset, config: FitConfig, kept_rows: np.ndarray | None,
 
     def fit(segment_id: int):
         rows = leaf_rows[segment_id]
-        return _fit_leaf(kept.features[rows], kept.response[rows], config, segment_id)
+        return _fit_leaf(kept.features[rows], kept.response[rows], config)
 
     small = [s for s, rows in enumerate(leaf_rows)
              if config.leaf_method == "gp" and len(rows) <= _POOL_MAX_ROWS]
@@ -276,8 +279,7 @@ def fit_filtered(kept: Dataset, config: FitConfig, kept_rows: np.ndarray | None,
         scalers[segment_id] = scaler
         report[segment_id] = status
     return SegmentedModel(tree=tree, leaf_models=leaf_models, scalers=scalers,
-                          config=config, fit_report=report,
-                          n_train_rows=kept.n_rows, n_removed_outliers=n_removed,
+                          config=config, fit_report=report, n_removed_outliers=n_removed,
                           kept_rows=kept_rows)
 
 

@@ -32,6 +32,9 @@ def run(argv):
     return main(argv)
 
 
+BOM = b"\xef\xbb\xbf"
+
+
 class TestFit:
     def test_happy_path_outputs(self, data_csv, tmp_path, capsys):
         out = str(tmp_path / "run1")
@@ -143,6 +146,44 @@ class TestFit:
                 {"name": "a"}, {"name": "y", "kind": "target"}]}}, fh)
         code = run(["fit", "--config", config_path, "--out-dir", str(tmp_path / "run6b")])
         assert code == 1
+
+    def test_missing_config_file_exits_1(self, data_csv, tmp_path):
+        code = run(["fit", "--config", str(tmp_path / "absent.json"), "--data", data_csv,
+                    "--out-dir", str(tmp_path / "run6c")])
+        assert code == 1
+
+    def test_byte_order_marks_skipped(self, data_csv, tmp_path):
+        with open(data_csv, "rb") as fh:
+            raw = fh.read()
+        with open(data_csv, "wb") as fh:
+            fh.write(BOM + raw)
+        config_path = tmp_path / "columns.json"
+        config_path.write_bytes(BOM + json.dumps({"data": {"columns": [
+            {"name": "a"}, {"name": "b"}, {"name": "c"}, {"name": "y", "kind": "target"}]}}).encode())
+        for name, config in (("default", []), ("declared", ["--config", str(config_path)])):
+            out_dir = tmp_path / name
+            assert run(["fit", "--data", data_csv, "--out-dir", str(out_dir), *config]) == 0
+            assert load_model(str(out_dir / "model.json")).feature_names == ("a", "b", "c")
+
+    @pytest.mark.parametrize("file,content,message", [
+        ("data", b"1,2,3,\xff4\r\n", "is not UTF-8 text"),
+        ("data", b"1,2,3," + b"4" * 131073 + b"\r\n", "line 242: not valid CSV"),
+        ("config", b'{"fit": {"seed": "\xff"}}', "not a UTF-8 JSON document"),
+        ("config", b"[" * 200000 + b"]" * 200000, "not a UTF-8 JSON document"),
+    ], ids=["data-not-utf8", "data-cell-over-csv-limit", "config-not-utf8",
+            "config-nested-200000-deep"])
+    def test_undecodable_input_exits_2(self, data_csv, tmp_path, capsys, file, content, message):
+        config_path = tmp_path / "config.json"
+        if file == "data":
+            with open(data_csv, "ab") as fh:  # after the header and 240 rows
+                fh.write(content)
+            config_path.write_text("{}", encoding="utf-8")
+        else:
+            config_path.write_bytes(content)
+        code = run(["fit", "--data", data_csv, "--config", str(config_path),
+                    "--out-dir", str(tmp_path / "run")])
+        assert code == 2
+        assert message in capsys.readouterr().err
 
     def test_bad_leaf_size(self, data_csv, tmp_path):
         code = run(["fit", "--data", data_csv, "--leaf-size", "0",
@@ -526,6 +567,17 @@ class TestPredict:
                     "--input", str(tmp_path / "no.csv"),
                     "--output", str(tmp_path / "out.csv")])
         assert code == 1
+
+    @pytest.mark.parametrize("content", [b'{"schema_version": "\xff"}',
+                                         b"[" * 200000 + b"]" * 200000],
+                             ids=["not-utf8", "nested-200000-deep"])
+    def test_undecodable_model_exits_2(self, data_csv, tmp_path, capsys, content):
+        model_path = tmp_path / "model.json"
+        model_path.write_bytes(content)
+        code = run(["predict", "--model", str(model_path), "--input", data_csv,
+                    "--output", str(tmp_path / "out.csv")])
+        assert code == 2
+        assert "is not a valid model document" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -1,5 +1,7 @@
+import ast
 import csv
 import os
+import pathlib
 import tempfile
 import tracemalloc
 from unittest import mock
@@ -10,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from treeseg import data as data_module
 from treeseg.data import (ColumnSpec, DataError, Dataset, IngestionReport, Scaler, _integer,
-                          _parse_float, _real, ingest, load_csv, recipe_from_doc,
+                          _parse_float, _real, ingest, load_csv, read_json, recipe_from_doc,
                           train_test_split)
 
 
@@ -382,6 +384,83 @@ def test_load_csv_peak_memory_below_per_row_reader(tmp_path, rng):
     assert peak < reference_peak
 
 
+BOM = b"\xef\xbb\xbf"
+
+
+class TestFileDecoding:
+    """Every file is read as UTF-8 with a leading byte-order mark skipped.
+    Content that is not UTF-8, not CSV or not a JSON object raises
+    DataError; a file that cannot be opened raises OSError."""
+
+    def test_csv_byte_order_mark_skipped(self, tmp_path):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(b"a,b,y\n1,2,3\n4,5,6\n")
+        marked.write_bytes(BOM + plain.read_bytes())
+        for specs in (None, [ColumnSpec("a"), ColumnSpec("b"), ColumnSpec("y", kind="target")]):
+            got, report = load_csv(str(marked), specs)
+            want, _ = load_csv(str(plain), specs)
+            assert got.feature_names == ("a", "b") and report.header == ["a", "b", "y"]
+            assert np.array_equal(got.features, want.features)
+            assert np.array_equal(got.response, want.response)
+
+    @pytest.mark.parametrize("content,message", [
+        (b"a,y\n1,\xff2\n", "is not UTF-8 text"),
+        (b"\xffa,y\n1,2\n", "is not UTF-8 text"),
+        (b"a,y\n1,2\n3," + b"4" * 131073 + b"\n", "line 3: not valid CSV"),
+        (b'a,"y' + b"z" * 131073 + b'"\n1,2\n', "line 1: not valid CSV"),
+    ], ids=["cell-not-utf8", "header-not-utf8", "cell-over-csv-limit", "header-over-csv-limit"])
+    def test_undecodable_csv_raises_data_error(self, tmp_path, content, message):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=message):
+            load_csv(str(path), None)
+
+    def test_json_byte_order_mark_skipped(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_bytes(BOM + b'{"a": [1, 2]}')
+        assert read_json(str(path)) == {"a": [1, 2]}
+
+    @pytest.mark.parametrize("content,message", [
+        (b'{"a": "\xff"}', "not a UTF-8 JSON document"),
+        (b'{"a": 1', "not a UTF-8 JSON document"),
+        (b"[" * 200000 + b"]" * 200000, "not a UTF-8 JSON document"),
+        (b'{"a": ' + b"1" * 5000 + b"}", "not a UTF-8 JSON document"),
+        (b"[1, 2]", "must hold a JSON object"),
+    ], ids=["not-utf8", "not-json", "nested-200000-deep", "integer-5000-digits", "a-list"])
+    def test_undecodable_json_raises_data_error(self, tmp_path, content, message):
+        path = tmp_path / "c.json"
+        path.write_bytes(content)
+        with pytest.raises(DataError, match=message):
+            read_json(str(path))
+
+    def test_unopenable_file_raises_os_error(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            read_json(str(tmp_path / "absent.json"))
+        with pytest.raises(FileNotFoundError):
+            load_csv(str(tmp_path / "absent.csv"), None)
+
+
+# Pieces of malformed CSV: a byte-order mark, bytes that are not UTF-8, NUL
+# bytes, stray quotes, ragged rows and a cell over the csv module's limit.
+_CSV_PIECES = [BOM, b"\xff", b"\xc3", b"\x00", b'"', b",", b"\n", b"\r", b"1.5", b" x",
+               b"a,b,y\n", b"1,2\n", b"1,2,3\n", b"1,2,3,4\n", b'"1\n2",3,4\n',
+               b"9" * 131073]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_CSV_PIECES) | st.binary(max_size=6), max_size=12))
+def test_arbitrary_bytes_load_or_raise_data_error(pieces):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "t.csv")
+        with open(path, "wb") as fh:
+            fh.write(b"".join(pieces))
+        try:
+            data, report = load_csv(path, None)
+        except DataError:
+            return
+    assert data.n_rows == report.n_rows and data.n_features == len(report.header) - 1
+
+
 class TestSplit:
     def test_partition_and_count(self, rng):
         data = Dataset(rng.normal(size=(100, 2)), rng.normal(size=100), ("a", "b"))
@@ -457,3 +536,27 @@ class TestNumberRules:
     def test_real_rejects(self, value):
         with pytest.raises(DataError, match="x must be a finite number"):
             _real("x", value)
+
+
+def test_only_data_opens_files_for_reading():
+    """`data` is the one module that reads files: every other module of the
+    package opens a file only with a write mode and parses no JSON."""
+    package = pathlib.Path(data_module.__file__).parent
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "data.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.Call):
+                continue
+            func, where = node.func, f"{path.name}:{node.lineno}"
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name == "open":
+                mode = node.args[1] if len(node.args) > 1 else next(
+                    (k.value for k in node.keywords if k.arg == "mode"), None)
+                if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                        and set(mode.value) & set("wax")):
+                    readers.append(where)
+            elif name in ("load", "loads") and getattr(func.value, "id", None) == "json":
+                readers.append(where)
+    assert readers == []

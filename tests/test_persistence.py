@@ -1,7 +1,11 @@
+import functools
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeseg.data import ColumnSpec, Dataset
 from treeseg.leaf_models import GPModel
@@ -134,6 +138,27 @@ def test_corrupted_file_rejected(tmp_path):
         fh.write("{not json")
     with pytest.raises(PersistenceError, match="not a valid model document"):
         load_model(path)
+
+
+@pytest.mark.parametrize("content", [
+    b'{"schema_version": 1, "kind": "\xff"}',
+    b"[" * 200000 + b"]" * 200000,
+], ids=["not-utf8", "nested-200000-deep"])
+def test_undecodable_file_rejected(tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_bytes(content)
+    with pytest.raises(PersistenceError, match="not a valid model document"):
+        load_model(str(path))
+
+
+def test_byte_order_mark_accepted(rng, tmp_path):
+    model = fitted_model(rng, "linear")
+    path = tmp_path / "model.json"
+    save_model(model, str(path))
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    queries = rng.uniform(-2.5, 2.5, size=(50, 2))
+    assert np.array_equal(predict_batch(load_model(str(path)), queries),
+                          predict_batch(model, queries))
 
 
 def test_wrong_document_kind_rejected(tmp_path):
@@ -294,6 +319,8 @@ def test_train_row_count_must_match_leaf_counts(rng, tmp_path, delta):
     ("training_inputs", float("inf")),
     ("alpha", float("nan")),
     ("alpha", float("-inf")),
+    pytest.param("training_inputs", 10 ** 400, id="training_inputs-integer-1e400"),
+    pytest.param("alpha", 10 ** 400, id="alpha-integer-1e400"),
 ])
 def test_non_finite_gp_arrays_rejected(rng, tmp_path, field, value):
     model = fitted_model(rng, "gp", gp_max_iters=3)
@@ -329,6 +356,8 @@ CORRUPTIONS = {
     "used_fallback 0": lambda doc: first_leaf(doc, "linear").update(used_fallback=0),
     "intercept NaN": lambda doc: first_leaf(doc, "linear").update(intercept=float("nan")),
     "weight 1e400": lambda doc: first_leaf(doc, "linear")["weights"].__setitem__(0, "@1e400@"),
+    "weight integer 1e400": lambda doc: first_leaf(doc, "linear")["weights"].__setitem__(
+        0, 10 ** 400),
     "root feature 1.9": lambda doc: doc["tree"]["root"].update(feature=1.9),
     "root feature out of range": lambda doc: doc["tree"]["root"].update(feature=2),
     "root feature negative": lambda doc: doc["tree"]["root"].update(feature=-1),
@@ -339,10 +368,15 @@ CORRUPTIONS = {
         leaf_size=doc["config"]["leaf_size"] + 1),
     "tree feature_names string": lambda doc: doc["tree"].update(feature_names="ab"),
     "tree feature_names integers": lambda doc: doc["tree"].update(feature_names=[1, 2]),
+    "tree n_leaves integer 1e400": lambda doc: doc["tree"].update(n_leaves=10 ** 400),
+    "tree root a list": lambda doc: doc["tree"].update(root=[]),
+    "split left a list": lambda doc: doc["tree"]["root"].update(left=[1]),
     "scaler std Infinity": lambda doc: next(iter(doc["scalers"].values()))["std"].__setitem__(
         0, float("inf")),
     "scaler mean NaN": lambda doc: next(iter(doc["scalers"].values()))["mean"].__setitem__(
         0, float("nan")),
+    "scaler mean integer 1e400": lambda doc: next(iter(doc["scalers"].values()))[
+        "mean"].__setitem__(0, 10 ** 400),
     "n_train_rows float": lambda doc: doc.update(n_train_rows=doc["n_train_rows"] + 0.5),
 }
 
@@ -412,3 +446,79 @@ def test_no_partial_file_on_failed_save(rng, tmp_path):
     with pytest.raises(OSError):
         save_model(model, str(missing))
     assert list(tmp_path.iterdir()) == []
+
+
+@functools.lru_cache(maxsize=None)
+def saved_documents() -> tuple[str, ...]:
+    """Saved documents of a small GP model and of a linear model fit with
+    the outlier filter on and a categorical ingestion recipe."""
+    rng = np.random.default_rng(11)
+    gp = fitted_model(rng, "gp", n=80, gp_max_iters=2)
+    linear = fitted_model(rng, "linear", outlier=OutlierConfig(enabled=True, n_trees=5))
+    recipe = {"columns": [{"name": "a"}, {"name": "b", "kind": "categorical"},
+                          {"name": "y", "kind": "target"}], "levels": {"b": ["u", "v"]}}
+    return (json.dumps(model_document(gp)), json.dumps(model_document(linear, recipe)))
+
+
+_REPLACEMENTS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.just(10 ** 400), st.floats(),
+    st.text(max_size=4), st.lists(st.integers(-2, 3), max_size=3),
+    st.dictionaries(st.sampled_from(["kind", "type", "mean", "root"]), st.integers(-1, 3),
+                    max_size=2))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A saved document with one to three values replaced or keys deleted."""
+    doc = json.loads(draw(st.sampled_from(saved_documents())))
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while (isinstance(node, (dict, list)) and node
+               and (parent is None or draw(st.integers(0, 3)))):
+            key = (draw(st.sampled_from(sorted(node))) if isinstance(node, dict)
+                   else draw(st.integers(0, len(node) - 1)))
+            parent, node = node, node[key]
+        if parent is None:
+            continue
+        if isinstance(parent, dict) and draw(st.integers(0, 4)) == 0:
+            del parent[key]
+        else:
+            parent[key] = draw(_REPLACEMENTS)
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def document_bytes(draw):
+    """Arbitrary bytes, or a saved document with arbitrary bytes spliced in,
+    after an optional byte-order mark."""
+    if draw(st.booleans()):
+        body = draw(st.binary(max_size=64))
+    else:
+        text = draw(st.sampled_from(saved_documents())).encode()
+        start = draw(st.integers(0, len(text)))
+        end = start + draw(st.integers(0, 8))
+        body = text[:start] + draw(st.binary(max_size=8)) + text[end:]
+    return draw(st.sampled_from([b"", b"\xef\xbb\xbf"])) + body
+
+
+def loads_or_raises_persistence_error(content: bytes) -> None:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "model.json")
+        with open(path, "wb") as fh:
+            fh.write(content)
+        try:
+            load_bundle(path)
+        except PersistenceError:
+            pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_documents())
+def test_mutated_document_loads_or_raises_persistence_error(content):
+    loads_or_raises_persistence_error(content)
+
+
+@settings(max_examples=200, deadline=None)
+@given(document_bytes())
+def test_arbitrary_bytes_load_or_raise_persistence_error(content):
+    loads_or_raises_persistence_error(content)
