@@ -17,7 +17,8 @@ import numpy as np
 
 from . import cart
 from .data import Dataset, SplitPair
-from .pipeline import FitConfig, PipelineError, filter_outliers, fit_filtered, predict_batch
+from .pipeline import (FitConfig, PipelineError, check_kept_rows, filter_outliers, fit_leaves,
+                       predict_batch)
 
 
 def rmse(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -121,20 +122,26 @@ def model_generalization_sweep(split: SplitPair, leaf_sizes, config: FitConfig,
     Each row fits the pipeline with the template config at that leaf size;
     the leaf size with the lowest test RMSE is flagged. The outlier filter
     does not depend on the leaf size, so it runs once, and every row's tree
-    is grown from the same kept rows; a row's `fit_seconds` is its tree and
-    leaf fits. Train RMSE is measured on the rows the model actually saw
-    (post-filter).
+    is grown from the same kept rows. The trees are grown jointly
+    (`cart.build_trees`), each bit for bit the tree a fit at that size
+    grows, so a row's `fit_seconds` is the time of that one joint build
+    plus its own leaf fits. Train RMSE is measured on the rows the model
+    actually saw (post-filter).
     """
     train, test = split.train, split.test
     sizes = _clean_grid(leaf_sizes, train.n_rows)
     kept, kept_rows = filter_outliers(train, config)
+    check_kept_rows(kept, sizes[-1])
+    t0 = time.perf_counter()
+    trees = cart.build_trees(kept, sizes)
+    build_seconds = time.perf_counter() - t0
     rows = []
     best = None
     for ls in sizes:
         t0 = time.perf_counter()
-        model = fit_filtered(kept, dataclasses.replace(config, leaf_size=ls), kept_rows,
-                             train.n_rows - kept.n_rows)
-        elapsed = time.perf_counter() - t0
+        model = fit_leaves(kept, *trees[ls], dataclasses.replace(config, leaf_size=ls),
+                           kept_rows, train.n_rows - kept.n_rows)
+        elapsed = build_seconds + (time.perf_counter() - t0)
         row = SweepRow(
             leaf_size=ls,
             train_rmse=rmse(predict_batch(model, kept), kept.response),

@@ -5,17 +5,20 @@ term — with hyperparameters learned by maximizing the log marginal
 likelihood in log-space. Leaves are small enough that the exact O(m^3)
 solve is affordable, which is the entire point of segmenting first.
 
-Fitting follows GPML (Rasmussen & Williams 2006, Alg. 5.1): the training
-Gram and squared distances are built once per leaf with BLAS and kept
-read-only. Each likelihood evaluation works in two m x m buffers. One
-holds the RBF term. The other holds K, which LAPACK potrf factors in
-place; potrs solves for alpha on that factor, potri turns it into K^-1 in
-the same memory, and the gradient weights W = alpha alpha^T - K^-1, from
-which the whole gradient is read, are built there too. The model's value
-and alpha at the start and the optimized parameters come from the
-evaluations L-BFGS already made; the start is exp(log(init)), within an
-ulp of init, and only a start point that was clipped into the bounds is
-replaced by init and solved again, by value only.
+Fitting follows GPML (Rasmussen & Williams 2006, Alg. 5.1). A leaf of at
+most _STORE_MAX_ROWS rows builds its training Gram and squared distances
+once with BLAS and keeps them read-only; a larger leaf keeps only its
+inputs and rebuilds both on each evaluation, with the same operations and
+so the same bits, in buffers it holds (_RebuiltParts). Each likelihood
+evaluation works in two m x m buffers. One holds the RBF term. The other
+holds K, which LAPACK potrf factors in place; potrs solves for alpha on
+that factor, potri turns it into K^-1 in the same memory, and the gradient
+weights W = alpha alpha^T - K^-1, from which the whole gradient is read,
+are built there too. The model's value and alpha at the start and the
+optimized parameters come from the evaluations L-BFGS already made; the
+start is exp(log(init)), within an ulp of init, and only a start point
+that was clipped into the bounds is replaced by init and solved again, by
+value only.
 
 Those LAPACK and BLAS routines (potrf, potrs, potri, laset, ger) are
 scipy's own, reached through the C function pointers that
@@ -333,9 +336,12 @@ def _unit_rbf_into(K: np.ndarray, scratch: np.ndarray, queries: np.ndarray,
     return K
 
 
-def _rbf(sqdist: np.ndarray, params: KernelParams) -> np.ndarray:
+def _rbf(sqdist: np.ndarray, params: KernelParams, out: np.ndarray | None = None
+         ) -> np.ndarray:
+    """rbf_variance exp(-sqdist / (2 l^2)), in `out` (which may be sqdist) or
+    in a new array."""
     ell2 = params.rbf_lengthscale * params.rbf_lengthscale
-    K_rbf = sqdist * (-0.5 / ell2)
+    K_rbf = np.multiply(sqdist, -0.5 / ell2, out=out)
     np.exp(K_rbf, out=K_rbf)
     K_rbf *= params.rbf_variance
     return K_rbf
@@ -359,8 +365,9 @@ def _training_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Squared distances come from |a|^2 + |b|^2 - 2 a.b, clamped at zero; the
     norms are the Gram's own diagonal, so the diagonal is exactly zero and
-    both matrices are exactly symmetric. Fit and load both go through here,
-    so a stored jitter reproduces the fit's covariance.
+    both matrices are exactly symmetric. Fit and load both go through here
+    or through _RebuiltParts, which gives the same bits, so a stored jitter
+    reproduces the fit's covariance.
     """
     gram = X @ X.T
     norms = gram.diagonal().copy()
@@ -370,25 +377,137 @@ def _training_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return gram, sqdist
 
 
+# A GP leaf of at most this many rows keeps its Gram and squared distances
+# for the whole fit, and each evaluation works in two fresh m x m buffers:
+# about 4 m^2 doubles, 32 MB at m = 1024. A larger leaf keeps only X and
+# rebuilds both in two m x m buffers it holds (_RebuiltParts), about 2 m^2
+# doubles, so leaves of any size can be fit concurrently. Alone, a rebuilt
+# evaluation is slower than a stored one: medians of 263 against 224 ms at
+# m = 1700 and 1.97 against 1.49 ms at m = 200 (interleaved, d = 4, one
+# BLAS thread, 2-vCPU VM), which is why small leaves keep their matrices.
+_STORE_MAX_ROWS = 1024
+
+
+class _StoredParts:
+    """The Gram and squared distances of a leaf of at most _STORE_MAX_ROWS
+    rows, built once (_training_parts) and read by every evaluation."""
+
+    def __init__(self, X: np.ndarray):
+        self.gram, self.sqdist = _training_parts(X)
+        # Shared by every evaluation, so no in-place step may write to them.
+        self.gram.setflags(write=False)
+        self.sqdist.setflags(write=False)
+
+    def rbf(self, params: KernelParams) -> np.ndarray:
+        return _rbf(self.sqdist, params)
+
+    def buffer(self) -> np.ndarray:
+        """An m x m buffer for K and what replaces it, one per evaluation."""
+        return np.empty_like(self.gram)
+
+    def linear_into(self, L: np.ndarray, params: KernelParams) -> None:
+        np.multiply(self.gram, params.linear_variance, out=L)
+
+    def products(self, W: np.ndarray, K_rbf: np.ndarray, params: KernelParams):
+        """vdot(W, gram), vdot(W, K_rbf) and vdot(W * K_rbf, sqdist); W is
+        left multiplied by K_rbf."""
+        w_gram = np.vdot(W, self.gram)
+        w_rbf = np.vdot(W, K_rbf)
+        W *= K_rbf
+        return w_gram, w_rbf, np.vdot(W, self.sqdist)
+
+
+class _RebuiltParts:
+    """The Gram and squared distances of a leaf of more than _STORE_MAX_ROWS
+    rows, rebuilt from X on each evaluation by the operations of
+    _training_parts and _rbf, so every matrix has the stored path's bits.
+
+    Two m x m buffers and a scratch of about _BLOCK_ENTRIES doubles are
+    allocated once and reused by every evaluation. R takes X X^T, which one
+    block of rows at a time, while the block is in cache, becomes the
+    squared distances and then K_rbf; for the gradient it takes X X^T again
+    and then the squared distances, while the scratch rebuilds each block
+    of K_rbf. L holds K, its factor, K^-1 and the gradient weights W.
+    """
+
+    def __init__(self, X: np.ndarray):
+        m = X.shape[0]
+        self.X = X
+        # One allocation for both. Above m = 1448 it is over glibc's 32 MB
+        # cap on its dynamic mmap threshold, so it is mapped on its own and
+        # unmapped when the leaf is done. As two arrays, R and L raised the
+        # peak RSS of perfbench's ccpp-gp run (four leaves of about 1700
+        # rows, fit over and over) from 193 to 211 MB.
+        self.R, self.L = np.empty((2, m, m))
+        self.rows = max(1, _BLOCK_ENTRIES // m)
+        self.scratch = np.empty((min(self.rows, m), m))
+
+    def _gram_into(self, out: np.ndarray) -> np.ndarray:
+        return np.matmul(self.X, self.X.T, out=out)
+
+    def _sqdist_blocks(self):
+        """Turn R, holding X X^T, into the squared distances in place, one
+        block of rows at a time; yields each block's row slice once it is
+        done, with the scratch block of its shape. (|a|^2 + |b|^2) + (-2 a.b)
+        is the sum _training_parts rounds."""
+        R, m = self.R, self.R.shape[0]
+        norms = R.diagonal().copy()
+        for s in range(0, m, self.rows):
+            rows = slice(s, min(s + self.rows, m))
+            sqdist, block = R[rows], self.scratch[:rows.stop - s]
+            sqdist *= -2.0
+            sqdist += np.add(norms[rows, None], norms[None, :], out=block)
+            np.maximum(sqdist, 0.0, out=sqdist)
+            yield rows, block
+
+    def rbf(self, params: KernelParams) -> np.ndarray:
+        R = self._gram_into(self.R)
+        for rows, _ in self._sqdist_blocks():
+            _rbf(R[rows], params, out=R[rows])
+        return R
+
+    def buffer(self) -> np.ndarray:
+        return self.L
+
+    def linear_into(self, L: np.ndarray, params: KernelParams) -> None:
+        self._gram_into(L)
+        L *= params.linear_variance
+
+    def products(self, W: np.ndarray, K_rbf: np.ndarray, params: KernelParams):
+        """As _StoredParts.products; K_rbf must be R, which is overwritten."""
+        w_rbf = np.vdot(W, K_rbf)
+        R = self._gram_into(self.R)
+        w_gram = np.vdot(W, R)
+        for rows, block in self._sqdist_blocks():
+            W[rows] *= _rbf(R[rows], params, out=block)
+        return w_gram, w_rbf, np.vdot(W, R)
+
+
+def _training_kernel(X: np.ndarray) -> _StoredParts | _RebuiltParts:
+    """The parts a fit or a load of a leaf with training inputs X works from."""
+    return _StoredParts(X) if X.shape[0] <= _STORE_MAX_ROWS else _RebuiltParts(X)
+
+
 _JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
-def _factorize(gram: np.ndarray, K_rbf: np.ndarray, params: KernelParams,
+def _factorize(parts: _StoredParts | _RebuiltParts, K_rbf: np.ndarray, params: KernelParams,
                ladder: tuple[float, ...] = _JITTER_LADDER) -> tuple[np.ndarray, float]:
     """Cholesky factor of K + (noise + jitter) I, K = linear_variance gram + K_rbf,
     escalating jitter until it works; returns the factor and the jitter.
 
-    One m x m buffer holds K and then its factor: LAPACK potrf runs in place
-    on the buffer's Fortran view, so the buffer ends with L in its lower
-    triangle and zeros above (the clean step of _potrf). A failed rung leaves
-    the buffer partly factored, so the next rung forms K in it again.
+    One m x m buffer (parts.buffer()) holds K and then its factor: LAPACK
+    potrf runs in place on the buffer's Fortran view, so the buffer ends with
+    L in its lower triangle and zeros above (the clean step of _potrf). A
+    failed rung leaves the buffer partly factored, so the next rung forms K
+    in it again.
     """
-    m = gram.shape[0]
-    L = np.empty_like(gram)
+    m = K_rbf.shape[0]
+    L = parts.buffer()
     for jitter in ladder:
         # linear_variance gram + K_rbf: the same bits as K_rbf + linear_variance
         # gram, since floating-point addition commutes.
-        np.multiply(gram, params.linear_variance, out=L)
+        parts.linear_into(L, params)
         L += K_rbf
         np.fill_diagonal(L, L.diagonal() + params.noise_variance + jitter)
         if _potrf(L.T) == 0:
@@ -398,16 +517,17 @@ def _factorize(gram: np.ndarray, K_rbf: np.ndarray, params: KernelParams,
         f"(m={m}); leaf is numerically ill-conditioned")
 
 
-def _solve(gram: np.ndarray, K_rbf: np.ndarray, params: KernelParams, y: np.ndarray):
+def _solve(parts: _StoredParts | _RebuiltParts, K_rbf: np.ndarray, params: KernelParams,
+           y: np.ndarray):
     """Factor K + noise I; LML value, factor, alpha and jitter."""
-    L, jitter = _factorize(gram, K_rbf, params)
+    L, jitter = _factorize(parts, K_rbf, params)
     alpha, _ = _potrs(L.T, y)
     value = float(-0.5 * (y @ alpha) - np.log(L.diagonal()).sum()
                   - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
     return value, L, alpha, jitter
 
 
-def _lml_terms(params: KernelParams, gram: np.ndarray, sqdist: np.ndarray,
+def _lml_terms(params: KernelParams, parts: _StoredParts | _RebuiltParts,
                y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Log marginal likelihood, its log-space gradient (GPML Alg. 5.1), alpha
     and the jitter the factorization needed.
@@ -415,8 +535,8 @@ def _lml_terms(params: KernelParams, gram: np.ndarray, sqdist: np.ndarray,
     Works in two m x m buffers, K_rbf and the one _factorize returns, which
     holds K, then L, then K^-1 and then the gradient weights W.
     """
-    K_rbf = _rbf(sqdist, params)
-    value, W, alpha, jitter = _solve(gram, K_rbf, params, y)
+    K_rbf = parts.rbf(params)
+    value, W, alpha, jitter = _solve(parts, K_rbf, params, y)
 
     # K^-1 in place over the factor: W.T is the Fortran-ordered upper factor,
     # so potri writes the inverse into W's lower triangle and leaves the
@@ -432,13 +552,12 @@ def _lml_terms(params: KernelParams, gram: np.ndarray, sqdist: np.ndarray,
     W[diag, diag] *= 0.5
     _ger(1.0, alpha, alpha, W.T)  # W += alpha alpha^T
 
+    w_gram, w_rbf, w_sqdist = parts.products(W, K_rbf, params)
     ell2 = params.rbf_lengthscale * params.rbf_lengthscale
-    grad_linear = params.linear_variance * np.vdot(W, gram)  # d/d log linear_variance
-    grad_rbf = np.vdot(W, K_rbf)                             # d/d log rbf_variance
-    W *= K_rbf
-    grad_lengthscale = np.vdot(W, sqdist) / ell2             # d/d log rbf_lengthscale
     grad = 0.5 * np.array([
-        grad_linear, grad_rbf, grad_lengthscale,
+        params.linear_variance * w_gram,  # d/d log linear_variance
+        w_rbf,                            # d/d log rbf_variance
+        w_sqdist / ell2,                  # d/d log rbf_lengthscale
         params.noise_variance * (float(alpha @ alpha) - trace_kinv),
     ])
     return value, grad, alpha, jitter
@@ -457,19 +576,19 @@ def log_marginal_likelihood(params: KernelParams, X: np.ndarray,
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
         raise ValueError("X must be 2-D and y 1-D with matching row counts")
-    return _lml_terms(params, *_training_parts(X), y)[:2]
+    return _lml_terms(params, _training_kernel(X), y)[:2]
 
 
 def covariance_factor(params: KernelParams, X: np.ndarray, jitter: float) -> np.ndarray:
     """Lower Cholesky factor of K(X, X) + (noise + jitter) I over training rows.
 
-    Built from the same training Gram and through the same _factorize as the
-    fit, so a fitted model's jitter reproduces the fit's factor bit for bit
-    and fit and load agree on which covariances factorize. Raises
+    Built from the same training parts and through the same _factorize as
+    the fit, so a fitted model's jitter reproduces the fit's factor bit for
+    bit and fit and load agree on which covariances factorize. Raises
     LeafFitError when K is not numerically positive definite at that jitter.
     """
-    gram, sqdist = _training_parts(X)
-    return _factorize(gram, _rbf(sqdist, params), params, ladder=(jitter,))[0]
+    parts = _training_kernel(X)
+    return _factorize(parts, parts.rbf(params), params, ladder=(jitter,))[0]
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -524,12 +643,13 @@ def check_covariance(params: KernelParams, X: np.ndarray, jitter: float) -> None
 
     The bound holds only for K formed as it is today. Revisit it whenever
     _training_parts, _rbf or _factorize change how K is built. It was last
-    revisited when _factorize moved to an in-place scipy potrf on a buffer
-    that holds linear_variance gram + K_rbf: that sum has the same bits as
-    the earlier K_rbf + linear_variance gram, and Thm 10.7 covers any
-    potrf, so the bound did not change. Calling that same potrf through
-    scipy's Cython export instead of its f2py wrapper, so that leaves can
-    be fit on several threads, did not change how K is formed either.
+    revisited when leaves over _STORE_MAX_ROWS rows began to rebuild their
+    Gram and squared distances on each evaluation (_RebuiltParts): each
+    entry of K gets the operations of _training_parts and _rbf in the same
+    order, so K keeps its bits and the bound stands. Before that, moving
+    _factorize to an in-place potrf on a buffer that holds linear_variance
+    gram + K_rbf (the same bits as K_rbf + linear_variance gram), and
+    calling that potrf through scipy's Cython export, did not change it.
     """
     X = np.asarray(X, dtype=np.float64)
     m, d = X.shape
@@ -616,13 +736,10 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
     yc = y - y_mean
     inputs = np.array(X, dtype=np.float64, order="C", copy=True)
     inputs.setflags(write=False)
-    gram, sqdist = _training_parts(inputs)
-    # Shared by every evaluation, so no in-place step may write to them.
-    gram.setflags(write=False)
-    sqdist.setflags(write=False)
+    parts = _training_kernel(inputs)
 
     def value_only(params: KernelParams) -> tuple[float, np.ndarray, float]:
-        value, _, alpha, jitter = _solve(gram, _rbf(sqdist, params), params, yc)
+        value, _, alpha, jitter = _solve(parts, parts.rbf(params), params, yc)
         return value, alpha, jitter
 
     best = init
@@ -638,8 +755,7 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
 
         def objective(z: np.ndarray):
             try:
-                lml, grad, alpha, jitter = _lml_terms(KernelParams.from_log(z),
-                                                      gram, sqdist, yc)
+                lml, grad, alpha, jitter = _lml_terms(KernelParams.from_log(z), parts, yc)
             except LeafFitError:
                 return 1e25, np.zeros(4)
             seen[z.tobytes()] = (lml, alpha, jitter)

@@ -16,8 +16,9 @@ the certificate cannot decide. It also checks that the fit report covers
 every segment with entries a fit could write, that n_train_rows equals
 the rows the tree's leaves hold and n_removed_outliers is not negative,
 that the tree's leaf_size is the config's, that every number passes the
-run config's rules (`data._integer`, `data._real`; arrays must be
-finite), and that the ingestion recipe reads under
+run config's rules (`data._integer`, `data._real`; arrays must hold
+finite JSON numbers only, no strings, booleans or nulls), and that the
+ingestion recipe reads under
 `data.recipe_from_doc`. The file is decoded by `data.read_json`, as run
 configs are; a document that cannot be decoded or breaks any of these
 checks raises PersistenceError, and only a file that cannot be opened
@@ -30,6 +31,7 @@ are bit-identical without the factor.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import os
 
@@ -71,13 +73,22 @@ def _leaf_model_doc(model) -> dict:
 
 
 def _finite_array(name: str, values) -> np.ndarray:
-    """A read-only float64 array of finite numbers."""
+    """A read-only float64 array of finite numbers, from a JSON list of
+    numbers or a list of such lists.
+
+    Elements are type-checked before conversion, which would otherwise read
+    a string such as "0.5" or a boolean as a float.
+    """
+    rows = values if isinstance(values, list) and values and type(values[0]) is list else [values]
+    if not (all(type(row) is list for row in rows)
+            and set(map(type, itertools.chain.from_iterable(rows))) <= {int, float}):
+        raise PersistenceError(f"{name} are not finite numbers")
     try:
         array = np.asarray(values, dtype=np.float64)
     except OverflowError:  # an integer beyond the float range
-        raise PersistenceError(f"{name} are not finite") from None
+        raise PersistenceError(f"{name} are not finite numbers") from None
     if not np.isfinite(array).all():
-        raise PersistenceError(f"{name} are not finite")
+        raise PersistenceError(f"{name} are not finite numbers")
     array.setflags(write=False)
     return array
 

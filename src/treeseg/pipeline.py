@@ -3,7 +3,7 @@
 The training flow is: optionally drop outliers from the training set, grow
 the segmentation tree, then fit one regressor per leaf (with per-leaf input
 standardization for the linear and GP methods); segments do not depend on
-one another, so small GP leaves are fit on a thread pool. Prediction
+one another, so GP leaves are fit on a thread pool. Prediction
 routes a record down the tree and applies that segment's model. Any leaf
 whose fit fails falls back to the segment's constant mean and the
 fallback is recorded — a model always comes back able to predict.
@@ -206,7 +206,9 @@ def fit_segmented(train: Dataset, config: FitConfig) -> SegmentedModel:
         raise PipelineError(
             f"leaf_size={config.leaf_size} exceeds the {train.n_rows} training rows")
     kept, kept_rows = filter_outliers(train, config)
-    return fit_filtered(kept, config, kept_rows, train.n_rows - kept.n_rows)
+    check_kept_rows(kept, config.leaf_size)
+    tree, leaf_rows = cart.build_tree(kept, config.leaf_size)
+    return fit_leaves(kept, tree, leaf_rows, config, kept_rows, train.n_rows - kept.n_rows)
 
 
 def filter_outliers(train: Dataset, config: FitConfig) -> tuple[Dataset, np.ndarray | None]:
@@ -222,15 +224,9 @@ def filter_outliers(train: Dataset, config: FitConfig) -> tuple[Dataset, np.ndar
     return train.take(kept_rows), kept_rows
 
 
-# GP leaves of at most this many rows are fit concurrently. A GP leaf works
-# in about 4 m^2 doubles, 32 MB at m = 1024; larger leaves are fit one at a
-# time on the calling thread, so that peak memory stays that of one leaf.
-_POOL_MAX_ROWS = 1024
-
-
 def _leaf_workers() -> int:
-    """Threads that fit small GP leaves: one per CPU this process may run on,
-    but only when scipy's BLAS runs each call on one thread; otherwise 1, and
+    """Threads that fit GP leaves: one per CPU this process may run on, but
+    only when scipy's BLAS runs each call on one thread; otherwise 1, and
     every leaf is fit on the calling thread. More BLAS threads change the
     fitted bits and would compete with the pool for the same CPUs."""
     if _blas_threads() != 1:
@@ -240,41 +236,48 @@ def _leaf_workers() -> int:
     return os.cpu_count() or 1
 
 
-def fit_filtered(kept: Dataset, config: FitConfig, kept_rows: np.ndarray | None,
-                 n_removed: int) -> SegmentedModel:
-    """Segment the rows `filter_outliers` kept and fit each segment.
-
-    `kept_rows` and `n_removed` record the filter's outcome on the model.
-    Segments do not depend on one another. GP leaves of at most
-    _POOL_MAX_ROWS rows are fit in a thread pool of _leaf_workers() threads
-    when that is more than one; every other leaf is fit first, one at a time,
-    on the calling thread. Each leaf's fit is the same computation on any
-    thread, so the model does not depend on the pool.
-    """
-    if config.leaf_size > kept.n_rows:
+def check_kept_rows(kept: Dataset, leaf_size: int) -> None:
+    """Raise PipelineError when the rows the outlier filter kept are fewer
+    than `leaf_size`."""
+    if leaf_size > kept.n_rows:
         raise PipelineError(
             "outlier filtering left fewer rows than leaf_size; lower the "
             "contamination or the leaf size")
-    tree, leaf_rows = cart.build_tree(kept, config.leaf_size)
 
+
+def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndarray],
+               config: FitConfig, kept_rows: np.ndarray | None,
+               n_removed: int) -> SegmentedModel:
+    """Fit one model per segment of `tree`, grown on `kept` at
+    `config.leaf_size`; `leaf_rows` are the rows of each segment, as
+    `cart.build_tree` returns them. `kept_rows` and `n_removed` record the
+    outlier filter's outcome on the model.
+
+    Segments do not depend on one another. GP leaves are fit in a thread
+    pool of _leaf_workers() threads when that is more than one; constant
+    and linear leaves, which take a fraction of a GP leaf's time, are fit
+    one at a time on the calling thread. Each leaf's fit is the same
+    computation on any thread, so the model does not depend on the pool.
+    Each GP leaf in flight works in about 4 m^2 doubles up to
+    leaf_models._STORE_MAX_ROWS rows and about 2 m^2 above, so peak memory
+    grows with the number of workers.
+    """
     def fit(segment_id: int):
         rows = leaf_rows[segment_id]
         return _fit_leaf(kept.features[rows], kept.response[rows], config)
 
-    small = [s for s, rows in enumerate(leaf_rows)
-             if config.leaf_method == "gp" and len(rows) <= _POOL_MAX_ROWS]
-    workers = min(_leaf_workers(), len(small)) if len(small) > 1 else 1
-    pooled = set(small) if workers > 1 else set()
-    fits = {s: fit(s) for s in range(len(leaf_rows)) if s not in pooled}
-    if pooled:
+    segments = range(len(leaf_rows))
+    workers = min(_leaf_workers(), len(segments)) if config.leaf_method == "gp" else 1
+    if workers > 1:
         with ThreadPoolExecutor(workers, thread_name_prefix="treeseg-leaf") as pool:
-            fits.update(zip(small, pool.map(fit, small)))
+            fits = list(pool.map(fit, segments))
+    else:
+        fits = [fit(s) for s in segments]
 
     leaf_models: dict[int, LeafModel] = {}
     scalers: dict[int, Scaler | None] = {}
     report: dict[int, LeafFitStatus] = {}
-    for segment_id in range(len(leaf_rows)):
-        model, scaler, status = fits[segment_id]
+    for segment_id, (model, scaler, status) in enumerate(fits):
         leaf_models[segment_id] = model
         scalers[segment_id] = scaler
         report[segment_id] = status

@@ -9,7 +9,7 @@ from treeseg.evaluation import (kept_training_set, model_generalization_sweep, r
                                 tree_generalization_sweep)
 from treeseg.outliers import anomaly_score_batch, fit_forest, removal_indices
 from treeseg.persistence import load_model, save_model
-from treeseg import pipeline
+from treeseg import cart, pipeline
 from treeseg.cart import build_tree, predict_mean_batch
 from treeseg.pipeline import (FitConfig, OutlierConfig, PipelineError, fit_segmented,
                               predict_batch)
@@ -183,6 +183,34 @@ class TestModelSweep:
                 rmse(predict_batch(model, split.test), split.test.response),
                 model.tree.n_leaves)
         assert len(calls) == 1 + len(grid)
+
+    def test_trees_grown_in_one_pass(self, rng, monkeypatch):
+        # One cart.build_trees call for the grid; each row is the fit a
+        # standalone fit_segmented makes at its leaf size.
+        split = make_split(rng, n=300)
+        config = FitConfig(leaf_size=10, leaf_method="gp", gp_max_iters=3)
+        grid = [120, 30, 60]
+        builds = []
+        real = cart.build_trees
+
+        def counted(train, sizes):
+            builds.append(sorted(sizes))
+            return real(train, sizes)
+
+        def refused(*args):
+            raise AssertionError("a sweep grows no tree alone")
+
+        monkeypatch.setattr(cart, "build_trees", counted)
+        monkeypatch.setattr(cart, "build_tree", refused)
+        report = model_generalization_sweep(split, grid, config)
+        assert builds == [sorted(grid)]
+        monkeypatch.undo()
+        for row in report.rows:
+            model = fit_segmented(split.train, dataclasses.replace(config, leaf_size=row.leaf_size))
+            assert (row.train_rmse, row.test_rmse, row.n_leaves) == (
+                rmse(predict_batch(model, split.train), split.train.response),
+                rmse(predict_batch(model, split.test), split.test.response),
+                model.tree.n_leaves)
 
     def test_size_above_the_kept_rows_raises(self, rng):
         split = make_split(rng, n=100)  # 70 training rows, some removed

@@ -318,11 +318,11 @@ class TestFitGP:
         # succeeds must factor K exactly as a one-rung call at its jitter does.
         X = np.repeat(rng.normal(size=(20, 2)), 3, axis=0)
         params = KernelParams(1.0, 1.0, 2.0, 1e-20)
-        gram, sqdist = leaf_models._training_parts(X)
-        K_rbf = leaf_models._rbf(sqdist, params)
-        L, jitter = leaf_models._factorize(gram, K_rbf, params)
+        parts = leaf_models._StoredParts(X)
+        K_rbf = parts.rbf(params)
+        L, jitter = leaf_models._factorize(parts, K_rbf, params)
         assert jitter > 0.0
-        one, same = leaf_models._factorize(gram, K_rbf, params, ladder=(jitter,))
+        one, same = leaf_models._factorize(parts, K_rbf, params, ladder=(jitter,))
         assert same == jitter and np.array_equal(L, one)
         assert not np.triu(L, 1).any()
 
@@ -373,9 +373,9 @@ class TestFitGP:
         flags = []
         real = leaf_models._lml_terms
 
-        def spy(params, gram, sqdist, y):
-            flags.append((gram.flags.writeable, sqdist.flags.writeable))
-            return real(params, gram, sqdist, y)
+        def spy(params, parts, y):
+            flags.append((parts.gram.flags.writeable, parts.sqdist.flags.writeable))
+            return real(params, parts, y)
 
         monkeypatch.setattr(leaf_models, "_lml_terms", spy)
         X = rng.normal(size=(30, 2))
@@ -409,16 +409,101 @@ def test_one_evaluation_holds_two_m_by_m_buffers(rng):
     m = 400
     X = rng.normal(size=(m, 4))
     y = rng.normal(size=m)
-    gram, sqdist = leaf_models._training_parts(X)
+    parts = leaf_models._StoredParts(X)
     params = KernelParams(1.0, 1.0, 1.5, 0.1)
-    leaf_models._lml_terms(params, gram, sqdist, y)  # first-call set-up is not counted
+    leaf_models._lml_terms(params, parts, y)  # first-call set-up is not counted
     tracemalloc.start()
     try:
-        leaf_models._lml_terms(params, gram, sqdist, y)
+        leaf_models._lml_terms(params, parts, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert peak <= 2.5 * m * m * 8
+
+
+class TestRebuiltParts:
+    """A leaf over _STORE_MAX_ROWS rows rebuilds its Gram and squared
+    distances on each evaluation; every result keeps the stored path's bits."""
+
+    @staticmethod
+    def near_duplicates(rng, m, d):
+        # Rows repeated three times, one copy nudged by 1e-13: with a noise
+        # floor of 1e-20, K + noise I needs a jitter rung above 0.
+        base = rng.normal(size=(m // 3 + 1, d))
+        X = np.repeat(base, 3, axis=0)[:m]
+        X[::3] += 1e-13
+        return X
+
+    @pytest.mark.parametrize("m, duplicates", [(100, False), (257, False), (1100, False),
+                                               (300, True)])
+    def test_evaluation_has_the_stored_bits(self, rng, m, duplicates):
+        # m = 100 is one block of rows, 257 and 1100 end on a partial block;
+        # 1100 is over the real limit. The held buffers serve every call.
+        X = self.near_duplicates(rng, m, 4) if duplicates else rng.normal(size=(m, 4))
+        y = rng.normal(size=m)
+        stored, rebuilt = leaf_models._StoredParts(X), leaf_models._RebuiltParts(X)
+        jitters = set()
+        for params in (KernelParams(1.0, 1.0, 2.0, 0.1), KernelParams(0.3, 2.5, 0.7, 1e-20),
+                       KernelParams(1.0, 1.0, 2.0, 0.1)):
+            value, grad, alpha, jitter = leaf_models._lml_terms(params, stored, y)
+            again = leaf_models._lml_terms(params, rebuilt, y)
+            assert (value, jitter) == (again[0], again[3])
+            assert same_bits(grad, again[1]) and same_bits(alpha, again[2])
+            jitters.add(jitter)
+        assert (max(jitters) > 0.0) == duplicates
+
+    def test_covariance_factor_has_the_stored_bits(self, rng, monkeypatch):
+        X = self.near_duplicates(rng, 150, 3)
+        params = KernelParams(1.0, 1.0, 2.0, 1e-20)
+        stored = covariance_factor(params, X, 1e-8)
+        monkeypatch.setattr(leaf_models, "_STORE_MAX_ROWS", 100)
+        assert same_bits(stored, covariance_factor(params, X, 1e-8))
+        with pytest.raises(LeafFitError):
+            covariance_factor(params, X, 0.0)
+
+    @pytest.mark.parametrize("case", ["optimized", "clipped start", "jitter"])
+    def test_fit_above_the_limit_returns_the_stored_model(self, rng, monkeypatch, case):
+        m = 150
+        X = self.near_duplicates(rng, m, 3) if case == "jitter" else rng.normal(size=(m, 3))
+        y = np.sin(X[:, 0]) + rng.normal(size=m) * 0.1
+        init, max_iters = {
+            "optimized": (default_gp_init(y, 3), 20),
+            # A noise floor below the optimizer's bound: the start is solved
+            # again by value only.
+            "clipped start": (KernelParams(1.0, 1.0, 1.0, 1e-12), 5),
+            "jitter": (KernelParams(1.0, 1.0, 2.0, 1e-20), 0),
+        }[case]
+        calls = count_factorizations(monkeypatch)
+        models = []
+        for store_max_rows in (m, m - 1):
+            monkeypatch.setattr(leaf_models, "_STORE_MAX_ROWS", store_max_rows)
+            models.append(fit_gp(X, y, init, max_iters=max_iters))
+        stored, rebuilt = models
+        assert len(calls) == 2 * (stored.n_evaluations + (case != "optimized"))
+        assert (case == "jitter") == (stored.jitter > 0.0)
+        assert stored.params == rebuilt.params
+        assert same_bits(stored.training_inputs, rebuilt.training_inputs)
+        assert same_bits(stored.alpha, rebuilt.alpha)
+        scalars = [(g.y_mean, g.jitter, g.log_marginal, g.n_iterations, g.n_evaluations,
+                    g.converged) for g in models]
+        assert scalars[0] == scalars[1]
+
+    def test_rebuilt_fit_holds_two_m_by_m_buffers(self, rng, monkeypatch):
+        # R, L and a scratch of about _BLOCK_ENTRIES doubles, held for the
+        # whole fit; the stored path works in about 4 m x m arrays.
+        m = 800
+        X = rng.normal(size=(m, 4))
+        y = np.sin(X[:, 0]) + rng.normal(size=m) * 0.1
+        init = KernelParams(1.0, 1.0, 1.5, 0.1)
+        fit_gp(X[:50], y[:50], init, max_iters=2)  # first-call set-up is not counted
+        monkeypatch.setattr(leaf_models, "_STORE_MAX_ROWS", 100)
+        tracemalloc.start()
+        try:
+            fit_gp(X, y, init, max_iters=3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= (2 * m * m + 2 * leaf_models._BLOCK_ENTRIES + 64 * m) * 8
 
 
 # The LP64 signatures of scipy 1.17's Cython LAPACK and BLAS exports, which
@@ -709,13 +794,13 @@ class TestCholeskyFactorLifecycle:
 
 
 def count_factorizations(monkeypatch) -> list:
-    """Patch leaf_models._factorize to record one entry per call."""
+    """Patch leaf_models._factorize to record the rows of each call."""
     calls = []
     real = leaf_models._factorize
 
-    def counting(*args, **kwargs):
-        calls.append(args[0].shape[0])
-        return real(*args, **kwargs)
+    def counting(parts, K_rbf, *args, **kwargs):
+        calls.append(K_rbf.shape[0])
+        return real(parts, K_rbf, *args, **kwargs)
 
     monkeypatch.setattr(leaf_models, "_factorize", counting)
     return calls

@@ -321,6 +321,9 @@ def test_train_row_count_must_match_leaf_counts(rng, tmp_path, delta):
     ("alpha", float("-inf")),
     pytest.param("training_inputs", 10 ** 400, id="training_inputs-integer-1e400"),
     pytest.param("alpha", 10 ** 400, id="alpha-integer-1e400"),
+    pytest.param("training_inputs", True, id="training_inputs-boolean"),
+    pytest.param("training_inputs", None, id="training_inputs-null"),
+    pytest.param("alpha", "0.5", id="alpha-string"),
 ])
 def test_non_finite_gp_arrays_rejected(rng, tmp_path, field, value):
     model = fitted_model(rng, "gp", gp_max_iters=3)
@@ -358,6 +361,8 @@ CORRUPTIONS = {
     "weight 1e400": lambda doc: first_leaf(doc, "linear")["weights"].__setitem__(0, "@1e400@"),
     "weight integer 1e400": lambda doc: first_leaf(doc, "linear")["weights"].__setitem__(
         0, 10 ** 400),
+    "weights strings": lambda doc: first_leaf(doc, "linear").update(
+        weights=[repr(w) for w in first_leaf(doc, "linear")["weights"]]),
     "root feature 1.9": lambda doc: doc["tree"]["root"].update(feature=1.9),
     "root feature out of range": lambda doc: doc["tree"]["root"].update(feature=2),
     "root feature negative": lambda doc: doc["tree"]["root"].update(feature=-1),
@@ -377,6 +382,10 @@ CORRUPTIONS = {
         0, float("nan")),
     "scaler mean integer 1e400": lambda doc: next(iter(doc["scalers"].values()))[
         "mean"].__setitem__(0, 10 ** 400),
+    "scaler std boolean": lambda doc: next(iter(doc["scalers"].values()))["std"].__setitem__(
+        0, True),
+    "scaler mean null": lambda doc: next(iter(doc["scalers"].values()))["mean"].__setitem__(
+        0, None),
     "n_train_rows float": lambda doc: doc.update(n_train_rows=doc["n_train_rows"] + 0.5),
 }
 

@@ -6,7 +6,7 @@ import threading
 import numpy as np
 import pytest
 
-from treeseg import cart, pipeline
+from treeseg import cart, leaf_models, pipeline
 from treeseg.data import Dataset
 from treeseg.leaf_models import ConstantModel, GPModel, LeafFitError, LinearModel, fit_ols
 from treeseg.persistence import save_model
@@ -251,7 +251,7 @@ def recording(monkeypatch, name, calls, result=None):
 
 
 class TestLeafPool:
-    """Small GP leaves fit on a thread pool; the model does not depend on it."""
+    """GP leaves fit on a thread pool; the model does not depend on it."""
 
     config = FitConfig(leaf_size=40, leaf_method="gp", gp_max_iters=8)
 
@@ -288,33 +288,50 @@ class TestLeafPool:
             fit_segmented(train, self.config)
         assert threading.active_count() == before
 
-    def test_large_gp_and_linear_leaves_fit_on_the_calling_thread(self, rng, monkeypatch):
+    def test_every_gp_leaf_fits_on_the_pool(self, rng, monkeypatch):
+        # Whatever its row count: leaves over leaf_models._STORE_MAX_ROWS
+        # rebuild their matrices and hold about 2 m^2 doubles, not 4 m^2.
         monkeypatch.setattr(pipeline, "_leaf_workers", lambda: 3)
         here = threading.current_thread()
-        gp_calls, ols_calls = [], []
-        recording(monkeypatch, "fit_gp", gp_calls, LeafFitError("stub"))
-        recording(monkeypatch, "fit_ols", ols_calls)
-
-        # Leaves of 1025 rows or more: none is pooled.
-        fit_segmented(piecewise_linear(rng, n=2600),
-                      FitConfig(leaf_size=pipeline._POOL_MAX_ROWS + 1, leaf_method="gp"))
-        assert len(gp_calls) >= 2 and all(rows > pipeline._POOL_MAX_ROWS for rows, _ in gp_calls)
-        assert all(t is here for _, t in gp_calls)
-
-        # Linear leaves, however small.
-        fit_segmented(piecewise_linear(rng, n=240), FitConfig(leaf_size=40))
-        assert len(ols_calls) >= 3 and all(t is here for _, t in ols_calls)
-
-    def test_only_leaves_above_the_row_limit_stay_on_the_calling_thread(self, rng,
-                                                                      monkeypatch):
-        monkeypatch.setattr(pipeline, "_leaf_workers", lambda: 3)
         calls = []
         recording(monkeypatch, "fit_gp", calls, LeafFitError("stub"))
-        monkeypatch.setattr(pipeline, "_POOL_MAX_ROWS", 60)
-        fit_segmented(piecewise_linear(rng, n=400), self.config)
+        fit_segmented(piecewise_linear(rng, n=2600),
+                      FitConfig(leaf_size=leaf_models._STORE_MAX_ROWS + 1, leaf_method="gp"))
+        assert len(calls) >= 2
+        assert all(rows > leaf_models._STORE_MAX_ROWS for rows, _ in calls)
+        fit_segmented(piecewise_linear(rng, n=240), self.config)
+        assert len(calls) >= 5 and all(t is not here for _, t in calls)
+
+    @pytest.mark.parametrize("method, name", [("linear", "fit_ols"),
+                                              ("constant", "fit_constant")])
+    def test_linear_and_constant_leaves_fit_on_the_calling_thread(self, rng, monkeypatch,
+                                                                 method, name):
+        monkeypatch.setattr(pipeline, "_leaf_workers", lambda: 3)
+        calls = []
+        recording(monkeypatch, name, calls)
+        fit_segmented(piecewise_linear(rng, n=240), FitConfig(leaf_size=40, leaf_method=method))
         here = threading.current_thread()
-        assert {rows > 60 for rows, _ in calls} == {True, False}
-        assert all((t is here) == (rows > 60) for rows, t in calls)
+        assert len(calls) >= 3 and all(t is here for _, t in calls)
+
+    def test_rebuilt_leaves_save_the_stored_model_bytes(self, rng, monkeypatch, tmp_path):
+        # With the store limit at 60 rows, leaves on both sides of it fit on
+        # the pool and on the calling thread, and save what a fit that keeps
+        # every leaf's matrices saves.
+        train = piecewise_linear(rng, n=400)
+        saved = []
+        for store_max_rows, workers in ((60, 3), (60, 1), (10 ** 6, 1)):
+            calls = []
+            recording(monkeypatch, "fit_gp", calls)
+            monkeypatch.setattr(leaf_models, "_STORE_MAX_ROWS", store_max_rows)
+            monkeypatch.setattr(pipeline, "_leaf_workers", lambda: workers)
+            model = fit_segmented(train, self.config)
+            assert all(isinstance(m, GPModel) for m in model.leaf_models.values())
+            assert {rows > 60 for rows, _ in calls} == {True, False}
+            path = tmp_path / f"model-{len(saved)}.json"
+            save_model(model, str(path))
+            saved.append(path.read_bytes())
+            monkeypatch.undo()
+        assert saved[0] == saved[1] == saved[2]
 
     def test_scipy_blas_reports_its_thread_count(self):
         # The pool runs only where the getter is found and reports one thread.
