@@ -17,8 +17,7 @@ import numpy as np
 
 from . import cart
 from .data import Dataset, SplitPair
-from .pipeline import (FitConfig, PipelineError, check_kept_rows, filter_outliers, fit_leaves,
-                       predict_batch)
+from .pipeline import FitConfig, PipelineError, filter_outliers, fit_leaves, predict_batch
 
 
 def rmse(pred: np.ndarray, actual: np.ndarray) -> float:
@@ -130,8 +129,7 @@ def model_generalization_sweep(split: SplitPair, leaf_sizes, config: FitConfig,
     """
     train, test = split.train, split.test
     sizes = _clean_grid(leaf_sizes, train.n_rows)
-    kept, kept_rows = filter_outliers(train, config)
-    check_kept_rows(kept, sizes[-1])
+    kept, kept_rows = filter_outliers(train, config, sizes[-1])
     t0 = time.perf_counter()
     trees = cart.build_trees(kept, sizes)
     build_seconds = time.perf_counter() - t0

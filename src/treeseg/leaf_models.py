@@ -7,18 +7,18 @@ solve is affordable, which is the entire point of segmenting first.
 
 Fitting follows GPML (Rasmussen & Williams 2006, Alg. 5.1). A leaf of at
 most _STORE_MAX_ROWS rows builds its training Gram and squared distances
-once with BLAS and keeps them read-only; a larger leaf keeps only its
-inputs and rebuilds both on each evaluation, with the same operations and
-so the same bits, in buffers it holds (_RebuiltParts). Each likelihood
-evaluation works in two m x m buffers. One holds the RBF term. The other
-holds K, which LAPACK potrf factors in place; potrs solves for alpha on
-that factor, potri turns it into K^-1 in the same memory, and the gradient
-weights W = alpha alpha^T - K^-1, from which the whole gradient is read,
-are built there too. The model's value and alpha at the start and the
-optimized parameters come from the evaluations L-BFGS already made; the
-start is exp(log(init)), within an ulp of init, and only a start point
-that was clipped into the bounds is replaced by init and solved again, by
-value only.
+once and keeps them read-only (_StoredParts); a larger leaf keeps only its
+inputs and rebuilds both on each evaluation in buffers it holds
+(_RebuiltParts). Both build the squared distances in _sqdist_blocks, so
+they get the same bits. Each likelihood evaluation (_lml_terms) works in
+two m x m buffers. One holds the RBF term. The other holds K, which LAPACK
+potrf factors in place; potrs solves for alpha on that factor, potri turns
+it into K^-1 in the same memory, and the gradient weights W = alpha
+alpha^T - K^-1, from which the whole gradient is read, are built there
+too. The model's value and alpha at the start and the optimized
+parameters come from the evaluations L-BFGS already made; the start is
+exp(log(init)), within an ulp of init, and only a start point that was
+clipped into the bounds is replaced by init and evaluated again.
 
 Those LAPACK and BLAS routines (potrf, potrs, potri, laset, ger) are
 scipy's own, reached through the C function pointers that
@@ -215,6 +215,16 @@ class LinearModel:
         return (X * self.weights).sum(axis=1) + self.intercept
 
 
+def _design(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """X and y as float64 arrays; raises ValueError unless X is 2-D and y
+    1-D with matching row counts."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+        raise ValueError("X must be 2-D and y 1-D with matching row counts")
+    return X, y
+
+
 _FALLBACK_RIDGE = 1e-8
 
 
@@ -226,10 +236,7 @@ def fit_ols(X: np.ndarray, y: np.ndarray, ridge_eps: float = 0.0) -> LinearModel
     back to a small default ridge (recorded on the returned model) instead
     of failing.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be 2-D and y 1-D with matching row counts")
+    X, y = _design(X, y)
     if X.shape[0] < 1:
         raise ValueError("cannot fit to an empty design")
     if ridge_eps < 0:
@@ -360,40 +367,53 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     return K
 
 
-def _training_parts(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Gram and squared-distance matrices of the training rows, built with BLAS.
+def _row_scratch(m: int) -> np.ndarray:
+    """Scratch for one block of max(1, _BLOCK_ENTRIES // m) rows of an m x m
+    matrix, or of all m rows when that is fewer."""
+    return np.empty((max(1, min(m, _BLOCK_ENTRIES // max(m, 1))), m))
 
-    Squared distances come from |a|^2 + |b|^2 - 2 a.b, clamped at zero; the
-    norms are the Gram's own diagonal, so the diagonal is exactly zero and
-    both matrices are exactly symmetric. Fit and load both go through here
-    or through _RebuiltParts, which gives the same bits, so a stored jitter
-    reproduces the fit's covariance.
+
+def _sqdist_blocks(R: np.ndarray, scratch: np.ndarray):
+    """Turn R, holding X X^T, into the squared distances of the rows of X in
+    place, one block of as many rows as the scratch at a time; yields each
+    block's row slice once it is done, with the scratch block of its shape.
+
+    Every GP leaf builds its squared distances here, so a stored and a
+    rebuilt leaf get the same bits: (|a|^2 + |b|^2) + (-2 a.b), clamped at
+    zero. The norms are R's own diagonal, so the diagonal is exactly zero and
+    the matrix exactly symmetric.
     """
-    gram = X @ X.T
-    norms = gram.diagonal().copy()
-    sqdist = norms[:, None] + norms[None, :]
-    sqdist -= 2.0 * gram
-    np.maximum(sqdist, 0.0, out=sqdist)
-    return gram, sqdist
+    m, step = R.shape[0], scratch.shape[0]
+    norms = R.diagonal().copy()
+    for s in range(0, m, step):
+        rows = slice(s, min(s + step, m))
+        sqdist, block = R[rows], scratch[:rows.stop - s]
+        sqdist *= -2.0
+        sqdist += np.add(norms[rows, None], norms[None, :], out=block)
+        np.maximum(sqdist, 0.0, out=sqdist)
+        yield rows, block
 
 
 # A GP leaf of at most this many rows keeps its Gram and squared distances
-# for the whole fit, and each evaluation works in two fresh m x m buffers:
-# about 4 m^2 doubles, 32 MB at m = 1024. A larger leaf keeps only X and
-# rebuilds both in two m x m buffers it holds (_RebuiltParts), about 2 m^2
-# doubles, so leaves of any size can be fit concurrently. Alone, a rebuilt
-# evaluation is slower than a stored one: medians of 263 against 224 ms at
-# m = 1700 and 1.97 against 1.49 ms at m = 200 (interleaved, d = 4, one
-# BLAS thread, 2-vCPU VM), which is why small leaves keep their matrices.
+# for the whole fit (_StoredParts); a larger leaf keeps only X and rebuilds
+# both on each evaluation (_RebuiltParts). README "Notes on performance"
+# states the memory each works in. Alone, a rebuilt evaluation is slower
+# than a stored one: medians of 263 against 224 ms at m = 1700 and 1.97
+# against 1.49 ms at m = 200 (interleaved, d = 4, one BLAS thread, 2-vCPU
+# VM), which is why small leaves keep their matrices.
 _STORE_MAX_ROWS = 1024
 
 
 class _StoredParts:
     """The Gram and squared distances of a leaf of at most _STORE_MAX_ROWS
-    rows, built once (_training_parts) and read by every evaluation."""
+    rows, built once with BLAS and _sqdist_blocks and read by every
+    evaluation."""
 
     def __init__(self, X: np.ndarray):
-        self.gram, self.sqdist = _training_parts(X)
+        self.gram = X @ X.T
+        self.sqdist = self.gram.copy()
+        for _ in _sqdist_blocks(self.sqdist, _row_scratch(X.shape[0])):
+            pass
         # Shared by every evaluation, so no in-place step may write to them.
         self.gram.setflags(write=False)
         self.sqdist.setflags(write=False)
@@ -419,8 +439,8 @@ class _StoredParts:
 
 class _RebuiltParts:
     """The Gram and squared distances of a leaf of more than _STORE_MAX_ROWS
-    rows, rebuilt from X on each evaluation by the operations of
-    _training_parts and _rbf, so every matrix has the stored path's bits.
+    rows, rebuilt from X on each evaluation by the operations of _StoredParts
+    and _rbf, so every matrix has the stored path's bits.
 
     Two m x m buffers and a scratch of about _BLOCK_ENTRIES doubles are
     allocated once and reused by every evaluation. R takes X X^T, which one
@@ -439,30 +459,14 @@ class _RebuiltParts:
         # peak RSS of perfbench's ccpp-gp run (four leaves of about 1700
         # rows, fit over and over) from 193 to 211 MB.
         self.R, self.L = np.empty((2, m, m))
-        self.rows = max(1, _BLOCK_ENTRIES // m)
-        self.scratch = np.empty((min(self.rows, m), m))
+        self.scratch = _row_scratch(m)
 
     def _gram_into(self, out: np.ndarray) -> np.ndarray:
         return np.matmul(self.X, self.X.T, out=out)
 
-    def _sqdist_blocks(self):
-        """Turn R, holding X X^T, into the squared distances in place, one
-        block of rows at a time; yields each block's row slice once it is
-        done, with the scratch block of its shape. (|a|^2 + |b|^2) + (-2 a.b)
-        is the sum _training_parts rounds."""
-        R, m = self.R, self.R.shape[0]
-        norms = R.diagonal().copy()
-        for s in range(0, m, self.rows):
-            rows = slice(s, min(s + self.rows, m))
-            sqdist, block = R[rows], self.scratch[:rows.stop - s]
-            sqdist *= -2.0
-            sqdist += np.add(norms[rows, None], norms[None, :], out=block)
-            np.maximum(sqdist, 0.0, out=sqdist)
-            yield rows, block
-
     def rbf(self, params: KernelParams) -> np.ndarray:
         R = self._gram_into(self.R)
-        for rows, _ in self._sqdist_blocks():
+        for rows, _ in _sqdist_blocks(R, self.scratch):
             _rbf(R[rows], params, out=R[rows])
         return R
 
@@ -478,7 +482,7 @@ class _RebuiltParts:
         w_rbf = np.vdot(W, K_rbf)
         R = self._gram_into(self.R)
         w_gram = np.vdot(W, R)
-        for rows, block in self._sqdist_blocks():
+        for rows, block in _sqdist_blocks(R, self.scratch):
             W[rows] *= _rbf(R[rows], params, out=block)
         return w_gram, w_rbf, np.vdot(W, R)
 
@@ -517,16 +521,6 @@ def _factorize(parts: _StoredParts | _RebuiltParts, K_rbf: np.ndarray, params: K
         f"(m={m}); leaf is numerically ill-conditioned")
 
 
-def _solve(parts: _StoredParts | _RebuiltParts, K_rbf: np.ndarray, params: KernelParams,
-           y: np.ndarray):
-    """Factor K + noise I; LML value, factor, alpha and jitter."""
-    L, jitter = _factorize(parts, K_rbf, params)
-    alpha, _ = _potrs(L.T, y)
-    value = float(-0.5 * (y @ alpha) - np.log(L.diagonal()).sum()
-                  - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
-    return value, L, alpha, jitter
-
-
 def _lml_terms(params: KernelParams, parts: _StoredParts | _RebuiltParts,
                y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Log marginal likelihood, its log-space gradient (GPML Alg. 5.1), alpha
@@ -536,7 +530,10 @@ def _lml_terms(params: KernelParams, parts: _StoredParts | _RebuiltParts,
     holds K, then L, then K^-1 and then the gradient weights W.
     """
     K_rbf = parts.rbf(params)
-    value, W, alpha, jitter = _solve(parts, K_rbf, params, y)
+    W, jitter = _factorize(parts, K_rbf, params)
+    alpha, _ = _potrs(W.T, y)
+    value = float(-0.5 * (y @ alpha) - np.log(W.diagonal()).sum()
+                  - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
 
     # K^-1 in place over the factor: W.T is the Fortran-ordered upper factor,
     # so potri writes the inverse into W's lower triangle and leaves the
@@ -572,10 +569,7 @@ def log_marginal_likelihood(params: KernelParams, X: np.ndarray,
     d LML / d theta = 1/2 (alpha^T dK alpha - tr(K^-1 dK)) with dK taken
     with respect to each log-parameter, in KernelParams field order.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be 2-D and y 1-D with matching row counts")
+    X, y = _design(X, y)
     return _lml_terms(params, _training_kernel(X), y)[:2]
 
 
@@ -610,7 +604,7 @@ def check_covariance(params: KernelParams, X: np.ndarray, jitter: float) -> None
     row norm of X, l the lengthscale, and A = K(X, X) + s I in exact
     arithmetic. The linear and RBF kernels are positive semi-definite for
     any X, so lambda_min(A) >= s. The matrix potrf actually sees is A + E,
-    where E is the rounding in how _training_parts, _rbf and _factorize
+    where E is the rounding in how _sqdist_blocks, _rbf and _factorize
     form it. To first order, and for any summation order:
       - gram entries are off by at most d u r^2, and the squared distances
         |a|^2 + |b|^2 - 2 a.b by at most (4d + 6) u r^2 (the clamp at zero
@@ -642,14 +636,7 @@ def check_covariance(params: KernelParams, X: np.ndarray, jitter: float) -> None
     the test and fall back to the factorization.
 
     The bound holds only for K formed as it is today. Revisit it whenever
-    _training_parts, _rbf or _factorize change how K is built. It was last
-    revisited when leaves over _STORE_MAX_ROWS rows began to rebuild their
-    Gram and squared distances on each evaluation (_RebuiltParts): each
-    entry of K gets the operations of _training_parts and _rbf in the same
-    order, so K keeps its bits and the bound stands. Before that, moving
-    _factorize to an in-place potrf on a buffer that holds linear_variance
-    gram + K_rbf (the same bits as K_rbf + linear_variance gram), and
-    calling that potrf through scipy's Cython export, did not change it.
+    _sqdist_blocks, _rbf or _factorize change how K is built.
     """
     X = np.asarray(X, dtype=np.float64)
     m, d = X.shape
@@ -718,14 +705,11 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
     which is init to within an ulp, when the log of init lies inside the
     optimizer's bounds: L-BFGS's own first evaluation then serves as the
     baseline and nothing is solved twice. A start point clipped into the
-    bounds is replaced by init itself, solved again by value only. With
+    bounds is replaced by init itself, evaluated again. With
     max_iters=0 init is used as given. The response is centered internally
     and the mean re-added at prediction time.
     """
-    X = np.asarray(X, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
-        raise ValueError("X must be 2-D and y 1-D with matching row counts")
+    X, y = _design(X, y)
     m = X.shape[0]
     if m < 2:
         raise LeafFitError(f"need at least 2 rows to fit a GP, got {m}")
@@ -738,15 +722,15 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
     inputs.setflags(write=False)
     parts = _training_kernel(inputs)
 
-    def value_only(params: KernelParams) -> tuple[float, np.ndarray, float]:
-        value, _, alpha, jitter = _solve(parts, parts.rbf(params), params, yc)
+    def solve(params: KernelParams) -> tuple[float, np.ndarray, float]:
+        value, _, alpha, jitter = _lml_terms(params, parts, yc)
         return value, alpha, jitter
 
     best = init
     n_iterations = n_evaluations = 0
     converged = False
     if max_iters == 0:
-        value, alpha, jitter = value_only(init)
+        value, alpha, jitter = solve(init)
     else:
         # (value, alpha, jitter) of every evaluation L-BFGS makes, keyed by
         # the exact bytes of its point, so the start and the returned
@@ -777,12 +761,12 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
             best = KernelParams.from_log(z0)
             value, alpha, jitter = start
         else:
-            value, alpha, jitter = value_only(init)
+            value, alpha, jitter = solve(init)
         candidate = KernelParams.from_log(result.x)
         trial = seen.get(result.x.tobytes())
         if trial is None:
             try:
-                trial = value_only(candidate)
+                trial = solve(candidate)
             except LeafFitError:
                 trial = None
         if trial is not None and trial[0] >= value:

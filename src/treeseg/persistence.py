@@ -225,15 +225,12 @@ def load_bundle(path: str) -> tuple[SegmentedModel,
                                    f"{tree.leaf_size} is not the config's {config.leaf_size}")
         n_features = tree.n_features
         expected = {str(i) for i in range(tree.n_leaves)}  # one key per segment, as written
-        for section in ("leaf_models", "scalers", "fit_report"):
+        for section, entries in (("leaf_models", "leaf models do"), ("scalers", "scalers do"),
+                                 ("fit_report", "fit report does")):
             if not isinstance(doc[section], dict):
                 raise PersistenceError(f"{path}: {section} is not an object keyed by segment")
-        if set(doc["leaf_models"]) != expected:
-            raise PersistenceError(f"{path}: leaf models do not cover every segment")
-        if set(doc["scalers"]) != expected:
-            raise PersistenceError(f"{path}: scalers do not cover every segment")
-        if set(doc["fit_report"]) != expected:
-            raise PersistenceError(f"{path}: fit report does not cover every segment")
+            if set(doc[section]) != expected:
+                raise PersistenceError(f"{path}: {entries} not cover every segment")
         leaf_models = {int(k): _leaf_model_from_doc(v, n_features)
                        for k, v in doc["leaf_models"].items()}
         scalers = {int(k): _scaler_from_doc(v, n_features)

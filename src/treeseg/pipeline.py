@@ -202,25 +202,32 @@ def fit_segmented(train: Dataset, config: FitConfig) -> SegmentedModel:
     Deterministic for fixed (train, config). Leaf-fit failures fall back to
     the segment's constant mean, recorded in fit_report.
     """
-    if config.leaf_size > train.n_rows:
-        raise PipelineError(
-            f"leaf_size={config.leaf_size} exceeds the {train.n_rows} training rows")
-    kept, kept_rows = filter_outliers(train, config)
-    check_kept_rows(kept, config.leaf_size)
+    kept, kept_rows = filter_outliers(train, config, config.leaf_size)
     tree, leaf_rows = cart.build_tree(kept, config.leaf_size)
     return fit_leaves(kept, tree, leaf_rows, config, kept_rows, train.n_rows - kept.n_rows)
 
 
-def filter_outliers(train: Dataset, config: FitConfig) -> tuple[Dataset, np.ndarray | None]:
+def filter_outliers(train: Dataset, config: FitConfig,
+                    leaf_size: int) -> tuple[Dataset, np.ndarray | None]:
     """The training rows the outlier filter keeps, and their indices in `train`.
 
     With the filter off, `train` itself and None. The result depends on the
     training set, `config.seed` and `config.outlier`, not on the leaf size.
+    `leaf_size` is the largest size a tree will be grown at from the kept
+    rows, and is only checked: PipelineError is raised, before the forest
+    is fit, when it exceeds the training rows, and when it exceeds the rows
+    the filter kept.
     """
+    if leaf_size > train.n_rows:
+        raise PipelineError(f"leaf_size={leaf_size} exceeds the {train.n_rows} training rows")
     if not config.outlier.enabled:
         return train, None
     removed = score_outliers(train, config)[1]
     kept_rows = np.setdiff1d(np.arange(train.n_rows), removed)
+    if leaf_size > kept_rows.size:
+        raise PipelineError(
+            "outlier filtering left fewer rows than leaf_size; lower the "
+            "contamination or the leaf size")
     return train.take(kept_rows), kept_rows
 
 
@@ -236,15 +243,6 @@ def _leaf_workers() -> int:
     return os.cpu_count() or 1
 
 
-def check_kept_rows(kept: Dataset, leaf_size: int) -> None:
-    """Raise PipelineError when the rows the outlier filter kept are fewer
-    than `leaf_size`."""
-    if leaf_size > kept.n_rows:
-        raise PipelineError(
-            "outlier filtering left fewer rows than leaf_size; lower the "
-            "contamination or the leaf size")
-
-
 def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndarray],
                config: FitConfig, kept_rows: np.ndarray | None,
                n_removed: int) -> SegmentedModel:
@@ -258,9 +256,9 @@ def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndar
     and linear leaves, which take a fraction of a GP leaf's time, are fit
     one at a time on the calling thread. Each leaf's fit is the same
     computation on any thread, so the model does not depend on the pool.
-    Each GP leaf in flight works in about 4 m^2 doubles up to
-    leaf_models._STORE_MAX_ROWS rows and about 2 m^2 above, so peak memory
-    grows with the number of workers.
+    Each GP leaf in flight holds its own m x m buffers, so peak memory grows
+    with the number of workers (README "Notes on performance" gives the
+    rule).
     """
     def fit(segment_id: int):
         rows = leaf_rows[segment_id]

@@ -222,6 +222,21 @@ class TestModelSweep:
         with pytest.raises(PipelineError, match="outlier filtering left fewer rows"):
             model_generalization_sweep(split, [10, 70], config)
 
+    def test_size_above_the_kept_rows_raises_before_any_tree(self, rng, monkeypatch):
+        # The filter checks the grid's largest size against the kept rows,
+        # so no tree of the grid is grown first.
+        split = make_split(rng, n=100)
+        config = FitConfig(leaf_size=10, leaf_method="constant",
+                           outlier=OutlierConfig(enabled=True, contamination=0.2,
+                                                 n_trees=20, subsample=64))
+
+        def refused(*args):
+            raise AssertionError("no tree is grown past a failed leaf-size check")
+
+        monkeypatch.setattr(cart, "build_trees", refused)
+        with pytest.raises(PipelineError, match="outlier filtering left fewer rows"):
+            model_generalization_sweep(split, [10, 70], config)
+
     def test_kept_training_set_reads_the_recorded_rows(self, rng, tmp_path):
         split = make_split(rng, n=300)
         config = FitConfig(leaf_size=30, leaf_method="constant", seed=3,

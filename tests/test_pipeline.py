@@ -421,6 +421,18 @@ class TestErrors:
         with pytest.raises(PipelineError, match="exceeds"):
             fit_segmented(data, FitConfig(leaf_size=31))
 
+    def test_leaf_size_exceeds_rows_before_the_forest_is_fit(self, rng, monkeypatch):
+        data = piecewise_linear(rng, n=30)
+        config = FitConfig(leaf_size=31, outlier=OutlierConfig(enabled=True, n_trees=10,
+                                                               subsample=16))
+
+        def refused(*args, **kwargs):
+            raise AssertionError("no forest is fit past a failed leaf-size check")
+
+        monkeypatch.setattr(pipeline, "fit_forest", refused)
+        with pytest.raises(PipelineError, match="exceeds the 30 training rows"):
+            fit_segmented(data, config)
+
     def test_model_exposes_feature_names(self, rng):
         data = piecewise_linear(rng, n=60)
         model = fit_segmented(data, FitConfig(leaf_size=20))
