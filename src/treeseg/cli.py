@@ -157,7 +157,8 @@ def cmd_fit(args: argparse.Namespace) -> int:
         if isinstance(leaf, GPModel):
             note += (f" {leaf.training_inputs.shape[0]} rows, {leaf.n_iterations} L-BFGS "
                      f"iterations, {leaf.n_evaluations} evaluations, "
-                     f"{'converged' if leaf.converged else 'not converged'}")
+                     f"{'converged' if leaf.converged else 'not converged'}, "
+                     f"final LML {leaf.log_marginal:.10g}")
         lines.append(f"  segment {segment_id}: {s.status} [{s.method}]{note}")
     report_text = "\n".join(lines)
     with open(os.path.join(cfg.out_dir, "fit_report.txt"), "w", encoding="utf-8") as fh:

@@ -145,15 +145,25 @@ class SegmentedModel:
         return self.tree.feature_names
 
 
-def default_gp_init(y: np.ndarray, n_features: int,
+def default_gp_init(Xs: np.ndarray, y: np.ndarray,
                     overrides: dict | None = None) -> KernelParams:
-    """Data-driven kernel initialization: variances from var(y), unit-ish scale."""
-    var_y = float(np.var(y))
+    """Kernel start for a GP leaf from its least-squares fit on the leaf's
+    standardized inputs Xs.
+
+    The OLS weights w and residuals r split var(y) into what the linear term
+    explains and what is left: linear_variance = mean(w^2), rbf_variance =
+    var(r), noise_variance = var(r) / 2, rbf_lengthscale = sqrt(d). Each
+    variance is floored at 1e-6 var(y), so an exactly linear response still
+    starts from positive parameters. `overrides` win field by field.
+    """
+    ols = fit_ols(Xs, y)
+    var_r = float(np.var(y - ols.predict(Xs)))
+    floor = 1e-6 * float(np.var(y))
     values = {
-        "linear_variance": var_y,
-        "rbf_variance": var_y,
-        "rbf_lengthscale": float(np.sqrt(n_features)),
-        "noise_variance": 0.1 * var_y,
+        "linear_variance": max(float(np.mean(ols.weights * ols.weights)), floor),
+        "rbf_variance": max(var_r, floor),
+        "rbf_lengthscale": float(np.sqrt(Xs.shape[1])),
+        "noise_variance": max(0.5 * var_r, floor),
     }
     if overrides:
         values.update(overrides)
@@ -176,7 +186,7 @@ def _fit_leaf(X: np.ndarray, y: np.ndarray,
             return model, scaler, LeafFitStatus("fitted", "linear", reason)
         if float(np.var(y)) == 0.0:
             raise LeafFitError("response is constant within the segment")
-        init = default_gp_init(y, X.shape[1], config.gp_init)
+        init = default_gp_init(Xs, y, config.gp_init)
         model = fit_gp(Xs, y, init, max_iters=config.gp_max_iters)
         return model, scaler, LeafFitStatus("fitted", "gp")
     except LeafFitError as exc:

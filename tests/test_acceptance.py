@@ -217,8 +217,8 @@ def test_criterion_08_degenerate_equivalence():
     scaler_mean = X.mean(axis=0)
     scaler_std = np.where(X.std(axis=0) == 0.0, 1.0, X.std(axis=0))
     from treeseg.pipeline import default_gp_init
-    global_gp = fit_gp((X - scaler_mean) / scaler_std, y,
-                       default_gp_init(y, 3, None), max_iters=10)
+    Xs = (X - scaler_mean) / scaler_std
+    global_gp = fit_gp(Xs, y, default_gp_init(Xs, y, None), max_iters=10)
     want = global_gp.predict((probes - scaler_mean) / scaler_std)
     worst_rel = max(worst_rel, float(np.abs(got - want).max() / (1.0 + np.abs(want).max())))
 

@@ -62,8 +62,8 @@ class TestFit:
         for sid, leaf in model.leaf_models.items():
             assert (f"  segment {sid}: fitted [gp] {leaf.training_inputs.shape[0]} rows, "
                     f"{leaf.n_iterations} L-BFGS iterations, {leaf.n_evaluations} "
-                    f"evaluations, {'converged' if leaf.converged else 'not converged'}\n"
-                    ) in report
+                    f"evaluations, {'converged' if leaf.converged else 'not converged'}, "
+                    f"final LML {leaf.log_marginal:.10g}\n") in report
         # A cap of 3 iterations stops every leaf short of convergence.
         assert report.count("3 L-BFGS iterations") == model.tree.n_leaves
         assert report.count("not converged") == model.tree.n_leaves

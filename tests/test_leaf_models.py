@@ -13,6 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import blas, cython_blas, cython_lapack, lapack
@@ -238,6 +239,17 @@ class TestMarginalLikelihood:
         with pytest.raises(ValueError):
             log_marginal_likelihood(params, np.zeros((3, 2)), np.zeros(4))
 
+    def test_zero_rows_rejected_before_lapack(self, capfd):
+        # Given a leading dimension of 0, LAPACK prints an illegal-value
+        # message of its own; both entry points refuse first, silently.
+        params = KernelParams(1.0, 1.0, 1.0, 1.0)
+        X = np.zeros((0, 3))
+        with pytest.raises(ValueError, match="at least one training row"):
+            log_marginal_likelihood(params, X, np.zeros(0))
+        with pytest.raises(ValueError, match="at least one training row"):
+            covariance_factor(params, X, 0.0)
+        assert capfd.readouterr() == ("", "")
+
     def test_m300_with_near_duplicate_rows(self, rng):
         """Value vs slogdet and gradient vs central differences at m=300.
 
@@ -363,7 +375,7 @@ class TestFitGP:
         # baseline, so nothing is factorized twice.
         X = rng.normal(size=(40, 3))
         y = np.sin(X[:, 0]) + rng.normal(size=40) * 0.1
-        init = default_gp_init(y, X.shape[1])
+        init = default_gp_init(X, y)
         assert KernelParams.from_log(init.to_log()) != init
         self.check_one_factorization_per_evaluation(monkeypatch, X, y, init)
 
@@ -390,6 +402,58 @@ class TestFitGP:
         y = np.sin(X[:, 0]) + rng.normal(size=30) * 0.1
         model = fit_gp(X, y, KernelParams(1.0, 1.0, 1.0, 1e-12), max_iters=5)
         assert len(calls) == model.n_evaluations + 1
+
+    @staticmethod
+    def leaf(seed):
+        """A seeded 300 x 4 leaf: a linear trend, a smooth interaction and noise."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(300, 4))
+        y = (X @ np.array([1.0, -0.5, 0.3, 0.0]) + np.sin(2.0 * X[:, 0]) * X[:, 1]
+             + rng.normal(0.0, 0.1, size=300))
+        return X, y
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_stopping_rule_lands_at_the_optimum(self, seed):
+        # The reference runs from the same start until neither the value
+        # nor the gradient moves; the default fit stops sooner, within 1e-3
+        # nats of the reference's LML, after the same evaluations every time.
+        X, y = self.leaf(seed)
+        init = default_gp_init(X, y)
+        model = fit_gp(X, y, init)
+        yc = y - y.mean()
+
+        def negative(z):
+            value, grad = log_marginal_likelihood(KernelParams.from_log(z), X, yc)
+            return -value, -grad
+
+        reference = scipy.optimize.minimize(
+            negative, init.to_log(), jac=True, method="L-BFGS-B",
+            options={"maxiter": 1000, "ftol": 0.0, "gtol": 1e-9})
+        assert model.converged and model.n_evaluations < reference.nfev
+        assert model.log_marginal >= -reference.fun - 1e-3
+        again = fit_gp(X, y, init)
+        assert (again.params, again.n_iterations, again.n_evaluations) == (
+            model.params, model.n_iterations, model.n_evaluations)
+
+    def test_fit_does_not_depend_on_the_response_units(self):
+        # The bounds and the stopping rule are relative to var(y), so
+        # scaling the response by c moves the LML by -m log c and leaves the
+        # optimizer's path as it was.
+        X, y = self.leaf(3)
+        fits = {c: fit_gp(X, c * y, default_gp_init(X, c * y)) for c in (1.0, 1e3, 1e5)}
+        for c, fit in fits.items():
+            assert fit.log_marginal + 300 * math.log(c) == pytest.approx(
+                fits[1.0].log_marginal, abs=1e-6)
+            assert fit.n_iterations == fits[1.0].n_iterations
+            assert fit.params.rbf_lengthscale == pytest.approx(
+                fits[1.0].params.rbf_lengthscale, rel=1e-6)
+
+    def test_constant_response_takes_the_unit_bounds(self, rng):
+        # var(y) = 0 has no log; the bounds are then those of var(y) = 1.
+        X = rng.normal(size=(10, 2))
+        model = fit_gp(X, np.full(10, 3.0), KernelParams(1.0, 1.0, 1.0, 0.1))
+        assert model.params.noise_variance == pytest.approx(1e-8)
+        assert not model.alpha.any()
 
     def test_improves_on_constant_for_smooth_target(self, rng):
         X = rng.uniform(-2, 2, size=(80, 1))
@@ -467,7 +531,7 @@ class TestRebuiltParts:
         X = self.near_duplicates(rng, m, 3) if case == "jitter" else rng.normal(size=(m, 3))
         y = np.sin(X[:, 0]) + rng.normal(size=m) * 0.1
         init, max_iters = {
-            "optimized": (default_gp_init(y, 3), 20),
+            "optimized": (default_gp_init(X, y), 20),
             # A noise floor below the optimizer's bound: the start is solved
             # again by value only.
             "clipped start": (KernelParams(1.0, 1.0, 1.0, 1e-12), 5),

@@ -8,7 +8,8 @@ import pytest
 
 from treeseg import cart, leaf_models, pipeline
 from treeseg.data import Dataset
-from treeseg.leaf_models import ConstantModel, GPModel, LeafFitError, LinearModel, fit_ols
+from treeseg.leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
+                                  LinearModel, fit_ols)
 from treeseg.persistence import save_model
 from treeseg.pipeline import (FitConfig, OutlierConfig, PipelineError,
                               SegmentedModel, default_gp_init, fit_segmented,
@@ -94,15 +95,36 @@ class TestConfig:
             FitConfig(gp_init=5)
 
     def test_gp_init_defaults(self, rng):
-        y = rng.normal(2.0, 3.0, size=100)
-        init = default_gp_init(y, 4, None)
-        assert init.linear_variance == pytest.approx(float(np.var(y)))
-        assert init.rbf_variance == pytest.approx(float(np.var(y)))
+        # The start comes from the leaf's least-squares fit: mean(w^2) of
+        # its weights for the linear term, the residual variance for the RBF
+        # term and half of it for the noise.
+        Xs = rng.normal(size=(100, 4))
+        y = Xs @ np.array([1.0, -2.0, 0.5, 0.0]) + np.sin(2.0 * Xs[:, 0]) \
+            + rng.normal(0.0, 0.3, size=100)
+        coef = np.linalg.lstsq(np.column_stack([np.ones(100), Xs]), y, rcond=None)[0]
+        var_r = float(np.var(y - coef[0] - Xs @ coef[1:]))
+        init = default_gp_init(Xs, y, None)
+        assert init.linear_variance == pytest.approx(float(np.mean(coef[1:] ** 2)), rel=1e-9)
+        assert init.rbf_variance == pytest.approx(var_r, rel=1e-9)
         assert init.rbf_lengthscale == pytest.approx(2.0)
-        assert init.noise_variance == pytest.approx(0.1 * float(np.var(y)))
-        override = default_gp_init(y, 4, {"rbf_lengthscale": 7.5})
-        assert override.rbf_lengthscale == 7.5
-        assert override.linear_variance == init.linear_variance
+        assert init.noise_variance == pytest.approx(0.5 * var_r, rel=1e-9)
+        override = default_gp_init(Xs, y, {"rbf_lengthscale": 7.5, "noise_variance": 0.25})
+        assert override == KernelParams(init.linear_variance, init.rbf_variance, 7.5, 0.25)
+
+    def test_gp_init_floors_what_least_squares_explains_fully(self):
+        # An exactly linear response leaves no residual, and an even one no
+        # linear weight; each floored variance is 1e-6 var(y), so the start
+        # stays positive.
+        Xs = np.linspace(-1.0, 1.0, 21)[:, None]
+        linear = 3.0 * Xs[:, 0] + 2.0
+        init = default_gp_init(Xs, linear)
+        floor = 1e-6 * float(np.var(linear))
+        assert init.linear_variance == pytest.approx(9.0)
+        assert (init.rbf_variance, init.noise_variance) == (floor, floor)
+        even = Xs[:, 0] ** 2
+        init = default_gp_init(Xs, even)
+        assert init.linear_variance == 1e-6 * float(np.var(even))
+        assert init.rbf_variance == pytest.approx(float(np.var(even)))
 
 
 class TestFitConstant:
