@@ -5,20 +5,27 @@ term — with hyperparameters learned by maximizing the log marginal
 likelihood in log-space. Leaves are small enough that the exact O(m^3)
 solve is affordable, which is the entire point of segmenting first.
 
-Fitting follows GPML (Rasmussen & Williams 2006, Alg. 5.1). A leaf of at
-most _STORE_MAX_ROWS rows builds its training Gram and squared distances
-once and keeps them read-only (_StoredParts); a larger leaf keeps only its
-inputs and rebuilds both on each evaluation in buffers it holds
-(_RebuiltParts). Both build the squared distances in _sqdist_blocks, so
-they get the same bits. Each likelihood evaluation (_lml_terms) works in
-two m x m buffers. One holds the RBF term. The other holds K, which LAPACK
-potrf factors in place; potrs solves for alpha on that factor, potri turns
-it into K^-1 in the same memory, and the gradient weights W = alpha
-alpha^T - K^-1, from which the whole gradient is read, are built there
-too. The model's value and alpha at the start and the optimized
-parameters come from the evaluations L-BFGS already made; the start is
-exp(log(init)), within an ulp of init, and only a start point that was
-clipped into the bounds is replaced by init and evaluated again.
+Fitting follows GPML (Rasmussen & Williams 2006, Alg. 5.1). Each
+likelihood evaluation (_lml_terms) works in the buffers a leaf's
+_TrainingParts holds for the whole fit: the lower blocks of the RBF term,
+and one m x m buffer holding K, which LAPACK potrf factors in place;
+potrs solves for alpha on that factor, potri turns it into K^-1 in the same
+memory, and the gradient weights, read from one triangle, are built there
+too from alpha alpha^T - K^-1. Only lower triangles are built or read, one
+block of rows at a time while the block is in cache: one pass builds the
+Gram (a BLAS gemm of the block's rows against a contiguous X^T, since
+numpy's X @ X.T goes through syrk and a strided mirror copy), the squared
+distances, the RBF term and K; a second reads the gradient's three sums.
+A leaf of at most _STORE_MAX_ROWS rows keeps its Gram and squared-distance
+blocks for the whole fit; a larger leaf builds them again on each pass,
+with the same bits. At m = 1700 the work outside LAPACK took 30-33 ms of a
+rebuilt evaluation, against 89-107 ms when whole m x m matrices were
+rebuilt and re-read (d = 4, one BLAS thread, 2-vCPU VM).
+
+The model's value and alpha at the start and the optimized parameters come
+from the evaluations L-BFGS already made; the start is exp(log(init)),
+within an ulp of init, and only a start point that was clipped into the
+bounds is replaced by init and evaluated again.
 
 Those LAPACK and BLAS routines (potrf, potrs, potri, laset, ger) are
 scipy's own, reached through the C function pointers that
@@ -55,6 +62,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import math
+import mmap
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -134,9 +142,15 @@ def _potrf(a: np.ndarray) -> int:
     info = ctypes.c_int(0)
     _dpotrf(b"U", _int(m), _address(a, (m, m), writes=True), _int(m), ctypes.byref(info))
     # f2py's clean step: zero the strictly lower triangle, whatever info is.
-    _dlaset(b"L", _int(m - 1), _int(m - 1), ctypes.byref(_ZERO), ctypes.byref(_ZERO),
-            a.ctypes.data + a.itemsize, _int(m))
+    _zero_below(a)
     return info.value
+
+
+def _zero_below(a: np.ndarray) -> None:
+    """Zero the strictly lower triangle of square Fortran-ordered `a`, in place."""
+    m = a.shape[0]
+    _dlaset(b"L", _int(m - 1), _int(m - 1), ctypes.byref(_ZERO), ctypes.byref(_ZERO),
+            _address(a, (m, m), writes=True) + a.itemsize, _int(m))
 
 
 def _potrs(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -343,10 +357,8 @@ def _unit_rbf_into(K: np.ndarray, scratch: np.ndarray, queries: np.ndarray,
     return K
 
 
-def _rbf(sqdist: np.ndarray, params: KernelParams, out: np.ndarray | None = None
-         ) -> np.ndarray:
-    """rbf_variance exp(-sqdist / (2 l^2)), in `out` (which may be sqdist) or
-    in a new array."""
+def _rbf(sqdist: np.ndarray, params: KernelParams, out: np.ndarray) -> np.ndarray:
+    """rbf_variance exp(-sqdist / (2 l^2)), in `out` (which may be sqdist)."""
     ell2 = params.rbf_lengthscale * params.rbf_lengthscale
     K_rbf = np.multiply(sqdist, -0.5 / ell2, out=out)
     np.exp(K_rbf, out=K_rbf)
@@ -367,173 +379,191 @@ def kernel_matrix(params: KernelParams, A: np.ndarray, B: np.ndarray) -> np.ndar
     return K
 
 
-def _row_scratch(m: int) -> np.ndarray:
-    """Scratch for one block of max(1, _BLOCK_ENTRIES // m) rows of an m x m
-    matrix, or of all m rows when that is fewer."""
-    return np.empty((max(1, min(m, _BLOCK_ENTRIES // max(m, 1))), m))
+def _mapped(n: int) -> np.ndarray:
+    """n float64 values in an anonymous memory map of their own.
 
-
-def _sqdist_blocks(R: np.ndarray, scratch: np.ndarray):
-    """Turn R, holding X X^T, into the squared distances of the rows of X in
-    place, one block of as many rows as the scratch at a time; yields each
-    block's row slice once it is done, with the scratch block of its shape.
-
-    Every GP leaf builds its squared distances here, so a stored and a
-    rebuilt leaf get the same bits: (|a|^2 + |b|^2) + (-2 a.b), clamped at
-    zero. The norms are R's own diagonal, so the diagonal is exactly zero and
-    the matrix exactly symmetric.
+    The map goes back to the system as soon as no array over it is left, so
+    a leaf's working memory is returned when the leaf is done whatever its
+    size. From malloc, a block under glibc's 32 MB cap on its mmap threshold
+    may stay in a thread's arena: with L and R so allocated, perfbench's
+    ccpp-gp run (four leaves of 1570-1740 rows on two threads, fit over and
+    over) rose from 167 MB of peak RSS after one round to 232 MB after
+    five. Large numpy arrays are advised to use huge pages, and so is this.
     """
-    m, step = R.shape[0], scratch.shape[0]
-    norms = R.diagonal().copy()
-    for s in range(0, m, step):
-        rows = slice(s, min(s + step, m))
-        sqdist, block = R[rows], scratch[:rows.stop - s]
-        sqdist *= -2.0
-        sqdist += np.add(norms[rows, None], norms[None, :], out=block)
-        np.maximum(sqdist, 0.0, out=sqdist)
-        yield rows, block
+    block = mmap.mmap(-1, 8 * n)
+    if hasattr(mmap, "MADV_HUGEPAGE"):
+        block.madvise(mmap.MADV_HUGEPAGE)
+    return np.frombuffer(block, dtype=np.float64)
 
 
 # A GP leaf of at most this many rows keeps its Gram and squared distances
-# for the whole fit (_StoredParts); a larger leaf keeps only X and rebuilds
-# both on each evaluation (_RebuiltParts). README "Notes on performance"
-# states the memory each works in. Alone, a rebuilt evaluation is slower
-# than a stored one: medians of 263 against 224 ms at m = 1700 and 1.97
-# against 1.49 ms at m = 200 (interleaved, d = 4, one BLAS thread, 2-vCPU
-# VM), which is why small leaves keep their matrices.
+# for the whole fit; a larger leaf keeps only X and rebuilds both, one block
+# of rows at a time, on each evaluation (_TrainingParts). README "Notes on
+# performance" states the memory each works in. Alone, a rebuilt evaluation
+# spends more time outside LAPACK than a stored one: 30-33 against 24-27 ms
+# at m = 1700 and 0.54-0.59 against 0.31-0.50 ms at m = 200 (medians of
+# three interleaved processes, d = 4, one BLAS thread, 2-vCPU VM), which is
+# why small leaves keep their matrices.
 _STORE_MAX_ROWS = 1024
 
 
-class _StoredParts:
-    """The Gram and squared distances of a leaf of at most _STORE_MAX_ROWS
-    rows, built once with BLAS and _sqdist_blocks and read by every
-    evaluation."""
+class _TrainingParts:
+    """What every likelihood evaluation of a GP leaf with training inputs X
+    reads and writes, walked one block of rows at a time.
 
-    def __init__(self, X: np.ndarray):
-        self.gram = X @ X.T
-        self.sqdist = self.gram.copy()
-        for _ in _sqdist_blocks(self.sqdist, _row_scratch(X.shape[0])):
-            pass
-        # Shared by every evaluation, so no in-place step may write to them.
-        self.gram.setflags(write=False)
-        self.sqdist.setflags(write=False)
+    Only the lower triangle of each m x m matrix is built or read: potrf
+    factors K from it, and the gradient reads each symmetric dK from it
+    (_lml_terms). So block b, of rows `rows` = [s, e), covers columns
+    [0, e): its rows of the lower triangle and the square on the diagonal.
+    Blocks have max(1, _BLOCK_ENTRIES // m) rows (all m when that is
+    fewer), so that what an evaluation does to one block stays in cache.
+    Each evaluation makes two passes over the blocks. The first builds the
+    Gram, the squared distances, K_rbf and K (covariance); the second reads
+    the gradient's three products off the same blocks (products). One m x m
+    buffer, L, takes K, its factor, K^-1 and the gradient weights W; K_rbf
+    is kept block by block, packed, in R. Both are held for the whole fit,
+    in one memory map (_mapped).
 
-    def rbf(self, params: KernelParams) -> np.ndarray:
-        return _rbf(self.sqdist, params)
+    A stored leaf (`store`) also keeps its Gram and squared-distance blocks
+    for the whole fit, read-only; a rebuilt one builds each block again, in
+    scratch, on each pass. Both build a block by the same operations and
+    sum over the same blocks, so every result has the same bits either way.
 
-    def buffer(self) -> np.ndarray:
-        """An m x m buffer for K and what replaces it, one per evaluation."""
-        return np.empty_like(self.gram)
-
-    def linear_into(self, L: np.ndarray, params: KernelParams) -> None:
-        np.multiply(self.gram, params.linear_variance, out=L)
-
-    def products(self, W: np.ndarray, K_rbf: np.ndarray, params: KernelParams):
-        """vdot(W, gram), vdot(W, K_rbf) and vdot(W * K_rbf, sqdist); W is
-        left multiplied by K_rbf."""
-        w_gram = np.vdot(W, self.gram)
-        w_rbf = np.vdot(W, K_rbf)
-        W *= K_rbf
-        return w_gram, w_rbf, np.vdot(W, self.sqdist)
-
-
-class _RebuiltParts:
-    """The Gram and squared distances of a leaf of more than _STORE_MAX_ROWS
-    rows, rebuilt from X on each evaluation by the operations of _StoredParts
-    and _rbf, so every matrix has the stored path's bits.
-
-    Two m x m buffers and a scratch of about _BLOCK_ENTRIES doubles are
-    allocated once and reused by every evaluation. R takes X X^T, which one
-    block of rows at a time, while the block is in cache, becomes the
-    squared distances and then K_rbf; for the gradient it takes X X^T again
-    and then the squared distances, while the scratch rebuilds each block
-    of K_rbf. L holds K, its factor, K^-1 and the gradient weights W.
+    Each block of the Gram is one BLAS gemm of the block's rows of X against
+    the first e columns of a contiguous X^T: numpy sends X @ X.T to syrk and
+    then mirrors the triangle with a strided copy, 13.5 ms at m = 1700 and
+    d = 4 (one BLAS thread), against 1.4 ms for row blocks of the whole
+    Gram. The norms |x|^2 are the Gram's own diagonal, taken once from the
+    same gemm calls, so the squared distances (|a|^2 + |b|^2) + (-2 a.b),
+    clamped at zero, have an exactly zero diagonal.
     """
 
-    def __init__(self, X: np.ndarray):
+    def __init__(self, X: np.ndarray, store: bool):
         m = X.shape[0]
-        self.X = X
-        # One allocation for both. Above m = 1448 it is over glibc's 32 MB
-        # cap on its dynamic mmap threshold, so it is mapped on its own and
-        # unmapped when the leaf is done. As two arrays, R and L raised the
-        # peak RSS of perfbench's ccpp-gp run (four leaves of about 1700
-        # rows, fit over and over) from 193 to 211 MB.
-        self.R, self.L = np.empty((2, m, m))
-        self.scratch = _row_scratch(m)
+        if m == 0:
+            raise ValueError("a GP needs at least one training row")
+        self.X, self.columns = X, np.ascontiguousarray(X.T)
+        step = max(1, min(m, _BLOCK_ENTRIES // m))
+        self.blocks = [slice(s, min(s + step, m)) for s in range(0, m, step)]
+        packed = sum((rows.stop - rows.start) * rows.stop for rows in self.blocks)
+        buffer = _mapped(m * m + packed)
+        self.L = buffer[:m * m].reshape(m, m)
+        self.R = self._unpack(buffer[m * m:])
+        self.scratch = np.empty((3, step * m))
+        self.stored = None
+        self.norms = np.empty(m)
+        for b, rows in enumerate(self.blocks):
+            self.norms[rows] = self._gram(b)[:, rows].diagonal()
+        if store:
+            stored = np.empty((2, packed))
+            grams, sqdists = self._unpack(stored[0]), self._unpack(stored[1])
+            for b in range(len(self.blocks)):
+                grams[b][...] = sqdists[b][...] = self._gram(b)
+                self._sqdist(b, sqdists[b])
+            # Shared by every evaluation, so no in-place step may write to them.
+            stored.setflags(write=False)
+            self.stored = (self._unpack(stored[0]), self._unpack(stored[1]))
 
-    def _gram_into(self, out: np.ndarray) -> np.ndarray:
-        return np.matmul(self.X, self.X.T, out=out)
+    def _unpack(self, flat: np.ndarray) -> list[np.ndarray]:
+        """Views of `flat` as one contiguous array per block, of the block's
+        shape, in block order."""
+        views, start = [], 0
+        for rows in self.blocks:
+            shape = (rows.stop - rows.start, rows.stop)
+            views.append(flat[start:start + shape[0] * shape[1]].reshape(shape))
+            start += shape[0] * shape[1]
+        return views
 
-    def rbf(self, params: KernelParams) -> np.ndarray:
-        R = self._gram_into(self.R)
-        for rows, _ in _sqdist_blocks(R, self.scratch):
-            _rbf(R[rows], params, out=R[rows])
-        return R
+    def _scratch(self, i: int, b: int) -> np.ndarray:
+        """Scratch buffer i (of 3) as a contiguous array of block b's shape."""
+        rows = self.blocks[b]
+        n, e = rows.stop - rows.start, rows.stop
+        return self.scratch[i, :n * e].reshape(n, e)
 
-    def buffer(self) -> np.ndarray:
+    def _gram(self, b: int) -> np.ndarray:
+        """Block b of X X^T: the stored block, or one built in scratch."""
+        if self.stored is not None:
+            return self.stored[0][b]
+        rows = self.blocks[b]
+        return np.matmul(self.X[rows], self.columns[:, :rows.stop], out=self._scratch(0, b))
+
+    def _sqdist(self, b: int, gram: np.ndarray) -> np.ndarray:
+        """Block b of the squared distances, given block b of the Gram: the
+        stored block, or `gram` turned into it in place."""
+        if self.stored is not None:
+            return self.stored[1][b]
+        rows = self.blocks[b]
+        sqdist = np.multiply(gram, -2.0, out=gram)
+        sqdist += np.add(self.norms[rows, None], self.norms[None, :rows.stop],
+                         out=self._scratch(1, b))
+        return np.maximum(sqdist, 0.0, out=sqdist)
+
+    def covariance(self, params: KernelParams, jitter: float) -> np.ndarray:
+        """The lower triangle of K + (noise + jitter) I in L, K =
+        linear_variance gram + K_rbf, with K_rbf in R; returns L."""
+        for b, rows in enumerate(self.blocks):
+            gram = self._gram(b)
+            # In contiguous scratch, so that only the sum is written strided.
+            linear = np.multiply(gram, params.linear_variance, out=self._scratch(2, b))
+            K_rbf = _rbf(self._sqdist(b, gram), params, out=self.R[b])
+            np.add(linear, K_rbf, out=self.L[rows, :rows.stop])
+        np.fill_diagonal(self.L, self.L.diagonal() + params.noise_variance + jitter)
         return self.L
 
-    def linear_into(self, L: np.ndarray, params: KernelParams) -> None:
-        self._gram_into(L)
-        L *= params.linear_variance
+    def products(self, W: np.ndarray) -> tuple[float, float, float]:
+        """The sums of W * gram, W * K_rbf and W * K_rbf * sqdist over the
+        blocks, with K_rbf in R. A block's square on the diagonal is read
+        whole, so W must be zero above its diagonal."""
+        w_gram = w_rbf = w_sqdist = 0.0
+        for b, rows in enumerate(self.blocks):
+            weights = self._scratch(2, b)
+            np.copyto(weights, W[rows, :rows.stop])
+            gram, K_rbf = self._gram(b), self.R[b]
+            w_gram += np.vdot(weights, gram)
+            w_rbf += np.vdot(weights, K_rbf)
+            weights *= K_rbf
+            w_sqdist += np.vdot(weights, self._sqdist(b, gram))
+        return w_gram, w_rbf, w_sqdist
 
-    def products(self, W: np.ndarray, K_rbf: np.ndarray, params: KernelParams):
-        """As _StoredParts.products; K_rbf must be R, which is overwritten."""
-        w_rbf = np.vdot(W, K_rbf)
-        R = self._gram_into(self.R)
-        w_gram = np.vdot(W, R)
-        for rows, block in _sqdist_blocks(R, self.scratch):
-            W[rows] *= _rbf(R[rows], params, out=block)
-        return w_gram, w_rbf, np.vdot(W, R)
 
-
-def _training_kernel(X: np.ndarray) -> _StoredParts | _RebuiltParts:
+def _training_kernel(X: np.ndarray) -> _TrainingParts:
     """The parts a fit or a load of a leaf with training inputs X works from.
     Raises ValueError when X has no rows, which LAPACK would refuse."""
-    if X.shape[0] == 0:
-        raise ValueError("a GP needs at least one training row")
-    return _StoredParts(X) if X.shape[0] <= _STORE_MAX_ROWS else _RebuiltParts(X)
+    return _TrainingParts(X, store=X.shape[0] <= _STORE_MAX_ROWS)
 
 
 _JITTER_LADDER = (0.0, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2)
 
 
-def _factorize(parts: _StoredParts | _RebuiltParts, K_rbf: np.ndarray, params: KernelParams,
+def _factorize(parts: _TrainingParts, params: KernelParams,
                ladder: tuple[float, ...] = _JITTER_LADDER) -> tuple[np.ndarray, float]:
-    """Cholesky factor of K + (noise + jitter) I, K = linear_variance gram + K_rbf,
-    escalating jitter until it works; returns the factor and the jitter.
+    """Cholesky factor of K + (noise + jitter) I, escalating jitter until it
+    works; returns the factor and the jitter.
 
-    One m x m buffer (parts.buffer()) holds K and then its factor: LAPACK
-    potrf runs in place on the buffer's Fortran view, so the buffer ends with
-    L in its lower triangle and zeros above (the clean step of _potrf). A
-    failed rung leaves the buffer partly factored, so the next rung forms K
-    in it again.
+    The factor is parts.L: LAPACK potrf runs in place on its Fortran view,
+    so it ends with the factor in its lower triangle and zeros above (the
+    clean step of _potrf). A failed rung leaves L partly factored, so the
+    next rung builds K in it again.
     """
-    m = K_rbf.shape[0]
-    L = parts.buffer()
     for jitter in ladder:
-        # linear_variance gram + K_rbf: the same bits as K_rbf + linear_variance
-        # gram, since floating-point addition commutes.
-        parts.linear_into(L, params)
-        L += K_rbf
-        np.fill_diagonal(L, L.diagonal() + params.noise_variance + jitter)
+        L = parts.covariance(params, jitter)
         if _potrf(L.T) == 0:
             return L, jitter
     raise LeafFitError(
         f"covariance factorization failed at jitter {ladder[-1]:g} "
-        f"(m={m}); leaf is numerically ill-conditioned")
+        f"(m={parts.X.shape[0]}); leaf is numerically ill-conditioned")
 
 
-def _lml_terms(params: KernelParams, parts: _StoredParts | _RebuiltParts,
+def _lml_terms(params: KernelParams, parts: _TrainingParts,
                y: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, float]:
     """Log marginal likelihood, its log-space gradient (GPML Alg. 5.1), alpha
     and the jitter the factorization needed.
 
-    Works in two m x m buffers, K_rbf and the one _factorize returns, which
-    holds K, then L, then K^-1 and then the gradient weights W.
+    Works in the buffers parts holds: R takes the lower blocks of K_rbf,
+    and the m x m buffer L holds K, then its factor, then K^-1 and then the
+    gradient weights W.
     """
-    K_rbf = parts.rbf(params)
-    W, jitter = _factorize(parts, K_rbf, params)
+    W, jitter = _factorize(parts, params)
     alpha, _ = _potrs(W.T, y)
     value = float(-0.5 * (y @ alpha) - np.log(W.diagonal()).sum()
                   - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
@@ -545,14 +575,16 @@ def _lml_terms(params: KernelParams, parts: _StoredParts | _RebuiltParts,
     if info != 0:
         raise LeafFitError(f"covariance inverse failed (potri info {info})")
     trace_kinv = float(np.trace(W))
-    # Weights for symmetric dK: vdot(W, dK) = sum((alpha alpha^T - K^-1) * dK)
-    # with K^-1 taken from its lower triangle only.
+    # Weights for symmetric dK read from the lower triangle only: the sum
+    # over i >= j of W_ij dK_ij is alpha^T dK alpha - tr(K^-1 dK) with
+    # W = 2 (alpha alpha^T - K^-1) below the diagonal, alpha_i^2 - K^-1_ii on
+    # it and zeros above (a block's square on the diagonal reads them).
     W *= -2.0
+    _ger(2.0, alpha, alpha, W.T)  # W += 2 alpha alpha^T
+    _zero_below(W.T)
     diag = np.arange(W.shape[0])
     W[diag, diag] *= 0.5
-    _ger(1.0, alpha, alpha, W.T)  # W += alpha alpha^T
-
-    w_gram, w_rbf, w_sqdist = parts.products(W, K_rbf, params)
+    w_gram, w_rbf, w_sqdist = parts.products(W)
     ell2 = params.rbf_lengthscale * params.rbf_lengthscale
     grad = 0.5 * np.array([
         params.linear_variance * w_gram,  # d/d log linear_variance
@@ -584,8 +616,7 @@ def covariance_factor(params: KernelParams, X: np.ndarray, jitter: float) -> np.
     bit and fit and load agree on which covariances factorize. Raises
     LeafFitError when K is not numerically positive definite at that jitter.
     """
-    parts = _training_kernel(X)
-    return _factorize(parts, parts.rbf(params), params, ladder=(jitter,))[0]
+    return _factorize(_training_kernel(X), params, ladder=(jitter,))[0]
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -607,9 +638,12 @@ def check_covariance(params: KernelParams, X: np.ndarray, jitter: float) -> None
     row norm of X, l the lengthscale, and A = K(X, X) + s I in exact
     arithmetic. The linear and RBF kernels are positive semi-definite for
     any X, so lambda_min(A) >= s. The matrix potrf actually sees is A + E,
-    where E is the rounding in how _sqdist_blocks, _rbf and _factorize
-    form it. To first order, and for any summation order:
-      - gram entries are off by at most d u r^2, and the squared distances
+    where E is the rounding in how _TrainingParts.covariance and _rbf form
+    its lower triangle; potrf reads nothing else, so E is symmetric. To
+    first order, and for any summation order:
+      - gram entries are off by at most d u r^2 (BLAS gemm may sum a dot
+        product's d terms in any order, and a fused multiply-add only
+        removes a rounding), and the squared distances
         |a|^2 + |b|^2 - 2 a.b by at most (4d + 6) u r^2 (the clamp at zero
         only moves them closer to the true value, which is >= 0);
       - exp(-t) is 1-Lipschitz on t >= 0, so the RBF entries are off by at
@@ -638,8 +672,10 @@ def check_covariance(params: KernelParams, X: np.ndarray, jitter: float) -> None
     that is not positive, overflow, NaN or an underflowing shift all fail
     the test and fall back to the factorization.
 
-    The bound holds only for K formed as it is today. Revisit it whenever
-    _sqdist_blocks, _rbf or _factorize change how K is built.
+    The bound holds for K formed by the operations above, whatever the
+    block of rows an entry is built in, the order of a dot product's terms
+    or the use of fused multiply-adds. Revisit it whenever covariance or
+    _rbf change which operations form an entry.
     """
     X = np.asarray(X, dtype=np.float64)
     m, d = X.shape

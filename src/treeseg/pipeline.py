@@ -153,17 +153,27 @@ def default_gp_init(Xs: np.ndarray, y: np.ndarray,
     The OLS weights w and residuals r split var(y) into what the linear term
     explains and what is left: linear_variance = mean(w^2), rbf_variance =
     var(r), noise_variance = var(r) / 2, rbf_lengthscale = sqrt(d). Each
-    variance is floored at 1e-6 var(y), so an exactly linear response still
-    starts from positive parameters. `overrides` win field by field.
+    variance is kept inside fit_gp's box: at least 1e-6 var(y), so an
+    exactly linear response still starts from positive parameters, and at
+    most 1e8 var(y), so a start whose mean(w^2) overflows (a weight of 1e161
+    on a column of 1e-178 values) stays finite. `overrides` win field by
+    field.
     """
     ols = fit_ols(Xs, y)
-    var_r = float(np.var(y - ols.predict(Xs)))
-    floor = 1e-6 * float(np.var(y))
+    var_y = float(np.var(y))
+    with np.errstate(over="ignore", invalid="ignore"):  # w^2 or the residuals may overflow
+        mean_w2 = float(np.mean(ols.weights * ols.weights))
+        var_r = float(np.var(y - ols.predict(Xs)))
+
+    def start(v: float) -> float:
+        # fmax and fmin drop a NaN for the other argument.
+        return float(np.fmin(np.fmax(v, 1e-6 * var_y), 1e8 * var_y))
+
     values = {
-        "linear_variance": max(float(np.mean(ols.weights * ols.weights)), floor),
-        "rbf_variance": max(var_r, floor),
+        "linear_variance": start(mean_w2),
+        "rbf_variance": start(var_r),
         "rbf_lengthscale": float(np.sqrt(Xs.shape[1])),
-        "noise_variance": max(0.5 * var_r, floor),
+        "noise_variance": start(0.5 * var_r),
     }
     if overrides:
         values.update(overrides)

@@ -330,11 +330,11 @@ class TestFitGP:
         # succeeds must factor K exactly as a one-rung call at its jitter does.
         X = np.repeat(rng.normal(size=(20, 2)), 3, axis=0)
         params = KernelParams(1.0, 1.0, 2.0, 1e-20)
-        parts = leaf_models._StoredParts(X)
-        K_rbf = parts.rbf(params)
-        L, jitter = leaf_models._factorize(parts, K_rbf, params)
+        parts = leaf_models._training_kernel(X)
+        L, jitter = leaf_models._factorize(parts, params)
+        L = L.copy()  # the next call factors in the same held buffer
         assert jitter > 0.0
-        one, same = leaf_models._factorize(parts, K_rbf, params, ladder=(jitter,))
+        one, same = leaf_models._factorize(parts, params, ladder=(jitter,))
         assert same == jitter and np.array_equal(L, one)
         assert not np.triu(L, 1).any()
 
@@ -386,13 +386,13 @@ class TestFitGP:
         real = leaf_models._lml_terms
 
         def spy(params, parts, y):
-            flags.append((parts.gram.flags.writeable, parts.sqdist.flags.writeable))
+            flags.extend(block.flags.writeable for blocks in parts.stored for block in blocks)
             return real(params, parts, y)
 
         monkeypatch.setattr(leaf_models, "_lml_terms", spy)
         X = rng.normal(size=(30, 2))
         fit_gp(X, np.sin(X[:, 0]), KernelParams(1.0, 1.0, 1.0, 0.1), max_iters=3)
-        assert flags and set(flags) == {(False, False)}
+        assert flags and set(flags) == {False}
 
     def test_clipped_init_is_solved_again(self, rng, monkeypatch):
         # A noise variance below the optimizer's bound is clipped, so the
@@ -467,22 +467,45 @@ class TestFitGP:
         assert model.n_iterations > 0
 
 
-def test_one_evaluation_holds_two_m_by_m_buffers(rng):
-    # K, its factor, K^-1 and the gradient weights share one buffer beside
-    # the RBF term: the traced peak stays near 2 m x m doubles.
+def mapped_bytes(monkeypatch) -> list:
+    """Patch leaf_models._mapped to record the bytes of each memory map it
+    makes, which tracemalloc does not see."""
+    sizes = []
+    real = leaf_models._mapped
+
+    def recording(n):
+        sizes.append(8 * n)
+        return real(n)
+
+    monkeypatch.setattr(leaf_models, "_mapped", recording)
+    return sizes
+
+
+def test_one_evaluation_holds_two_m_by_m_buffers(rng, monkeypatch):
+    # A stored leaf holds the lower blocks of its Gram and squared distances
+    # beside what every evaluation works in: K, its factor, K^-1 and the
+    # gradient weights in one m x m buffer, and K_rbf's lower blocks, both
+    # in one memory map. An evaluation allocates no m x m array of its own.
     m = 400
     X = rng.normal(size=(m, 4))
     y = rng.normal(size=m)
-    parts = leaf_models._StoredParts(X)
     params = KernelParams(1.0, 1.0, 1.5, 0.1)
-    leaf_models._lml_terms(params, parts, y)  # first-call set-up is not counted
+    # First-call set-up is not counted.
+    leaf_models._lml_terms(params, leaf_models._training_kernel(X[:50]), y[:50])
+    mapped = mapped_bytes(monkeypatch)
     tracemalloc.start()
     try:
+        parts = leaf_models._training_kernel(X)
+        held, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
         leaf_models._lml_terms(params, parts, y)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * m * m * 8
+    step = leaf_models._BLOCK_ENTRIES // m
+    assert parts.stored is not None and len(mapped) == 1
+    assert held + mapped[0] <= (m * m + 3 * m * (m + step) / 2 + 3 * step * m + 64 * m) * 8
+    assert peak - held <= 64 * m * 8
 
 
 class TestRebuiltParts:
@@ -498,14 +521,18 @@ class TestRebuiltParts:
         X[::3] += 1e-13
         return X
 
-    @pytest.mark.parametrize("m, duplicates", [(100, False), (257, False), (1100, False),
+    @pytest.mark.parametrize("m, duplicates", [(100, False), (181, False), (182, False),
+                                               (257, False), (1025, False), (1100, False),
                                                (300, True)])
     def test_evaluation_has_the_stored_bits(self, rng, m, duplicates):
-        # m = 100 is one block of rows, 257 and 1100 end on a partial block;
-        # 1100 is over the real limit. The held buffers serve every call.
+        # m = 100 and 181 are one block of rows; 182 (180 + 2), 257 and 1100
+        # end on a partial block; 1025 is just over the real limit. The held
+        # buffers serve every call.
         X = self.near_duplicates(rng, m, 4) if duplicates else rng.normal(size=(m, 4))
         y = rng.normal(size=m)
-        stored, rebuilt = leaf_models._StoredParts(X), leaf_models._RebuiltParts(X)
+        stored, rebuilt = (leaf_models._TrainingParts(X, store) for store in (True, False))
+        if m in (181, 182):  # the last m with one block of rows, and the first with two
+            assert len(stored.blocks) == m - 180
         jitters = set()
         for params in (KernelParams(1.0, 1.0, 2.0, 0.1), KernelParams(0.3, 2.5, 0.7, 1e-20),
                        KernelParams(1.0, 1.0, 2.0, 0.1)):
@@ -515,6 +542,24 @@ class TestRebuiltParts:
             assert same_bits(grad, again[1]) and same_bits(alpha, again[2])
             jitters.add(jitter)
         assert (max(jitters) > 0.0) == duplicates
+
+    @pytest.mark.parametrize("m", [181, 182, 1025])
+    def test_row_block_gram_is_symmetric_with_a_zero_distance_diagonal(self, rng, m):
+        # Each block of rows covers the square on the diagonal, where the Gram
+        # holds both a.b and b.a; the norms are the Gram's own diagonal, so
+        # every squared distance of a row to itself is exactly zero.
+        X = rng.normal(size=(m, 4)) * 3.0
+        parts = leaf_models._TrainingParts(X, store=True)
+        grams, sqdists = parts.stored
+        assert [g.shape for g in grams] == [(r.stop - r.start, r.stop) for r in parts.blocks]
+        for rows, gram, sqdist in zip(parts.blocks, grams, sqdists):
+            square = gram[:, rows]
+            assert same_bits(square, square.T.copy())
+            assert same_bits(parts.norms[rows], square.diagonal().copy())
+            assert not sqdist[:, rows].diagonal().any() and (sqdist >= 0.0).all()
+            assert same_bits(sqdist[:, rows], sqdist[:, rows].T.copy())
+            dense = ((X[rows, None, :] - X[None, :rows.stop, :]) ** 2).sum(axis=2)
+            np.testing.assert_allclose(sqdist, dense, rtol=0.0, atol=1e-12)
 
     def test_covariance_factor_has_the_stored_bits(self, rng, monkeypatch):
         X = self.near_duplicates(rng, 150, 3)
@@ -553,21 +598,26 @@ class TestRebuiltParts:
         assert scalars[0] == scalars[1]
 
     def test_rebuilt_fit_holds_two_m_by_m_buffers(self, rng, monkeypatch):
-        # R, L and a scratch of about _BLOCK_ENTRIES doubles, held for the
-        # whole fit; the stored path works in about 4 m x m arrays.
+        # L and K_rbf's lower blocks in R, in one memory map, and three blocks
+        # of scratch, held for the whole fit: about 1.5 m x m doubles. A
+        # stored leaf also holds the lower blocks of its Gram and squared
+        # distances.
         m = 800
         X = rng.normal(size=(m, 4))
         y = np.sin(X[:, 0]) + rng.normal(size=m) * 0.1
         init = KernelParams(1.0, 1.0, 1.5, 0.1)
         fit_gp(X[:50], y[:50], init, max_iters=2)  # first-call set-up is not counted
         monkeypatch.setattr(leaf_models, "_STORE_MAX_ROWS", 100)
+        mapped = mapped_bytes(monkeypatch)
         tracemalloc.start()
         try:
             fit_gp(X, y, init, max_iters=3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= (2 * m * m + 2 * leaf_models._BLOCK_ENTRIES + 64 * m) * 8
+        step = leaf_models._BLOCK_ENTRIES // m
+        assert len(mapped) == 1
+        assert peak + mapped[0] <= (m * m + m * (m + step) / 2 + 3 * step * m + 64 * m) * 8
 
 
 # The LP64 signatures of scipy 1.17's Cython LAPACK and BLAS exports, which
@@ -862,9 +912,9 @@ def count_factorizations(monkeypatch) -> list:
     calls = []
     real = leaf_models._factorize
 
-    def counting(parts, K_rbf, *args, **kwargs):
-        calls.append(K_rbf.shape[0])
-        return real(parts, K_rbf, *args, **kwargs)
+    def counting(parts, *args, **kwargs):
+        calls.append(parts.X.shape[0])
+        return real(parts, *args, **kwargs)
 
     monkeypatch.setattr(leaf_models, "_factorize", counting)
     return calls

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from treeseg.data import Dataset  # noqa: E402
@@ -44,23 +44,41 @@ def fits(draw):
     return Dataset(X, y, tuple(f"f{j}" for j in range(d))), config
 
 
+@st.composite
+def fits_and_queries(draw):
+    """A fit as fits() draws it, extra query rows and cut points that split
+    the training rows and the extra rows into batches."""
+    train, config = draw(fits())
+    extra = draw(arrays(np.float64, (draw(st.integers(0, 12)), train.n_features),
+                        elements=_VALUES))
+    cuts = sorted(draw(st.lists(st.integers(0, train.n_rows + extra.shape[0]), max_size=4)))
+    return train, config, extra, cuts
+
+
 def bits(a) -> bytes:
     return np.ascontiguousarray(a, dtype=np.float64).tobytes()
 
 
 _SETTINGS = settings(max_examples=60, deadline=None)
 
+# A leaf whose OLS weight is 2.7e161 on a column of ~1e-178 values, so
+# mean(w^2) overflows; the GP start must still be finite.
+OVERFLOWING_START = (
+    Dataset(np.array([[-1.5, -1.5], [4.91615818e-178, -1.5], [0.0, 0.0], [0.0, 0.0],
+                      [0.0, 0.0], [0.0, 0.0]]),
+            np.array([0.0, -1.5, 0.0, 0.0, 0.0, 0.0]), ("f0", "f1")),
+    FitConfig(leaf_size=2, leaf_method="gp", gp_max_iters=3, seed=0,
+              outlier=OutlierConfig(enabled=True, contamination=0.1, n_trees=5, subsample=16)))
+
 
 @_SETTINGS
-@given(fits(), st.data())
-def test_single_row_and_batch_predictions_agree_under_any_split(case, data):
-    train, config = case
+@example(OVERFLOWING_START + (np.empty((0, 2)), []))
+@given(fits_and_queries())
+def test_single_row_and_batch_predictions_agree_under_any_split(case):
+    train, config, extra, cuts = case
     model = fit_segmented(train, config)
-    extra = data.draw(arrays(np.float64, (data.draw(st.integers(0, 12)), train.n_features),
-                             elements=_VALUES))
     queries = np.vstack([train.features, extra])
     whole = predict_batch(model, queries)
-    cuts = sorted(data.draw(st.lists(st.integers(0, queries.shape[0]), max_size=4)))
     pieces = [predict_batch(model, part) for part in np.split(queries, cuts)]
     assert bits(np.concatenate(pieces)) == bits(whole)
     singles = [predict(model, row) for row in queries]

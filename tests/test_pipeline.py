@@ -199,6 +199,22 @@ class TestFitGP:
         pred = predict_batch(model, np.array([[-1.5]]))
         assert pred[0] == pytest.approx(5.0)
 
+    def test_start_that_overflows_stays_in_the_box(self):
+        # The leaf's OLS weight is 2.7e161 on a column of ~1e-178 values, so
+        # mean(w^2) overflows; the start is capped at 1e8 var(y) and the
+        # leaf fits instead of raising.
+        X = np.array([[-1.5, -1.5], [4.91615818e-178, -1.5], [0.0, 0.0], [0.0, 0.0],
+                      [0.0, 0.0], [0.0, 0.0]])
+        y = np.array([0.0, -1.5, 0.0, 0.0, 0.0, 0.0])
+        config = FitConfig(leaf_size=2, leaf_method="gp", gp_max_iters=3, seed=0,
+                           outlier=OutlierConfig(enabled=True, contamination=0.1,
+                                                 n_trees=5, subsample=16))
+        model = fit_segmented(make_dataset(X, y), config)
+        assert np.isfinite(predict_batch(model, X)).all()
+        Xs = np.array([[0.0, -1.0], [4.91615818e-178, -1.0], [0.0, 1.0], [0.0, 1.0]])
+        ys = np.array([0.0, -1.5, 0.0, 0.0])
+        assert default_gp_init(Xs, ys).linear_variance == 1e8 * float(np.var(ys))
+
 
 class TestPredict:
     def test_single_equals_batch_bitwise(self, rng):
