@@ -8,6 +8,7 @@ degeneracy. None of them share code with the production implementation.
 import ctypes
 import json
 import math
+import os
 import tracemalloc
 from unittest import mock
 
@@ -506,6 +507,20 @@ def test_one_evaluation_holds_two_m_by_m_buffers(rng, monkeypatch):
     assert parts.stored is not None and len(mapped) == 1
     assert held + mapped[0] <= (m * m + 3 * m * (m + step) / 2 + 3 * step * m + 64 * m) * 8
     assert peak - held <= 64 * m * 8
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads the Linux map list")
+def test_evaluation_buffers_are_a_private_map():
+    # A shared anonymous map is shmem, which Linux gives no huge pages by
+    # default: it faults in one 4 KB page at a time, as malloc's private
+    # maps do not.
+    buffer = leaf_models._mapped(1 << 20)
+    address = buffer.ctypes.data
+    with open("/proc/self/maps", encoding="ascii") as fh:
+        spans = [line.split() for line in fh]
+    perms = [span[1] for span in spans
+             if int(span[0].split("-")[0], 16) <= address < int(span[0].split("-")[1], 16)]
+    assert len(perms) == 1 and perms[0].endswith("p")
 
 
 class TestRebuiltParts:
