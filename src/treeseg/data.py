@@ -442,8 +442,11 @@ def load_csv(path: str, specs: list[ColumnSpec] | None) -> tuple[Dataset, Ingest
     missing or unparseable cells are dropped. The report carries the drop
     count, the encoding summary and the recipe of what was read.
     """
-    if specs is not None and (n_targets := sum(s.kind == "target" for s in specs)) != 1:
-        raise DataError(f"exactly one target column required, got {n_targets}")
+    if specs is not None:
+        if (n_targets := sum(s.kind == "target" for s in specs)) != 1:
+            raise DataError(f"exactly one target column required, got {n_targets}")
+        if len(specs) < 2:
+            raise DataError(f"{path} needs at least one feature column and a target column")
     features, response, names, report = ingest(path, specs)
     return Dataset(features, response, tuple(names)), report
 

@@ -9,13 +9,13 @@ Fitting follows GPML (Rasmussen & Williams 2006, Alg. 5.1). Each
 likelihood evaluation (_lml_terms) works in the buffers a leaf's
 _TrainingParts holds for the whole fit: the lower blocks of the RBF term,
 and one m x m buffer holding K, which LAPACK potrf factors in place;
-potrs solves for alpha on that factor, potri turns it into K^-1 in the same
-memory, and the gradient weights, read from one triangle, are built there
-too from alpha alpha^T - K^-1. Only lower triangles are built or read, one
-block of rows at a time while the block is in cache: one pass builds the
-Gram (a BLAS gemm of the block's rows against a contiguous X^T, since
-numpy's X @ X.T goes through syrk and a strided mirror copy), the squared
-distances, the RBF term and K; a second reads the gradient's three sums.
+potrs solves for alpha on that factor and potri turns it into K^-1 in the
+same memory. Only lower triangles are built or read, one block of rows at
+a time while the block is in cache: one pass builds the Gram (a BLAS gemm
+of the block's rows against a contiguous X^T, since numpy's X @ X.T goes
+through syrk and a strided mirror copy), the squared distances, the RBF
+term and K; a second forms each block's gradient weights from
+alpha alpha^T - K^-1 in scratch and reads the gradient's three sums.
 A leaf of at most _STORE_MAX_ROWS rows keeps its Gram and squared-distance
 blocks for the whole fit; a larger leaf builds them again on each pass,
 with the same bits. At m = 1700 the work outside LAPACK took 30-33 ms of a
@@ -27,17 +27,17 @@ from the evaluations L-BFGS already made; the start is exp(log(init)),
 within an ulp of init, and only a start point that was clipped into the
 bounds is replaced by init and evaluated again.
 
-Those LAPACK and BLAS routines (potrf, potrs, potri, laset, ger) are
-scipy's own, reached through the C function pointers that
-scipy.linalg.cython_lapack and cython_blas export and called with ctypes,
-which releases the GIL for the call. scipy's f2py wrappers hold the GIL
-instead: two threads each running potrf + potri at m = 400 took 1.09x
-less time than one thread running both shares through them, and 1.65x
-less through the function pointers.
-The adapter passes what the f2py wrappers pass, zeros above the factor as
-their potrf does (with laset), and gives their bits; it refuses, at
-import, a build whose exported signatures differ from the LP64 ones its
-ctypes prototypes assume.
+Those LAPACK routines (potrf, potrs, potri) are scipy's own, reached
+through the C function pointers that scipy.linalg.cython_lapack exports
+and called with ctypes, which releases the GIL for the call. scipy's f2py
+wrappers hold the GIL instead: two threads each running potrf + potri at
+m = 400 took 1.09x less time than one thread running both shares through
+them, and 1.65x less through the function pointers.
+The adapter passes what the f2py wrappers pass and gives their bits in the
+triangle the routines work in; unlike f2py's potrf it does not zero the
+other one, on which no result depends. It refuses, at import, a build whose
+exported signatures differ from the LP64 ones its ctypes prototypes
+assume.
 
 A fitted model keeps alpha, not the Cholesky factor. Prediction avoids BLAS
 matrix products on purpose: every step is elementwise or a reduction along
@@ -75,50 +75,44 @@ class LeafFitError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# LAPACK and BLAS with the GIL released (see the module docstring): each
+# LAPACK with the GIL released (see the module docstring): each
 # wrapper passes the arguments scipy's f2py wrapper of the routine passes.
 
 _LAPACK_D = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
-_BLAS_D = "__pyx_t_5scipy_6linalg_11cython_blas_d *"
 # The LP64 signatures scipy exports (scipy 1.17); the prototypes follow them.
 _SIGNATURES = {
     "dpotrf": f"void (char *, int *, {_LAPACK_D}, int *, int *)",
     "dpotrs": f"void (char *, int *, int *, {_LAPACK_D}, int *, {_LAPACK_D}, int *, int *)",
     "dpotri": f"void (char *, int *, {_LAPACK_D}, int *, int *)",
-    "dlaset": f"void (char *, int *, int *, {_LAPACK_D}, {_LAPACK_D}, {_LAPACK_D}, int *)",
-    "dger": f"void (int *, int *, {_BLAS_D}, {_BLAS_D}, int *, {_BLAS_D}, int *, {_BLAS_D}, int *)",
 }
 _CTYPES = {"char *": ctypes.c_char_p, "int *": ctypes.POINTER(ctypes.c_int),
-           _LAPACK_D: ctypes.c_void_p, _BLAS_D: ctypes.c_void_p}
+           _LAPACK_D: ctypes.c_void_p}
 _capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
     ("PyCapsule_GetName", ctypes.pythonapi))
 _capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
     ("PyCapsule_GetPointer", ctypes.pythonapi))
 
 
-def _foreign(module, name: str):
-    """Routine `name` of a scipy Cython module as a ctypes function.
+def _foreign(name: str):
+    """LAPACK routine `name` of scipy.linalg.cython_lapack as a ctypes function.
 
     Raises ImportError when the module exports another signature than
     _SIGNATURES names (an ILP64 build, say), rather than ever calling it with
     integers of the wrong size.
     """
-    capsule = module.__pyx_capi__[name]
+    capsule = cython_lapack.__pyx_capi__[name]
     found = _capsule_name(capsule)
     expected = _SIGNATURES[name]
     if found.decode() != expected:
-        raise ImportError(f"{module.__name__}.{name} has signature {found.decode()!r}, "
+        raise ImportError(f"{cython_lapack.__name__}.{name} has signature {found.decode()!r}, "
                           f"expected {expected!r}")
     argtypes = [_CTYPES[arg] for arg in expected[len("void ("):-1].split(", ")]
     return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, found))
 
 
-_dpotrf = _foreign(cython_lapack, "dpotrf")
-_dpotrs = _foreign(cython_lapack, "dpotrs")
-_dpotri = _foreign(cython_lapack, "dpotri")
-_dlaset = _foreign(cython_lapack, "dlaset")
-_dger = _foreign(cython_blas, "dger")
-_ZERO = ctypes.c_double(0.0)
+_dpotrf = _foreign("dpotrf")
+_dpotrs = _foreign("dpotrs")
+_dpotri = _foreign("dpotri")
 
 
 def _int(v: int):
@@ -136,21 +130,13 @@ def _address(a: np.ndarray, shape: tuple[int, ...], writes: bool = False) -> int
 
 
 def _potrf(a: np.ndarray) -> int:
-    """Upper Cholesky factor of square `a`, in place, with zeros below it;
-    LAPACK's info. As f2py's dpotrf(a, overwrite_a=1)."""
+    """Upper Cholesky factor of square `a`, in place; LAPACK's info. As
+    f2py's dpotrf(a, overwrite_a=1) in the upper triangle, but without its
+    clean step: the strictly lower triangle keeps what it held."""
     m = a.shape[0]
     info = ctypes.c_int(0)
     _dpotrf(b"U", _int(m), _address(a, (m, m), writes=True), _int(m), ctypes.byref(info))
-    # f2py's clean step: zero the strictly lower triangle, whatever info is.
-    _zero_below(a)
     return info.value
-
-
-def _zero_below(a: np.ndarray) -> None:
-    """Zero the strictly lower triangle of square Fortran-ordered `a`, in place."""
-    m = a.shape[0]
-    _dlaset(b"L", _int(m - 1), _int(m - 1), ctypes.byref(_ZERO), ctypes.byref(_ZERO),
-            _address(a, (m, m), writes=True) + a.itemsize, _int(m))
 
 
 def _potrs(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
@@ -171,13 +157,6 @@ def _potri(c: np.ndarray) -> int:
     info = ctypes.c_int(0)
     _dpotri(b"U", _int(m), _address(c, (m, m), writes=True), _int(m), ctypes.byref(info))
     return info.value
-
-
-def _ger(alpha: float, x: np.ndarray, y: np.ndarray, a: np.ndarray) -> None:
-    """a += alpha x y^T in place. As f2py's dger(alpha, x, y, a=a, overwrite_a=1)."""
-    m, n = x.shape[0], y.shape[0]
-    _dger(_int(m), _int(n), ctypes.byref(ctypes.c_double(alpha)), _address(x, (m,)),
-          _int(1), _address(y, (n,)), _int(1), _address(a, (m, n), writes=True), _int(m))
 
 
 def _blas_threads() -> int | None:
@@ -425,11 +404,12 @@ class _TrainingParts:
     Blocks have max(1, _BLOCK_ENTRIES // m) rows (all m when that is
     fewer), so that what an evaluation does to one block stays in cache.
     Each evaluation makes two passes over the blocks. The first builds the
-    Gram, the squared distances, K_rbf and K (covariance); the second reads
-    the gradient's three products off the same blocks (products). One m x m
-    buffer, L, takes K, its factor, K^-1 and the gradient weights W; K_rbf
-    is kept block by block, packed, in R. Both are held for the whole fit,
-    in one memory map (_mapped).
+    Gram, the squared distances, K_rbf and K (covariance); the second forms
+    the gradient weights and reads the gradient's three products off the
+    same blocks (products). One m x m buffer, L, takes K, its factor and
+    K^-1, in its lower triangle; no result depends on what lies above it.
+    K_rbf is kept block by block, packed, in R. Both are held for the whole
+    fit, in one memory map (_mapped).
 
     A stored leaf (`store`) also keeps its Gram and squared-distance blocks
     for the whole fit, read-only; a rebuilt one builds each block again, in
@@ -457,6 +437,7 @@ class _TrainingParts:
         self.L = buffer[:m * m].reshape(m, m)
         self.R = self._unpack(buffer[m * m:])
         self.scratch = np.empty((3, step * m))
+        self.upper = np.triu(np.ones((step, step), dtype=bool), 1)
         self.stored = None
         self.norms = np.empty(m)
         for b, rows in enumerate(self.blocks):
@@ -517,14 +498,20 @@ class _TrainingParts:
         np.fill_diagonal(self.L, self.L.diagonal() + params.noise_variance + jitter)
         return self.L
 
-    def products(self, W: np.ndarray) -> tuple[float, float, float]:
+    def products(self, K_inv: np.ndarray, alpha: np.ndarray) -> tuple[float, float, float]:
         """The sums of W * gram, W * K_rbf and W * K_rbf * sqdist over the
-        blocks, with K_rbf in R. A block's square on the diagonal is read
-        whole, so W must be zero above its diagonal."""
+        blocks, with K_rbf in R and K^-1 read from the lower triangle of
+        K_inv. W is alpha alpha^T - K^-1 below the diagonal, half that on it
+        and zero above, formed block by block in scratch."""
         w_gram = w_rbf = w_sqdist = 0.0
         for b, rows in enumerate(self.blocks):
-            weights = self._scratch(2, b)
-            np.copyto(weights, W[rows, :rows.stop])
+            n, e = rows.stop - rows.start, rows.stop
+            weights = np.multiply(alpha[rows, None], alpha[None, :e], out=self._scratch(2, b))
+            weights -= K_inv[rows, :e]
+            # The square on the diagonal: zeros above it, set rather than
+            # scaled, whatever K_inv holds there; halves on it.
+            np.copyto(weights[:, rows], 0.0, where=self.upper[:n, :n])
+            weights.reshape(-1)[rows.start::e + 1] *= 0.5
             gram, K_rbf = self._gram(b), self.R[b]
             w_gram += np.vdot(weights, gram)
             w_rbf += np.vdot(weights, K_rbf)
@@ -548,9 +535,9 @@ def _factorize(parts: _TrainingParts, params: KernelParams,
     works; returns the factor and the jitter.
 
     The factor is parts.L: LAPACK potrf runs in place on its Fortran view,
-    so it ends with the factor in its lower triangle and zeros above (the
-    clean step of _potrf). A failed rung leaves L partly factored, so the
-    next rung builds K in it again.
+    so it ends with the factor in its lower triangle; what lies above it is
+    left as it was, and no result depends on it. A failed rung leaves L
+    partly factored, so the next rung builds K in it again.
     """
     for jitter in ladder:
         L = parts.covariance(params, jitter)
@@ -567,37 +554,30 @@ def _lml_terms(params: KernelParams, parts: _TrainingParts,
     and the jitter the factorization needed.
 
     Works in the buffers parts holds: R takes the lower blocks of K_rbf,
-    and the m x m buffer L holds K, then its factor, then K^-1 and then the
-    gradient weights W.
+    and the lower triangle of the m x m buffer L holds K, then its factor,
+    then K^-1. For symmetric dK, 1/2 (alpha^T dK alpha - tr(K^-1 dK)) is
+    the sum over i >= j of W_ij dK_ij with W = alpha alpha^T - K^-1 below
+    the diagonal and half that on it, which products forms and sums block
+    by block.
     """
-    W, jitter = _factorize(parts, params)
-    alpha, _ = _potrs(W.T, y)
-    value = float(-0.5 * (y @ alpha) - np.log(W.diagonal()).sum()
+    L, jitter = _factorize(parts, params)
+    alpha, _ = _potrs(L.T, y)
+    value = float(-0.5 * (y @ alpha) - np.log(L.diagonal()).sum()
                   - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
 
-    # K^-1 in place over the factor: W.T is the Fortran-ordered upper factor,
-    # so potri writes the inverse into W's lower triangle and leaves the
-    # zeros above it.
-    info = _potri(W.T)
+    # K^-1 in place over the factor: L.T is the Fortran-ordered upper
+    # factor, so potri writes the inverse into L's lower triangle.
+    info = _potri(L.T)
     if info != 0:
         raise LeafFitError(f"covariance inverse failed (potri info {info})")
-    trace_kinv = float(np.trace(W))
-    # Weights for symmetric dK read from the lower triangle only: the sum
-    # over i >= j of W_ij dK_ij is alpha^T dK alpha - tr(K^-1 dK) with
-    # W = 2 (alpha alpha^T - K^-1) below the diagonal, alpha_i^2 - K^-1_ii on
-    # it and zeros above (a block's square on the diagonal reads them).
-    W *= -2.0
-    _ger(2.0, alpha, alpha, W.T)  # W += 2 alpha alpha^T
-    _zero_below(W.T)
-    diag = np.arange(W.shape[0])
-    W[diag, diag] *= 0.5
-    w_gram, w_rbf, w_sqdist = parts.products(W)
+    trace_kinv = float(np.trace(L))
+    w_gram, w_rbf, w_sqdist = parts.products(L, alpha)
     ell2 = params.rbf_lengthscale * params.rbf_lengthscale
-    grad = 0.5 * np.array([
+    grad = np.array([
         params.linear_variance * w_gram,  # d/d log linear_variance
         w_rbf,                            # d/d log rbf_variance
         w_sqdist / ell2,                  # d/d log rbf_lengthscale
-        params.noise_variance * (float(alpha @ alpha) - trace_kinv),
+        0.5 * params.noise_variance * (float(alpha @ alpha) - trace_kinv),
     ])
     return value, grad, alpha, jitter
 
@@ -616,14 +596,15 @@ def log_marginal_likelihood(params: KernelParams, X: np.ndarray,
 
 
 def covariance_factor(params: KernelParams, X: np.ndarray, jitter: float) -> np.ndarray:
-    """Lower Cholesky factor of K(X, X) + (noise + jitter) I over training rows.
+    """Lower Cholesky factor of K(X, X) + (noise + jitter) I over training
+    rows, with zeros above it.
 
     Built from the same training parts and through the same _factorize as
     the fit, so a fitted model's jitter reproduces the fit's factor bit for
     bit and fit and load agree on which covariances factorize. Raises
     LeafFitError when K is not numerically positive definite at that jitter.
     """
-    return _factorize(_training_kernel(X), params, ladder=(jitter,))[0]
+    return np.tril(_factorize(_training_kernel(X), params, ladder=(jitter,))[0])
 
 
 _UNIT_ROUNDOFF = 2.0 ** -53
@@ -830,15 +811,11 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
             value, alpha, jitter = start
         else:
             value, alpha, jitter = solve(init)
-        candidate = KernelParams.from_log(result.x)
+        # L-BFGS returns a point it evaluated; one missing from seen failed
+        # to factorize, and would fail again.
         trial = seen.get(result.x.tobytes())
-        if trial is None:
-            try:
-                trial = solve(candidate)
-            except LeafFitError:
-                trial = None
         if trial is not None and trial[0] >= value:
-            best = candidate
+            best = KernelParams.from_log(result.x)
             value, alpha, jitter = trial
 
     alpha = alpha.copy()

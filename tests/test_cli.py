@@ -134,6 +134,19 @@ class TestFit:
                     "--out-dir", str(tmp_path / "run5")])
         assert code == 2
 
+    @pytest.mark.parametrize("method", ["constant", "linear", "gp"])
+    def test_columns_without_a_feature_exit_2(self, data_csv, tmp_path, capsys, method):
+        config_path = str(tmp_path / "target_only.json")
+        with open(config_path, "w", encoding="utf-8") as fh:
+            json.dump({"data": {"path": data_csv, "columns": [
+                {"name": "y", "kind": "target"}]}}, fh)
+        out = tmp_path / "run5b"
+        code = run(["fit", "--config", config_path, "--out-dir", str(out),
+                    "--leaf-method", method])
+        assert code == 2
+        assert "needs at least one feature column" in capsys.readouterr().err
+        assert not (out / "model.json").exists()
+
     def test_missing_data_file(self, tmp_path):
         code = run(["fit", "--data", str(tmp_path / "absent.csv"),
                     "--out-dir", str(tmp_path / "run6")])

@@ -191,6 +191,11 @@ class TestIngestion:
         with pytest.raises(DataError, match="needs at least one feature column and a target"):
             load_csv(path, None)
 
+    def test_declared_columns_need_a_feature_column(self, tmp_path):
+        # Refused before the file is opened: there is none.
+        with pytest.raises(DataError, match="needs at least one feature column and a target"):
+            load_csv(str(tmp_path / "absent.csv"), [ColumnSpec("y", kind="target")])
+
     def test_write_read_round_trip_bit_exact(self, tmp_path, rng):
         X = rng.normal(size=(50, 3)) * 1e3
         y = rng.normal(size=50) / 7.0

@@ -17,7 +17,7 @@ import pytest
 import scipy.optimize
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
-from scipy.linalg import blas, cython_blas, cython_lapack, lapack
+from scipy.linalg import cython_lapack, lapack
 
 from treeseg import cart, leaf_models
 from treeseg.data import Dataset
@@ -65,6 +65,20 @@ def dense_lml(params, X, y, jitter=0.0):
     _, logdet = np.linalg.slogdet(K)
     return float(-0.5 * y @ np.linalg.solve(K, y) - 0.5 * logdet
                  - 0.5 * m * math.log(2.0 * math.pi))
+
+
+def dense_gradient(params, X, y, jitter=0.0):
+    """GPML's log-space gradient 1/2 (alpha^T dK alpha - tr(K^-1 dK)), from
+    a dense K^-1 and each dense dK."""
+    m = X.shape[0]
+    diff = X[:, None, :] - X[None, :, :]
+    sq = (diff * diff).sum(axis=2)
+    K_rbf = params.rbf_variance * np.exp(-sq / (2.0 * params.rbf_lengthscale**2))
+    dKs = [params.linear_variance * (X @ X.T), K_rbf, K_rbf * sq / params.rbf_lengthscale**2,
+           params.noise_variance * np.eye(m)]
+    K_inv = np.linalg.inv(dKs[0] + K_rbf + (params.noise_variance + jitter) * np.eye(m))
+    alpha = K_inv @ y
+    return np.array([0.5 * (alpha @ dK @ alpha - (K_inv * dK).sum()) for dK in dKs])
 
 
 def central_difference_error(params, X, y, h=1e-5):
@@ -235,6 +249,46 @@ class TestMarginalLikelihood:
             worst = max(worst, central_difference_error(params, X, y))
         assert worst < 1e-4
 
+    @staticmethod
+    def gradient_cases(rng, m):
+        """(X, y, params) at noise floors 0.1 and 0.05, and one whose K
+        needs a jitter rung: rows repeated three times, with a response
+        that repeats too, so y stays in the range of K and the gradient is
+        well conditioned."""
+        X = rng.normal(size=(m, 4))
+        y = rng.normal(size=m)
+        repeated = np.repeat(X[:m // 3 + 1], 3, axis=0)[:m]
+        return [(X, y, KernelParams(1.0, 1.0, 2.0, 0.1)),
+                (X, y, KernelParams(0.3, 2.5, 0.7, 0.05)),
+                (repeated, np.sin(repeated[:, 0]) + 0.5 * repeated[:, 1],
+                 KernelParams(1e-4, 1e-4, 2.0, 1e-20))]
+
+    @pytest.mark.parametrize("store", [True, False])
+    @pytest.mark.parametrize("m", [182, 1025])
+    def test_gradient_matches_the_dense_gpml_reference(self, rng, m, store):
+        # m = 182 is two blocks of rows, 1025 just over the store limit.
+        jitters = []
+        for X, y, params in self.gradient_cases(rng, m):
+            parts = leaf_models._TrainingParts(X, store)
+            _, grad, _, jitter = leaf_models._lml_terms(params, parts, y)
+            ref = dense_gradient(params, X, y, jitter)
+            assert np.abs(grad - ref).max() <= 1e-9 * np.abs(ref).max()
+            jitters.append(jitter)
+        assert jitters[0] == jitters[1] == 0.0 < jitters[2]
+
+    @pytest.mark.parametrize("store", [True, False])
+    @pytest.mark.parametrize("m", [100, 182])
+    def test_evaluation_reads_nothing_above_the_lower_blocks(self, rng, m, store):
+        # Only the lower blocks of L are written before they are read; with
+        # the rest of L NaN, an evaluation gives the bits of a clean one.
+        for X, y, params in self.gradient_cases(rng, m):
+            parts = leaf_models._TrainingParts(X, store)
+            clean = leaf_models._lml_terms(params, parts, y)
+            parts.L.fill(np.nan)
+            value, grad, alpha, jitter = leaf_models._lml_terms(params, parts, y)
+            assert (value, jitter) == (clean[0], clean[3])
+            assert same_bits(grad, clean[1]) and same_bits(alpha, clean[2])
+
     def test_shape_validation(self):
         params = KernelParams(1.0, 1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
@@ -337,7 +391,7 @@ class TestFitGP:
         assert jitter > 0.0
         one, same = leaf_models._factorize(parts, params, ladder=(jitter,))
         assert same == jitter and np.array_equal(L, one)
-        assert not np.triu(L, 1).any()
+        assert same_bits(covariance_factor(params, X, jitter), np.tril(L))
 
     def test_records_optimizer_outcome(self, rng):
         X = rng.normal(size=(30, 2))
@@ -635,16 +689,13 @@ class TestRebuiltParts:
         assert peak + mapped[0] <= (m * m + m * (m + step) / 2 + 3 * step * m + 64 * m) * 8
 
 
-# The LP64 signatures of scipy 1.17's Cython LAPACK and BLAS exports, which
-# the adapter's ctypes prototypes assume.
+# The LP64 signatures of scipy 1.17's Cython LAPACK exports, which the
+# adapter's ctypes prototypes assume.
 _D_LAPACK = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
-_D_BLAS = "__pyx_t_5scipy_6linalg_11cython_blas_d *"
 LP64_SIGNATURES = {
     "dpotrf": f"void (char *, int *, {_D_LAPACK}, int *, int *)",
     "dpotrs": f"void (char *, int *, int *, {_D_LAPACK}, int *, {_D_LAPACK}, int *, int *)",
     "dpotri": f"void (char *, int *, {_D_LAPACK}, int *, int *)",
-    "dlaset": f"void (char *, int *, int *, {_D_LAPACK}, {_D_LAPACK}, {_D_LAPACK}, int *)",
-    "dger": f"void (int *, int *, {_D_BLAS}, {_D_BLAS}, int *, {_D_BLAS}, int *, {_D_BLAS}, int *)",
 }
 
 
@@ -658,7 +709,9 @@ def random_spd(rng, m):
 
 
 class TestForeignLapack:
-    """The GIL-releasing adapter gives the bits of scipy's f2py wrappers."""
+    """The GIL-releasing adapter gives the bits of scipy's f2py wrappers in
+    the upper triangle and leaves the strictly lower one as it was (f2py's
+    potrf zeros it)."""
 
     @pytest.mark.parametrize("m", [1, 2, 65, 300])
     def test_potrf_potrs_potri_match_f2py(self, rng, m):
@@ -666,7 +719,8 @@ class TestForeignLapack:
         ref, ref_info = lapack.dpotrf(A)
         factor = A.copy(order="F")
         assert leaf_models._potrf(factor) == ref_info == 0
-        assert same_bits(factor, ref) and not np.tril(factor, -1).any()
+        assert same_bits(np.triu(factor), ref)
+        assert same_bits(np.tril(factor, -1), np.tril(A, -1))
 
         b = rng.normal(size=m)
         ref_x, ref_info = lapack.dpotrs(ref, b)
@@ -675,15 +729,8 @@ class TestForeignLapack:
 
         ref_inv, ref_info = lapack.dpotri(ref)
         assert leaf_models._potri(factor) == ref_info == 0
-        assert same_bits(factor, ref_inv)
-
-    @pytest.mark.parametrize("m", [1, 2, 65, 300])
-    def test_ger_matches_f2py(self, rng, m):
-        a = random_spd(rng, m)
-        x, y = rng.normal(size=m), rng.normal(size=m)
-        ref = blas.dger(-0.75, x, y, a=a)
-        leaf_models._ger(-0.75, x, y, a)
-        assert same_bits(a, ref)
+        assert same_bits(np.triu(factor), ref_inv)
+        assert same_bits(np.tril(factor, -1), np.tril(A, -1))
 
     @pytest.mark.parametrize("m", [1, 2, 65, 300])
     def test_potrf_reports_the_failing_column(self, rng, m):
@@ -692,7 +739,8 @@ class TestForeignLapack:
         ref, ref_info = lapack.dpotrf(A)
         factor = A.copy(order="F")
         assert leaf_models._potrf(factor) == ref_info == m // 2 + 1
-        assert same_bits(factor, ref)
+        assert same_bits(np.triu(factor), ref)
+        assert same_bits(np.tril(factor, -1), np.tril(A, -1))
 
     def test_rejects_arrays_it_cannot_pass_on(self, rng):
         A = random_spd(rng, 4)
@@ -709,20 +757,18 @@ class TestForeignLapack:
             ("PyCapsule_GetName", ctypes.pythonapi))
         assert leaf_models._SIGNATURES == LP64_SIGNATURES
         for name, signature in LP64_SIGNATURES.items():
-            module = cython_blas if name == "dger" else cython_lapack
-            assert capsule_name(module.__pyx_capi__[name]).decode() == signature
+            assert capsule_name(cython_lapack.__pyx_capi__[name]).decode() == signature
 
     def test_another_signature_is_refused(self, monkeypatch):
         ilp64 = LP64_SIGNATURES["dpotrf"].replace("int *", "long *")
         monkeypatch.setitem(leaf_models._SIGNATURES, "dpotrf", ilp64)
         with pytest.raises(ImportError, match="dpotrf") as err:
-            leaf_models._foreign(cython_lapack, "dpotrf")
+            leaf_models._foreign("dpotrf")
         assert LP64_SIGNATURES["dpotrf"] in str(err.value) and ilp64 in str(err.value)
 
     def test_calls_release_the_gil(self):
         # ctypes keeps the GIL only for prototypes made with PYFUNCTYPE.
-        for f in (leaf_models._dpotrf, leaf_models._dpotrs, leaf_models._dpotri,
-                  leaf_models._dlaset, leaf_models._dger):
+        for f in (leaf_models._dpotrf, leaf_models._dpotrs, leaf_models._dpotri):
             assert not f._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
