@@ -37,7 +37,9 @@ The adapter passes what the f2py wrappers pass and gives their bits in the
 triangle the routines work in; unlike f2py's potrf it does not zero the
 other one, on which no result depends. It refuses, at import, a build whose
 exported signatures differ from the LP64 ones its ctypes prototypes
-assume.
+assume. ctypes also reaches the thread counts of scipy's and numpy's
+OpenBLAS: _one_blas_thread holds both at one thread for a fit, so no fitted
+bit depends on OPENBLAS_NUM_THREADS.
 
 A fitted model keeps alpha, not the Cholesky factor. Prediction avoids BLAS
 matrix products on purpose: every step is elementwise or a reduction along
@@ -59,10 +61,12 @@ factorization would succeed, and factorizes only when the bound cannot tell.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import math
 import mmap
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -159,19 +163,46 @@ def _potri(c: np.ndarray) -> int:
     return info.value
 
 
-def _blas_threads() -> int | None:
-    """Threads scipy's BLAS runs each call on, or None when it does not say.
+def _thread_controls() -> list:
+    """(get, set) thread counts of scipy's LP64 OpenBLAS (the LAPACK above) and
+    numpy's ILP64 one (gemm, matvec); empty unless both export both."""
+    found = [getattr(ctypes.CDLL(path), f"scipy_openblas_{verb}_num_threads{suffix}", None)
+             for path, suffix in ((cython_blas.__file__, ""),
+                                  (np._core._multiarray_umath.__file__, "64_"))
+             for verb in ("get", "set")]
+    if None in found:
+        return []
+    controls = [found[:2], found[2:]]
+    for get, set_ in controls:
+        get.restype, get.argtypes = ctypes.c_int, []
+        set_.restype, set_.argtypes = None, [ctypes.c_int]
+    return controls
 
-    Asks the OpenBLAS that scipy.linalg.cython_blas links against; another
-    BLAS has neither getter.
-    """
-    lib = ctypes.CDLL(cython_blas.__file__)
-    for name in ("scipy_openblas_get_num_threads", "openblas_get_num_threads"):
-        getter = getattr(lib, name, None)
-        if getter is not None:
-            getter.restype, getter.argtypes = ctypes.c_int, []
-            return getter()
-    return None
+
+_blas_controls = _thread_controls()
+_pin_lock, _pin_depth, _pin_saved = threading.Lock(), 0, []
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Hold both OpenBLAS libraries at one thread. The counts are global to
+    the process, so entries are counted: the first sets both to 1, and the
+    last exit, raising or not, restores what the first found."""
+    global _pin_depth, _pin_saved
+    with _pin_lock:
+        if _pin_depth == 0:
+            _pin_saved = [get() for get, _ in _blas_controls]
+            for _, set_ in _blas_controls:
+                set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _pin_lock:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                for (_, set_), count in zip(_blas_controls, _pin_saved):
+                    set_(count)
 
 
 # ---------------------------------------------------------------------------

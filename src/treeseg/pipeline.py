@@ -3,9 +3,10 @@
 The training flow is: optionally drop outliers from the training set, grow
 the segmentation tree, then fit one regressor per leaf (with per-leaf input
 standardization for the linear and GP methods); segments do not depend on
-one another, so GP leaves are fit on a thread pool. Prediction
-routes a record down the tree and applies that segment's model. Any leaf
-whose fit fails falls back to the segment's constant mean and the
+one another, so GP leaves are fit on a thread pool, and OpenBLAS on one
+thread, so that neither the pool nor OPENBLAS_NUM_THREADS changes a bit.
+Prediction routes a record down the tree and applies that segment's model.
+Any leaf whose fit fails falls back to the segment's constant mean and the
 fallback is recorded — a model always comes back able to predict.
 """
 
@@ -20,8 +21,8 @@ import numpy as np
 
 from . import cart
 from .data import DataError, Dataset, Scaler, _integer, _real
-from .leaf_models import (ConstantModel, KernelParams, LeafFitError, LeafModel,
-                          _blas_threads, fit_constant, fit_gp, fit_ols)
+from .leaf_models import (ConstantModel, KernelParams, LeafFitError, LeafModel, _blas_controls,
+                          _one_blas_thread, fit_constant, fit_gp, fit_ols)
 from .outliers import anomaly_score_batch, fit_forest, removal_indices
 
 LEAF_METHODS = ("constant", "linear", "gp")
@@ -252,11 +253,11 @@ def filter_outliers(train: Dataset, config: FitConfig,
 
 
 def _leaf_workers() -> int:
-    """Threads that fit GP leaves: one per CPU this process may run on, but
-    only when scipy's BLAS runs each call on one thread; otherwise 1, and
-    every leaf is fit on the calling thread. More BLAS threads change the
-    fitted bits and would compete with the pool for the same CPUs."""
-    if _blas_threads() != 1:
+    """Threads that fit GP leaves: one per CPU this process may run on when
+    both OpenBLAS thread controls were found, so fit_leaves can run each BLAS
+    call on one thread under the pool; otherwise (another BLAS) 1, and every
+    leaf is fit on the calling thread."""
+    if not _blas_controls:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -275,7 +276,9 @@ def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndar
     pool of _leaf_workers() threads when that is more than one; constant
     and linear leaves, which take a fraction of a GP leaf's time, are fit
     one at a time on the calling thread. Each leaf's fit is the same
-    computation on any thread, so the model does not depend on the pool.
+    computation on any thread and, in _one_blas_thread, at any
+    OPENBLAS_NUM_THREADS, so the model depends on neither; other BLAS work
+    in the process runs on one thread until the stage ends.
     Each GP leaf in flight holds its own m x m buffers, so peak memory grows
     with the number of workers (README "Notes on performance" gives the
     rule).
@@ -286,11 +289,12 @@ def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndar
 
     segments = range(len(leaf_rows))
     workers = min(_leaf_workers(), len(segments)) if config.leaf_method == "gp" else 1
-    if workers > 1:
-        with ThreadPoolExecutor(workers, thread_name_prefix="treeseg-leaf") as pool:
-            fits = list(pool.map(fit, segments))
-    else:
-        fits = [fit(s) for s in segments]
+    with _one_blas_thread():
+        if workers > 1:
+            with ThreadPoolExecutor(workers, thread_name_prefix="treeseg-leaf") as pool:
+                fits = list(pool.map(fit, segments))
+        else:
+            fits = [fit(s) for s in segments]
 
     leaf_models: dict[int, LeafModel] = {}
     scalers: dict[int, Scaler | None] = {}

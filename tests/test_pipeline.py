@@ -1,6 +1,8 @@
+import ctypes
 import os
 import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -288,6 +290,23 @@ def recording(monkeypatch, name, calls, result=None):
     monkeypatch.setattr(pipeline, name, record)
 
 
+def blas_threads() -> list[int]:
+    """Each OpenBLAS library's thread count, as leaf_models finds them."""
+    return [get() for get, _ in leaf_models._blas_controls]
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Both OpenBLAS libraries at 2 threads for the test, then as they were;
+    the counts set, which is empty without the controls."""
+    saved = blas_threads()
+    for _, set_ in leaf_models._blas_controls:
+        set_(2)
+    yield blas_threads()
+    for (_, set_), count in zip(leaf_models._blas_controls, saved):
+        set_(count)
+
+
 class TestLeafPool:
     """GP leaves fit on a thread pool; the model does not depend on it."""
 
@@ -314,17 +333,27 @@ class TestLeafPool:
         assert saved[0] == saved[1]
 
     @pytest.mark.parametrize("workers", [1, 3])
-    def test_an_error_in_a_leaf_leaves_the_fit_as_it_was(self, rng, monkeypatch, workers):
+    def test_an_error_in_a_leaf_leaves_the_fit_as_it_was(self, rng, monkeypatch, workers,
+                                                         two_blas_threads):
         # Anything but a LeafFitError is a fault, not a fallback: it reaches
         # the caller as it is, from the pool as from the calling thread, and
-        # no pool thread outlives the fit.
+        # no pool thread outlives the fit. Both OpenBLAS libraries run the
+        # leaves on one thread and are back at their earlier counts after it.
         train = piecewise_linear(rng, n=240)
-        recording(monkeypatch, "fit_gp", [], MemoryError("a leaf ran out"))
+        during = []
+
+        def fail(*args, **kwargs):
+            during.append(blas_threads())
+            raise MemoryError("a leaf ran out")
+
+        monkeypatch.setattr(pipeline, "fit_gp", fail)
         monkeypatch.setattr(pipeline, "_leaf_workers", lambda: workers)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="^a leaf ran out$"):
             fit_segmented(train, self.config)
         assert threading.active_count() == before
+        assert during and all(d == [1] * len(two_blas_threads) for d in during)
+        assert blas_threads() == two_blas_threads
 
     def test_every_gp_leaf_fits_on_the_pool(self, rng, monkeypatch):
         # Whatever its row count: leaves over leaf_models._STORE_MAX_ROWS
@@ -371,26 +400,117 @@ class TestLeafPool:
             monkeypatch.undo()
         assert saved[0] == saved[1] == saved[2]
 
-    def test_scipy_blas_reports_its_thread_count(self):
-        # The pool runs only where the getter is found and reports one thread.
-        if pipeline._blas_threads() is None:
-            pytest.skip("scipy's BLAS has no OpenBLAS thread-count getter")
-        code = "from treeseg import pipeline; print(pipeline._blas_threads())"
+    def test_blas_threads_change_no_fitted_bit(self, tmp_path):
+        # Leaves of about 200 rows: at OPENBLAS_NUM_THREADS=2, unpinned
+        # LAPACK and gemm calls split over two threads and change the bits.
+        if not leaf_models._blas_controls:
+            pytest.skip("an OpenBLAS thread control is missing")
+        code = textwrap.dedent("""\
+            import sys
+            import numpy as np
+            from treeseg import leaf_models
+            from treeseg.data import Dataset
+            from treeseg.persistence import save_model
+            from treeseg.pipeline import FitConfig, fit_segmented
+            rng = np.random.default_rng(7)
+            X = rng.uniform(-2, 2, size=(600, 3))
+            y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=600)
+            threads = [get() for get, _ in leaf_models._blas_controls]
+            model = fit_segmented(Dataset(X, y, ("a", "b", "c")),
+                                  FitConfig(leaf_size=200, leaf_method="gp", gp_max_iters=5))
+            assert [get() for get, _ in leaf_models._blas_controls] == threads
+            save_model(model, sys.argv[1])
+        """)
         src = os.path.dirname(os.path.dirname(pipeline.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                             text=True, check=True, timeout=120).stdout
-        assert out.strip() == "1"
+        saved = []
+        for threads in ("1", "2"):
+            path = tmp_path / f"model-{threads}.json"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+            subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+                           timeout=300)
+            saved.append(path.read_bytes())
+        assert saved[0] == saved[1]
 
-    @pytest.mark.parametrize("blas_threads, one_per_cpu", [(1, True), (2, False), (None, False)])
-    def test_workers_follow_the_blas_thread_count(self, monkeypatch, blas_threads,
-                                                  one_per_cpu):
-        # A BLAS that runs a call on several threads, or does not say, keeps
-        # every leaf on the calling thread.
-        monkeypatch.setattr(pipeline, "_blas_threads", lambda: blas_threads)
+    @pytest.mark.parametrize("hidden, pooled", [
+        (None, True),
+        ("scipy_openblas_set_num_threads", False),
+        ("scipy_openblas_get_num_threads64_", False),
+    ], ids=["both", "no-scipy-setter", "no-numpy-getter"])
+    def test_workers_need_both_thread_controls(self, monkeypatch, hidden, pooled):
+        # The pool runs only where both OpenBLAS copies can be held at one
+        # thread; another BLAS keeps every leaf on the calling thread.
+        if pooled and not leaf_models._blas_controls:
+            pytest.skip("an OpenBLAS thread control is missing")
+        CDLL = ctypes.CDLL
+
+        class Hiding:
+            def __init__(self, path):
+                self.lib = CDLL(path)
+
+            def __getattr__(self, name):
+                if name == hidden:
+                    raise AttributeError(name)
+                return getattr(self.lib, name)
+
+        monkeypatch.setattr(ctypes, "CDLL", Hiding)
+        monkeypatch.setattr(pipeline, "_blas_controls", leaf_models._thread_controls())
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert pipeline._leaf_workers() == (cpus if one_per_cpu else 1)
+        assert pipeline._leaf_workers() == (cpus if pooled else 1)
+
+    def test_pins_restore_only_on_the_last_exit(self, monkeypatch):
+        # Nested and overlapping pins share the process-wide counts: an
+        # inner exit, or the first of two fits to end, restores nothing.
+        counts = {"lp64": 3, "ilp64": 2}
+
+        def control(name):
+            return [lambda: counts[name], lambda n: counts.__setitem__(name, n)]
+
+        monkeypatch.setattr(leaf_models, "_blas_controls", [control("lp64"), control("ilp64")])
+        pin = leaf_models._one_blas_thread
+        entered, release = threading.Event(), threading.Event()
+
+        def overlapping():
+            with pin():
+                entered.set()
+                release.wait(timeout=60)
+
+        other = threading.Thread(target=overlapping)
+        with pin():
+            with pin():
+                assert counts == {"lp64": 1, "ilp64": 1}
+            assert counts == {"lp64": 1, "ilp64": 1}
+            other.start()
+            assert entered.wait(timeout=60)
+        assert counts == {"lp64": 1, "ilp64": 1}
+        release.set()
+        other.join(timeout=60)
+        assert not other.is_alive()
+        assert counts == {"lp64": 3, "ilp64": 2}
+
+        # Many threads entering and leaving at once, switching often: one
+        # that ever finds more than one thread set inside the pin has seen
+        # another's exit restore the counts under it.
+        wrong = []
+
+        def churn():
+            for _ in range(300):
+                with pin():
+                    if counts != {"lp64": 1, "ilp64": 1}:
+                        wrong.append(dict(counts))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=churn) for _ in range(8)]
+            for w in workers:
+                w.start()
+            for w in workers:
+                w.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(w.is_alive() for w in workers)
+        assert wrong == [] and counts == {"lp64": 3, "ilp64": 2}
 
 
 class TestOutlierIntegration:
