@@ -27,19 +27,13 @@ from the evaluations L-BFGS already made; the start is exp(log(init)),
 within an ulp of init, and only a start point that was clipped into the
 bounds is replaced by init and evaluated again.
 
-Those LAPACK routines (potrf, potrs, potri) are scipy's own, reached
-through the C function pointers that scipy.linalg.cython_lapack exports
-and called with ctypes, which releases the GIL for the call. scipy's f2py
-wrappers hold the GIL instead: two threads each running potrf + potri at
-m = 400 took 1.09x less time than one thread running both shares through
-them, and 1.65x less through the function pointers.
-The adapter passes what the f2py wrappers pass and gives their bits in the
-triangle the routines work in; unlike f2py's potrf it does not zero the
-other one, on which no result depends. It refuses, at import, a build whose
-exported signatures differ from the LP64 ones its ctypes prototypes
-assume. ctypes also reaches the thread counts of scipy's and numpy's
-OpenBLAS: _one_blas_thread holds both at one thread for a fit, so no fitted
-bit depends on OPENBLAS_NUM_THREADS.
+Those LAPACK routines (potrf, potrs, potri) are scipy's own, called with
+the GIL released through the adapter in _lapack, and the optimizer is
+scipy's L-BFGS-B. Both are imported inside the functions that use them, so
+constant and linear leaves, prediction and a certified load never load
+scipy. The adapter refuses, on the first GP fit or factorization, a build
+whose exported signatures differ from the LP64 ones its ctypes prototypes
+assume.
 
 A fitted model keeps alpha, not the Cholesky factor. Prediction avoids BLAS
 matrix products on purpose: every step is elementwise or a reduction along
@@ -61,148 +55,16 @@ factorization would succeed, and factorizes only when the bound cannot tell.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
 import math
 import mmap
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
-import scipy.optimize
-from scipy.linalg import cython_blas, cython_lapack
 
 
 class LeafFitError(RuntimeError):
     """A leaf regressor could not be fit (ill-conditioned or too small)."""
-
-
-# ---------------------------------------------------------------------------
-# LAPACK with the GIL released (see the module docstring): each
-# wrapper passes the arguments scipy's f2py wrapper of the routine passes.
-
-_LAPACK_D = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
-# The LP64 signatures scipy exports (scipy 1.17); the prototypes follow them.
-_SIGNATURES = {
-    "dpotrf": f"void (char *, int *, {_LAPACK_D}, int *, int *)",
-    "dpotrs": f"void (char *, int *, int *, {_LAPACK_D}, int *, {_LAPACK_D}, int *, int *)",
-    "dpotri": f"void (char *, int *, {_LAPACK_D}, int *, int *)",
-}
-_CTYPES = {"char *": ctypes.c_char_p, "int *": ctypes.POINTER(ctypes.c_int),
-           _LAPACK_D: ctypes.c_void_p}
-_capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
-    ("PyCapsule_GetName", ctypes.pythonapi))
-_capsule_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object, ctypes.c_char_p)(
-    ("PyCapsule_GetPointer", ctypes.pythonapi))
-
-
-def _foreign(name: str):
-    """LAPACK routine `name` of scipy.linalg.cython_lapack as a ctypes function.
-
-    Raises ImportError when the module exports another signature than
-    _SIGNATURES names (an ILP64 build, say), rather than ever calling it with
-    integers of the wrong size.
-    """
-    capsule = cython_lapack.__pyx_capi__[name]
-    found = _capsule_name(capsule)
-    expected = _SIGNATURES[name]
-    if found.decode() != expected:
-        raise ImportError(f"{cython_lapack.__name__}.{name} has signature {found.decode()!r}, "
-                          f"expected {expected!r}")
-    argtypes = [_CTYPES[arg] for arg in expected[len("void ("):-1].split(", ")]
-    return ctypes.CFUNCTYPE(None, *argtypes)(_capsule_pointer(capsule, found))
-
-
-_dpotrf = _foreign("dpotrf")
-_dpotrs = _foreign("dpotrs")
-_dpotri = _foreign("dpotri")
-
-
-def _int(v: int):
-    return ctypes.byref(ctypes.c_int(v))
-
-
-def _address(a: np.ndarray, shape: tuple[int, ...], writes: bool = False) -> int:
-    """Address of `a`, which must be a Fortran-contiguous float64 array of
-    `shape`, and writeable when the routine writes it."""
-    if (a.dtype != np.float64 or a.shape != shape or not a.flags.f_contiguous
-            or (writes and not a.flags.writeable)):
-        raise ValueError(f"expected a {'writeable ' if writes else ''}Fortran-contiguous "
-                         f"float64 array of shape {shape}")
-    return a.ctypes.data
-
-
-def _potrf(a: np.ndarray) -> int:
-    """Upper Cholesky factor of square `a`, in place; LAPACK's info. As
-    f2py's dpotrf(a, overwrite_a=1) in the upper triangle, but without its
-    clean step: the strictly lower triangle keeps what it held."""
-    m = a.shape[0]
-    info = ctypes.c_int(0)
-    _dpotrf(b"U", _int(m), _address(a, (m, m), writes=True), _int(m), ctypes.byref(info))
-    return info.value
-
-
-def _potrs(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solution of A x = b from the upper factor c of A, and LAPACK's info.
-    As f2py's dpotrs(c, b) for a vector b."""
-    m = c.shape[0]
-    x = np.array(b, dtype=np.float64, copy=True)
-    info = ctypes.c_int(0)
-    _dpotrs(b"U", _int(m), _int(1), _address(c, (m, m)), _int(m),
-            _address(x, (m,), writes=True), _int(m), ctypes.byref(info))
-    return x, info.value
-
-
-def _potri(c: np.ndarray) -> int:
-    """A^-1 in place over the upper factor c of A, in the upper triangle;
-    LAPACK's info. As f2py's dpotri(c, overwrite_c=1)."""
-    m = c.shape[0]
-    info = ctypes.c_int(0)
-    _dpotri(b"U", _int(m), _address(c, (m, m), writes=True), _int(m), ctypes.byref(info))
-    return info.value
-
-
-def _thread_controls() -> list:
-    """(get, set) thread counts of scipy's LP64 OpenBLAS (the LAPACK above) and
-    numpy's ILP64 one (gemm, matvec); empty unless both export both."""
-    found = [getattr(ctypes.CDLL(path), f"scipy_openblas_{verb}_num_threads{suffix}", None)
-             for path, suffix in ((cython_blas.__file__, ""),
-                                  (np._core._multiarray_umath.__file__, "64_"))
-             for verb in ("get", "set")]
-    if None in found:
-        return []
-    controls = [found[:2], found[2:]]
-    for get, set_ in controls:
-        get.restype, get.argtypes = ctypes.c_int, []
-        set_.restype, set_.argtypes = None, [ctypes.c_int]
-    return controls
-
-
-_blas_controls = _thread_controls()
-_pin_lock, _pin_depth, _pin_saved = threading.Lock(), 0, []
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Hold both OpenBLAS libraries at one thread. The counts are global to
-    the process, so entries are counted: the first sets both to 1, and the
-    last exit, raising or not, restores what the first found."""
-    global _pin_depth, _pin_saved
-    with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = [get() for get, _ in _blas_controls]
-            for _, set_ in _blas_controls:
-                set_(1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                for (_, set_), count in zip(_blas_controls, _pin_saved):
-                    set_(count)
 
 
 # ---------------------------------------------------------------------------
@@ -570,9 +432,11 @@ def _factorize(parts: _TrainingParts, params: KernelParams,
     left as it was, and no result depends on it. A failed rung leaves L
     partly factored, so the next rung builds K in it again.
     """
+    from . import _lapack
+
     for jitter in ladder:
         L = parts.covariance(params, jitter)
-        if _potrf(L.T) == 0:
+        if _lapack.potrf(L.T) == 0:
             return L, jitter
     raise LeafFitError(
         f"covariance factorization failed at jitter {ladder[-1]:g} "
@@ -591,14 +455,16 @@ def _lml_terms(params: KernelParams, parts: _TrainingParts,
     the diagonal and half that on it, which products forms and sums block
     by block.
     """
+    from . import _lapack
+
     L, jitter = _factorize(parts, params)
-    alpha, _ = _potrs(L.T, y)
+    alpha, _ = _lapack.potrs(L.T, y)
     value = float(-0.5 * (y @ alpha) - np.log(L.diagonal()).sum()
                   - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
 
     # K^-1 in place over the factor: L.T is the Fortran-ordered upper
     # factor, so potri writes the inverse into L's lower triangle.
-    info = _potri(L.T)
+    info = _lapack.potri(L.T)
     if info != 0:
         raise LeafFitError(f"covariance inverse failed (potri info {info})")
     trace_kinv = float(np.trace(L))
@@ -785,6 +651,8 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
     response is centered internally and the mean re-added at prediction
     time.
     """
+    import scipy.optimize
+
     X, y = _design(X, y)
     m = X.shape[0]
     if m < 2:

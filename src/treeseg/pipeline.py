@@ -5,6 +5,9 @@ the segmentation tree, then fit one regressor per leaf (with per-leaf input
 standardization for the linear and GP methods); segments do not depend on
 one another, so GP leaves are fit on a thread pool, and OpenBLAS on one
 thread, so that neither the pool nor OPENBLAS_NUM_THREADS changes a bit.
+scipy, which only GP fitting needs, is loaded with the first GP leaf
+stage, which also refuses a scipy build whose LAPACK signatures are not the
+LP64 ones treeseg calls (_lapack).
 Prediction routes a record down the tree and applies that segment's model.
 Any leaf whose fit fails falls back to the segment's constant mean and the
 fallback is recorded — a model always comes back able to predict.
@@ -21,8 +24,8 @@ import numpy as np
 
 from . import cart
 from .data import DataError, Dataset, Scaler, _integer, _real
-from .leaf_models import (ConstantModel, KernelParams, LeafFitError, LeafModel, _blas_controls,
-                          _one_blas_thread, fit_constant, fit_gp, fit_ols)
+from .leaf_models import (ConstantModel, KernelParams, LeafFitError, LeafModel, fit_constant,
+                          fit_gp, fit_ols)
 from .outliers import anomaly_score_batch, fit_forest, removal_indices
 
 LEAF_METHODS = ("constant", "linear", "gp")
@@ -257,7 +260,9 @@ def _leaf_workers() -> int:
     both OpenBLAS thread controls were found, so fit_leaves can run each BLAS
     call on one thread under the pool; otherwise (another BLAS) 1, and every
     leaf is fit on the calling thread."""
-    if not _blas_controls:
+    from . import _lapack
+
+    if not _lapack.blas_controls:
         return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -273,12 +278,14 @@ def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndar
     outlier filter's outcome on the model.
 
     Segments do not depend on one another. GP leaves are fit in a thread
-    pool of _leaf_workers() threads when that is more than one; constant
-    and linear leaves, which take a fraction of a GP leaf's time, are fit
-    one at a time on the calling thread. Each leaf's fit is the same
-    computation on any thread and, in _one_blas_thread, at any
-    OPENBLAS_NUM_THREADS, so the model depends on neither; other BLAS work
-    in the process runs on one thread until the stage ends.
+    pool of _leaf_workers() threads when that is more than one, with both
+    OpenBLAS copies held at one thread (_lapack.one_blas_thread), so each
+    leaf's fit is the same computation on any thread and at any
+    OPENBLAS_NUM_THREADS; other BLAS work in the process runs on one thread
+    until the GP stage ends. Constant and linear leaves, which take a
+    fraction of a GP leaf's time, are fit one at a time on the calling
+    thread, unpinned and without loading scipy: their bits do not depend
+    on the BLAS thread count either (tests/test_pipeline.py checks both).
     Each GP leaf in flight holds its own m x m buffers, so peak memory grows
     with the number of workers (README "Notes on performance" gives the
     rule).
@@ -288,13 +295,18 @@ def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndar
         return _fit_leaf(kept.features[rows], kept.response[rows], config)
 
     segments = range(len(leaf_rows))
-    workers = min(_leaf_workers(), len(segments)) if config.leaf_method == "gp" else 1
-    with _one_blas_thread():
-        if workers > 1:
-            with ThreadPoolExecutor(workers, thread_name_prefix="treeseg-leaf") as pool:
-                fits = list(pool.map(fit, segments))
-        else:
-            fits = [fit(s) for s in segments]
+    if config.leaf_method != "gp":
+        fits = [fit(s) for s in segments]
+    else:
+        from . import _lapack
+
+        workers = min(_leaf_workers(), len(segments))
+        with _lapack.one_blas_thread():
+            if workers > 1:
+                with ThreadPoolExecutor(workers, thread_name_prefix="treeseg-leaf") as pool:
+                    fits = list(pool.map(fit, segments))
+            else:
+                fits = [fit(s) for s in segments]
 
     leaf_models: dict[int, LeafModel] = {}
     scalers: dict[int, Scaler | None] = {}

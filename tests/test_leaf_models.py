@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.linalg import cython_lapack, lapack
 
-from treeseg import cart, leaf_models
+from treeseg import _lapack, cart, leaf_models
 from treeseg.data import Dataset
 from treeseg.leaf_models import (ConstantModel, GPModel, KernelParams,
                                  LeafFitError, LinearModel, check_covariance,
@@ -718,17 +718,17 @@ class TestForeignLapack:
         A = random_spd(rng, m)
         ref, ref_info = lapack.dpotrf(A)
         factor = A.copy(order="F")
-        assert leaf_models._potrf(factor) == ref_info == 0
+        assert _lapack.potrf(factor) == ref_info == 0
         assert same_bits(np.triu(factor), ref)
         assert same_bits(np.tril(factor, -1), np.tril(A, -1))
 
         b = rng.normal(size=m)
         ref_x, ref_info = lapack.dpotrs(ref, b)
-        x, info = leaf_models._potrs(factor, b)
+        x, info = _lapack.potrs(factor, b)
         assert info == ref_info == 0 and same_bits(x, ref_x)
 
         ref_inv, ref_info = lapack.dpotri(ref)
-        assert leaf_models._potri(factor) == ref_info == 0
+        assert _lapack.potri(factor) == ref_info == 0
         assert same_bits(np.triu(factor), ref_inv)
         assert same_bits(np.tril(factor, -1), np.tril(A, -1))
 
@@ -738,37 +738,37 @@ class TestForeignLapack:
         A[m // 2, m // 2] = -1.0
         ref, ref_info = lapack.dpotrf(A)
         factor = A.copy(order="F")
-        assert leaf_models._potrf(factor) == ref_info == m // 2 + 1
+        assert _lapack.potrf(factor) == ref_info == m // 2 + 1
         assert same_bits(np.triu(factor), ref)
         assert same_bits(np.tril(factor, -1), np.tril(A, -1))
 
     def test_rejects_arrays_it_cannot_pass_on(self, rng):
         A = random_spd(rng, 4)
         with pytest.raises(ValueError, match="Fortran-contiguous"):
-            leaf_models._potrf(A[:, :3])
+            _lapack.potrf(A[:, :3])
         with pytest.raises(ValueError, match="Fortran-contiguous"):
-            leaf_models._potrf(np.ascontiguousarray(A[:3]))
+            _lapack.potrf(np.ascontiguousarray(A[:3]))
         A.setflags(write=False)
         with pytest.raises(ValueError, match="writeable"):
-            leaf_models._potri(A)
+            _lapack.potri(A)
 
     def test_capsules_export_the_lp64_signatures(self):
         capsule_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
             ("PyCapsule_GetName", ctypes.pythonapi))
-        assert leaf_models._SIGNATURES == LP64_SIGNATURES
+        assert _lapack.SIGNATURES == LP64_SIGNATURES
         for name, signature in LP64_SIGNATURES.items():
             assert capsule_name(cython_lapack.__pyx_capi__[name]).decode() == signature
 
     def test_another_signature_is_refused(self, monkeypatch):
         ilp64 = LP64_SIGNATURES["dpotrf"].replace("int *", "long *")
-        monkeypatch.setitem(leaf_models._SIGNATURES, "dpotrf", ilp64)
+        monkeypatch.setitem(_lapack.SIGNATURES, "dpotrf", ilp64)
         with pytest.raises(ImportError, match="dpotrf") as err:
-            leaf_models._foreign("dpotrf")
+            _lapack.foreign("dpotrf")
         assert LP64_SIGNATURES["dpotrf"] in str(err.value) and ilp64 in str(err.value)
 
     def test_calls_release_the_gil(self):
         # ctypes keeps the GIL only for prototypes made with PYFUNCTYPE.
-        for f in (leaf_models._dpotrf, leaf_models._dpotrs, leaf_models._dpotri):
+        for f in (_lapack._dpotrf, _lapack._dpotrs, _lapack._dpotri):
             assert not f._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 

@@ -8,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from treeseg import cart, leaf_models, pipeline
+from treeseg import _lapack, cart, leaf_models, pipeline
 from treeseg.data import Dataset
 from treeseg.leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
                                   LinearModel, fit_ols)
@@ -291,8 +291,8 @@ def recording(monkeypatch, name, calls, result=None):
 
 
 def blas_threads() -> list[int]:
-    """Each OpenBLAS library's thread count, as leaf_models finds them."""
-    return [get() for get, _ in leaf_models._blas_controls]
+    """Each OpenBLAS library's thread count, as _lapack finds them."""
+    return [get() for get, _ in _lapack.blas_controls]
 
 
 @pytest.fixture
@@ -300,10 +300,10 @@ def two_blas_threads():
     """Both OpenBLAS libraries at 2 threads for the test, then as they were;
     the counts set, which is empty without the controls."""
     saved = blas_threads()
-    for _, set_ in leaf_models._blas_controls:
+    for _, set_ in _lapack.blas_controls:
         set_(2)
     yield blas_threads()
-    for (_, set_), count in zip(leaf_models._blas_controls, saved):
+    for (_, set_), count in zip(_lapack.blas_controls, saved):
         set_(count)
 
 
@@ -401,35 +401,43 @@ class TestLeafPool:
         assert saved[0] == saved[1] == saved[2]
 
     def test_blas_threads_change_no_fitted_bit(self, tmp_path):
-        # Leaves of about 200 rows: at OPENBLAS_NUM_THREADS=2, unpinned
+        # GP leaves of about 200 rows: at OPENBLAS_NUM_THREADS=2, unpinned
         # LAPACK and gemm calls split over two threads and change the bits.
-        if not leaf_models._blas_controls:
+        # Linear leaves of at least 5000 rows are fit unpinned, and must save
+        # the same bytes at either count too.
+        if not _lapack.blas_controls:
             pytest.skip("an OpenBLAS thread control is missing")
         code = textwrap.dedent("""\
             import sys
             import numpy as np
-            from treeseg import leaf_models
+            from treeseg import _lapack
             from treeseg.data import Dataset
             from treeseg.persistence import save_model
             from treeseg.pipeline import FitConfig, fit_segmented
             rng = np.random.default_rng(7)
             X = rng.uniform(-2, 2, size=(600, 3))
             y = np.sin(2 * X[:, 0]) + X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=600)
-            threads = [get() for get, _ in leaf_models._blas_controls]
+            threads = [get() for get, _ in _lapack.blas_controls]
             model = fit_segmented(Dataset(X, y, ("a", "b", "c")),
                                   FitConfig(leaf_size=200, leaf_method="gp", gp_max_iters=5))
-            assert [get() for get, _ in leaf_models._blas_controls] == threads
+            assert [get() for get, _ in _lapack.blas_controls] == threads
             save_model(model, sys.argv[1])
+            X = rng.lognormal(size=(12000, 8)) * rng.uniform(0.5, 100.0, size=8)
+            y = X @ rng.normal(size=8) + np.sin(X[:, 0]) + rng.normal(size=12000)
+            model = fit_segmented(Dataset(X, y, tuple("abcdefgh")),
+                                  FitConfig(leaf_size=5000, leaf_method="linear"))
+            assert len(model.leaf_models) == 2
+            save_model(model, sys.argv[2])
         """)
         src = os.path.dirname(os.path.dirname(pipeline.__file__))
         saved = []
         for threads in ("1", "2"):
-            path = tmp_path / f"model-{threads}.json"
+            paths = [tmp_path / f"{method}-{threads}.json" for method in ("gp", "linear")]
             env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                        PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-            subprocess.run([sys.executable, "-c", code, str(path)], env=env, check=True,
+            subprocess.run([sys.executable, "-c", code, *map(str, paths)], env=env, check=True,
                            timeout=300)
-            saved.append(path.read_bytes())
+            saved.append([path.read_bytes() for path in paths])
         assert saved[0] == saved[1]
 
     @pytest.mark.parametrize("hidden, pooled", [
@@ -440,7 +448,7 @@ class TestLeafPool:
     def test_workers_need_both_thread_controls(self, monkeypatch, hidden, pooled):
         # The pool runs only where both OpenBLAS copies can be held at one
         # thread; another BLAS keeps every leaf on the calling thread.
-        if pooled and not leaf_models._blas_controls:
+        if pooled and not _lapack.blas_controls:
             pytest.skip("an OpenBLAS thread control is missing")
         CDLL = ctypes.CDLL
 
@@ -454,7 +462,7 @@ class TestLeafPool:
                 return getattr(self.lib, name)
 
         monkeypatch.setattr(ctypes, "CDLL", Hiding)
-        monkeypatch.setattr(pipeline, "_blas_controls", leaf_models._thread_controls())
+        monkeypatch.setattr(_lapack, "blas_controls", _lapack.thread_controls())
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         assert pipeline._leaf_workers() == (cpus if pooled else 1)
 
@@ -466,8 +474,8 @@ class TestLeafPool:
         def control(name):
             return [lambda: counts[name], lambda n: counts.__setitem__(name, n)]
 
-        monkeypatch.setattr(leaf_models, "_blas_controls", [control("lp64"), control("ilp64")])
-        pin = leaf_models._one_blas_thread
+        monkeypatch.setattr(_lapack, "blas_controls", [control("lp64"), control("ilp64")])
+        pin = _lapack.one_blas_thread
         entered, release = threading.Event(), threading.Event()
 
         def overlapping():
