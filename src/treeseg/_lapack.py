@@ -18,16 +18,21 @@ depends. Importing this module refuses, with ImportError, a build whose
 exported signatures differ from the LP64 ones the ctypes prototypes assume,
 so a wrong build fails on the first GP fit, before any LAPACK call.
 
-ctypes also reaches the thread counts of scipy's and numpy's OpenBLAS:
-one_blas_thread holds both at one thread for a GP leaf stage, so no fitted
-bit depends on OPENBLAS_NUM_THREADS.
+ctypes also reaches the thread counts of scipy's and numpy's OpenBLAS, and
+fit_pinned runs the GP leaf stage under one rule: one stage at a time per
+process, on a pool of one or more threads (workers), with both OpenBLAS
+copies held at one thread for the stage and their counts restored after it.
+So no fitted bit depends on the pool or on OPENBLAS_NUM_THREADS. Without
+both thread controls (another BLAS) nothing is pinned and the pool has one
+thread.
 """
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
+import os
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import cython_blas, cython_lapack
@@ -93,15 +98,15 @@ def potrf(a: np.ndarray) -> int:
     return info.value
 
 
-def potrs(c: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, int]:
-    """Solution of A x = b from the upper factor c of A, and LAPACK's info.
-    As f2py's dpotrs(c, b) for a vector b."""
+def potrs(c: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution of A x = b from the upper factor c of A. As f2py's
+    dpotrs(c, b) for a vector b. LAPACK's info is not returned: it reports
+    only an illegal argument, and _address fixes every shape."""
     m = c.shape[0]
     x = np.array(b, dtype=np.float64, copy=True)
-    info = ctypes.c_int(0)
     _dpotrs(b"U", _int(m), _int(1), _address(c, (m, m)), _int(m),
-            _address(x, (m,), writes=True), _int(m), ctypes.byref(info))
-    return x, info.value
+            _address(x, (m,), writes=True), _int(m), _int(0))
+    return x
 
 
 def potri(c: np.ndarray) -> int:
@@ -130,26 +135,33 @@ def thread_controls() -> list:
 
 
 blas_controls = thread_controls()
-_pin_lock, _pin_depth, _pin_saved = threading.Lock(), 0, []
+_stage = threading.Lock()
 
 
-@contextlib.contextmanager
-def one_blas_thread():
-    """Hold both OpenBLAS libraries at one thread. The counts are global to
-    the process, so entries are counted: the first sets both to 1, and the
-    last exit, raising or not, restores what the first found."""
-    global _pin_depth, _pin_saved
-    with _pin_lock:
-        if _pin_depth == 0:
-            _pin_saved = [get() for get, _ in blas_controls]
+def workers() -> int:
+    """Threads that fit GP leaves: one per CPU this process may run on when
+    both OpenBLAS thread controls were found, so each BLAS call can run on
+    one thread under the pool; otherwise 1."""
+    if not blas_controls:
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def fit_pinned(fit, segments) -> list:
+    """[fit(s) for s in segments], as one GP leaf stage (module docstring):
+    on a pool of up to workers() threads, with both OpenBLAS copies at one
+    thread until the stage ends, raising or not. The counts are global to
+    the process, so a stage started while another runs waits for it."""
+    with _stage:
+        saved = [get() for get, _ in blas_controls]
+        try:
             for _, set_ in blas_controls:
                 set_(1)
-        _pin_depth += 1
-    try:
-        yield
-    finally:
-        with _pin_lock:
-            _pin_depth -= 1
-            if _pin_depth == 0:
-                for (_, set_), count in zip(blas_controls, _pin_saved):
-                    set_(count)
+            with ThreadPoolExecutor(max(1, min(workers(), len(segments))),
+                                    thread_name_prefix="treeseg-leaf") as pool:
+                return list(pool.map(fit, segments))
+        finally:
+            for (_, set_), count in zip(blas_controls, saved):
+                set_(count)

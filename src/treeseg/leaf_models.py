@@ -333,14 +333,18 @@ class _TrainingParts:
         self.upper = np.triu(np.ones((step, step), dtype=bool), 1)
         self.stored = None
         self.norms = np.empty(m)
-        for b, rows in enumerate(self.blocks):
-            self.norms[rows] = self._gram(b)[:, rows].diagonal()
         if store:
             stored = np.empty((2, packed))
             grams, sqdists = self._unpack(stored[0]), self._unpack(stored[1])
-            for b in range(len(self.blocks)):
-                grams[b][...] = sqdists[b][...] = self._gram(b)
+        # One pass: block b's squared distances read the norms of rows [0, e),
+        # which blocks 0 to b have given by then.
+        for b, rows in enumerate(self.blocks):
+            gram = self._gram(b)
+            self.norms[rows] = gram[:, rows].diagonal()
+            if store:
+                grams[b][...] = sqdists[b][...] = gram
                 self._sqdist(b, sqdists[b])
+        if store:
             # Shared by every evaluation, so no in-place step may write to them.
             stored.setflags(write=False)
             self.stored = (self._unpack(stored[0]), self._unpack(stored[1]))
@@ -458,7 +462,7 @@ def _lml_terms(params: KernelParams, parts: _TrainingParts,
     from . import _lapack
 
     L, jitter = _factorize(parts, params)
-    alpha, _ = _lapack.potrs(L.T, y)
+    alpha = _lapack.potrs(L.T, y)
     value = float(-0.5 * (y @ alpha) - np.log(L.diagonal()).sum()
                   - 0.5 * y.shape[0] * math.log(2.0 * math.pi))
 
@@ -666,56 +670,50 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
     inputs.setflags(write=False)
     parts = _training_kernel(inputs)
 
-    def solve(params: KernelParams) -> tuple[float, np.ndarray, float]:
-        value, _, alpha, jitter = _lml_terms(params, parts, yc)
-        return value, alpha, jitter
+    # (value, alpha, jitter) of every evaluation L-BFGS makes, keyed by the
+    # exact bytes of its point, so the start and the returned parameters
+    # need no second solve.
+    seen: dict[bytes, tuple[float, np.ndarray, float]] = {}
+    log_var = math.log(float(np.var(yc)) or 1.0)
+    offset = 0.5 * m * log_var
 
-    best = init
-    n_iterations = n_evaluations = 0
-    converged = False
-    if max_iters == 0:
-        value, alpha, jitter = solve(init)
-    else:
-        # (value, alpha, jitter) of every evaluation L-BFGS makes, keyed by
-        # the exact bytes of its point, so the start and the returned
-        # parameters need no second solve.
-        seen: dict[bytes, tuple[float, np.ndarray, float]] = {}
-        log_var = math.log(float(np.var(yc)) or 1.0)
-        offset = 0.5 * m * log_var
+    def objective(z: np.ndarray):
+        try:
+            lml, grad, alpha, jitter = _lml_terms(KernelParams.from_log(z), parts, yc)
+        except LeafFitError:
+            return 1e25, np.zeros(4)
+        seen[z.tobytes()] = (lml, alpha, jitter)
+        return -(lml + offset), -grad
 
-        def objective(z: np.ndarray):
-            try:
-                lml, grad, alpha, jitter = _lml_terms(KernelParams.from_log(z), parts, yc)
-            except LeafFitError:
-                return 1e25, np.zeros(4)
-            seen[z.tobytes()] = (lml, alpha, jitter)
-            return -(lml + offset), -grad
-
-        variance = (_LOG_LOWER + log_var, _LOG_UPPER + log_var)
-        bounds = [variance, variance, (_LOG_LOWER, _LOG_UPPER),
-                  (_NOISE_LOG_LOWER + log_var, _LOG_UPPER + log_var)]
-        z_init = init.to_log()
-        z0 = np.clip(z_init, [b[0] for b in bounds], [b[1] for b in bounds])
+    variance = (_LOG_LOWER + log_var, _LOG_UPPER + log_var)
+    bounds = [variance, variance, (_LOG_LOWER, _LOG_UPPER),
+              (_NOISE_LOG_LOWER + log_var, _LOG_UPPER + log_var)]
+    z_init = init.to_log()
+    z0 = np.clip(z_init, [b[0] for b in bounds], [b[1] for b in bounds])
+    # With no iterations nothing is evaluated, and z0 stands for the end.
+    z_end, n_iterations, n_evaluations, converged = z0, 0, 0, False
+    if max_iters > 0:
         result = scipy.optimize.minimize(
             objective, z0, jac=True, method="L-BFGS-B", bounds=bounds,
             options={"maxiter": max_iters, "ftol": _FTOL, "gtol": _GTOL})
-        n_iterations = int(result.nit)
-        n_evaluations = int(result.nfev)
-        converged = bool(result.success)
-        # L-BFGS evaluates z0 first. Unless init was clipped, that evaluation
-        # is the baseline and exp(z0), within an ulp of init, the fallback.
-        start = seen.get(z0.tobytes()) if np.array_equal(z0, z_init) else None
-        if start is not None:
-            best = KernelParams.from_log(z0)
-            value, alpha, jitter = start
-        else:
-            value, alpha, jitter = solve(init)
-        # L-BFGS returns a point it evaluated; one missing from seen failed
-        # to factorize, and would fail again.
-        trial = seen.get(result.x.tobytes())
-        if trial is not None and trial[0] >= value:
-            best = KernelParams.from_log(result.x)
-            value, alpha, jitter = trial
+        z_end, n_iterations, n_evaluations, converged = (
+            result.x, int(result.nit), int(result.nfev), bool(result.success))
+    # L-BFGS evaluates z0 first. Unless init was clipped, that evaluation is
+    # the baseline and exp(z0), within an ulp of init, the fallback; with
+    # no evaluation, init is solved as given.
+    start = seen.get(z0.tobytes()) if np.array_equal(z0, z_init) else None
+    if start is not None:
+        best = KernelParams.from_log(z0)
+        value, alpha, jitter = start
+    else:
+        best = init
+        value, _, alpha, jitter = _lml_terms(init, parts, yc)
+    # L-BFGS returns a point it evaluated; one missing from seen failed to
+    # factorize, and would fail again.
+    trial = seen.get(z_end.tobytes())
+    if trial is not None and trial[0] >= value:
+        best = KernelParams.from_log(z_end)
+        value, alpha, jitter = trial
 
     alpha = alpha.copy()
     alpha.setflags(write=False)

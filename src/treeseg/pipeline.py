@@ -3,11 +3,10 @@
 The training flow is: optionally drop outliers from the training set, grow
 the segmentation tree, then fit one regressor per leaf (with per-leaf input
 standardization for the linear and GP methods); segments do not depend on
-one another, so GP leaves are fit on a thread pool, and OpenBLAS on one
-thread, so that neither the pool nor OPENBLAS_NUM_THREADS changes a bit.
-scipy, which only GP fitting needs, is loaded with the first GP leaf
-stage, which also refuses a scipy build whose LAPACK signatures are not the
-LP64 ones treeseg calls (_lapack).
+one another, so GP leaves are fit as one stage, under the rule _lapack
+states. scipy, which only GP fitting needs, is loaded with the first GP
+leaf stage, which also refuses a scipy build whose LAPACK signatures are
+not the LP64 ones treeseg calls.
 Prediction routes a record down the tree and applies that segment's model.
 Any leaf whose fit fails falls back to the segment's constant mean and the
 fallback is recorded — a model always comes back able to predict.
@@ -16,8 +15,6 @@ fallback is recorded — a model always comes back able to predict.
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -255,20 +252,6 @@ def filter_outliers(train: Dataset, config: FitConfig,
     return train.take(kept_rows), kept_rows
 
 
-def _leaf_workers() -> int:
-    """Threads that fit GP leaves: one per CPU this process may run on when
-    both OpenBLAS thread controls were found, so fit_leaves can run each BLAS
-    call on one thread under the pool; otherwise (another BLAS) 1, and every
-    leaf is fit on the calling thread."""
-    from . import _lapack
-
-    if not _lapack.blas_controls:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndarray],
                config: FitConfig, kept_rows: np.ndarray | None,
                n_removed: int) -> SegmentedModel:
@@ -277,12 +260,10 @@ def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndar
     `cart.build_tree` returns them. `kept_rows` and `n_removed` record the
     outlier filter's outcome on the model.
 
-    Segments do not depend on one another. GP leaves are fit in a thread
-    pool of _leaf_workers() threads when that is more than one, with both
-    OpenBLAS copies held at one thread (_lapack.one_blas_thread), so each
-    leaf's fit is the same computation on any thread and at any
-    OPENBLAS_NUM_THREADS; other BLAS work in the process runs on one thread
-    until the GP stage ends. Constant and linear leaves, which take a
+    Segments do not depend on one another. GP leaves are fit as one stage
+    by _lapack.fit_pinned, under the rule _lapack's docstring states, so
+    each leaf's fit is the same computation on any thread and at any
+    OPENBLAS_NUM_THREADS. Constant and linear leaves, which take a
     fraction of a GP leaf's time, are fit one at a time on the calling
     thread, unpinned and without loading scipy: their bits do not depend
     on the BLAS thread count either (tests/test_pipeline.py checks both).
@@ -300,13 +281,7 @@ def fit_leaves(kept: Dataset, tree: cart.RegressionTree, leaf_rows: list[np.ndar
     else:
         from . import _lapack
 
-        workers = min(_leaf_workers(), len(segments))
-        with _lapack.one_blas_thread():
-            if workers > 1:
-                with ThreadPoolExecutor(workers, thread_name_prefix="treeseg-leaf") as pool:
-                    fits = list(pool.map(fit, segments))
-            else:
-                fits = [fit(s) for s in segments]
+        fits = _lapack.fit_pinned(fit, segments)
 
     leaf_models: dict[int, LeafModel] = {}
     scalers: dict[int, Scaler | None] = {}

@@ -724,8 +724,8 @@ class TestForeignLapack:
 
         b = rng.normal(size=m)
         ref_x, ref_info = lapack.dpotrs(ref, b)
-        x, info = _lapack.potrs(factor, b)
-        assert info == ref_info == 0 and same_bits(x, ref_x)
+        x = _lapack.potrs(factor, b)
+        assert ref_info == 0 and same_bits(x, ref_x)
 
         ref_inv, ref_info = lapack.dpotri(ref)
         assert _lapack.potri(factor) == ref_info == 0

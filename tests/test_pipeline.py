@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -295,6 +296,13 @@ def blas_threads() -> list[int]:
     return [get() for get, _ in _lapack.blas_controls]
 
 
+def fake_controls(counts: dict) -> list:
+    """(get, set) pairs, as _lapack.blas_controls holds, over the entries
+    of `counts`."""
+    return [[lambda name=name: counts[name], lambda n, name=name: counts.__setitem__(name, n)]
+            for name in counts]
+
+
 @pytest.fixture
 def two_blas_threads():
     """Both OpenBLAS libraries at 2 threads for the test, then as they were;
@@ -319,13 +327,12 @@ class TestLeafPool:
         for workers in (3, 1):
             calls = []
             recording(monkeypatch, "fit_gp", calls)
-            monkeypatch.setattr(pipeline, "_leaf_workers", lambda: workers)
+            monkeypatch.setattr(_lapack, "workers", lambda: workers)
             model = fit_segmented(train, self.config)
             assert threading.active_count() == before  # no pool thread outlives the fit
             assert all(isinstance(m, GPModel) for m in model.leaf_models.values())
             assert len(calls) == len(model.leaf_models) >= 3
-            on_pool = {t is not threading.current_thread() for _, t in calls}
-            assert on_pool == {workers > 1}
+            assert all(t is not threading.current_thread() for _, t in calls)
             path = tmp_path / f"model-{workers}.json"
             save_model(model, str(path))
             saved.append(path.read_bytes())
@@ -336,7 +343,7 @@ class TestLeafPool:
     def test_an_error_in_a_leaf_leaves_the_fit_as_it_was(self, rng, monkeypatch, workers,
                                                          two_blas_threads):
         # Anything but a LeafFitError is a fault, not a fallback: it reaches
-        # the caller as it is, from the pool as from the calling thread, and
+        # the caller as it is, from a pool of one thread or of three, and
         # no pool thread outlives the fit. Both OpenBLAS libraries run the
         # leaves on one thread and are back at their earlier counts after it.
         train = piecewise_linear(rng, n=240)
@@ -347,7 +354,7 @@ class TestLeafPool:
             raise MemoryError("a leaf ran out")
 
         monkeypatch.setattr(pipeline, "fit_gp", fail)
-        monkeypatch.setattr(pipeline, "_leaf_workers", lambda: workers)
+        monkeypatch.setattr(_lapack, "workers", lambda: workers)
         before = threading.active_count()
         with pytest.raises(MemoryError, match="^a leaf ran out$"):
             fit_segmented(train, self.config)
@@ -358,7 +365,7 @@ class TestLeafPool:
     def test_every_gp_leaf_fits_on_the_pool(self, rng, monkeypatch):
         # Whatever its row count: leaves over leaf_models._STORE_MAX_ROWS
         # rebuild their matrices and hold about 2 m^2 doubles, not 4 m^2.
-        monkeypatch.setattr(pipeline, "_leaf_workers", lambda: 3)
+        monkeypatch.setattr(_lapack, "workers", lambda: 3)
         here = threading.current_thread()
         calls = []
         recording(monkeypatch, "fit_gp", calls, LeafFitError("stub"))
@@ -373,7 +380,7 @@ class TestLeafPool:
                                               ("constant", "fit_constant")])
     def test_linear_and_constant_leaves_fit_on_the_calling_thread(self, rng, monkeypatch,
                                                                  method, name):
-        monkeypatch.setattr(pipeline, "_leaf_workers", lambda: 3)
+        monkeypatch.setattr(_lapack, "workers", lambda: 3)
         calls = []
         recording(monkeypatch, name, calls)
         fit_segmented(piecewise_linear(rng, n=240), FitConfig(leaf_size=40, leaf_method=method))
@@ -382,15 +389,15 @@ class TestLeafPool:
 
     def test_rebuilt_leaves_save_the_stored_model_bytes(self, rng, monkeypatch, tmp_path):
         # With the store limit at 60 rows, leaves on both sides of it fit on
-        # the pool and on the calling thread, and save what a fit that keeps
-        # every leaf's matrices saves.
+        # pools of 3 and of 1 threads, and save what a fit that keeps every
+        # leaf's matrices saves.
         train = piecewise_linear(rng, n=400)
         saved = []
         for store_max_rows, workers in ((60, 3), (60, 1), (10 ** 6, 1)):
             calls = []
             recording(monkeypatch, "fit_gp", calls)
             monkeypatch.setattr(leaf_models, "_STORE_MAX_ROWS", store_max_rows)
-            monkeypatch.setattr(pipeline, "_leaf_workers", lambda: workers)
+            monkeypatch.setattr(_lapack, "workers", lambda: workers)
             model = fit_segmented(train, self.config)
             assert all(isinstance(m, GPModel) for m in model.leaf_models.values())
             assert {rows > 60 for rows, _ in calls} == {True, False}
@@ -446,8 +453,8 @@ class TestLeafPool:
         ("scipy_openblas_get_num_threads64_", False),
     ], ids=["both", "no-scipy-setter", "no-numpy-getter"])
     def test_workers_need_both_thread_controls(self, monkeypatch, hidden, pooled):
-        # The pool runs only where both OpenBLAS copies can be held at one
-        # thread; another BLAS keeps every leaf on the calling thread.
+        # The pool has more than one thread only where both OpenBLAS copies
+        # can be held at one thread; another BLAS gets a one-thread pool.
         if pooled and not _lapack.blas_controls:
             pytest.skip("an OpenBLAS thread control is missing")
         CDLL = ctypes.CDLL
@@ -464,48 +471,83 @@ class TestLeafPool:
         monkeypatch.setattr(ctypes, "CDLL", Hiding)
         monkeypatch.setattr(_lapack, "blas_controls", _lapack.thread_controls())
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-        assert pipeline._leaf_workers() == (cpus if pooled else 1)
+        assert _lapack.workers() == (cpus if pooled else 1)
 
-    def test_pins_restore_only_on_the_last_exit(self, monkeypatch):
-        # Nested and overlapping pins share the process-wide counts: an
-        # inner exit, or the first of two fits to end, restores nothing.
+    def test_concurrent_stages_run_one_after_another(self, rng, monkeypatch, tmp_path,
+                                                     two_blas_threads):
+        # The thread counts are global to the process, so a GP leaf stage
+        # started while another runs waits for it to end: each pins from the
+        # counts it found and restores them, and neither restores under the
+        # other. The second fit is started once the first is in its stage,
+        # and the first stays there until the second has reached it.
+        train = piecewise_linear(rng, n=240)
+        serial = tmp_path / "serial.json"
+        save_model(fit_segmented(train, self.config), str(serial))
+
+        pins = []  # what the first control is set to, in order
+
+        def logged(get, set_):
+            return [get, lambda n: (pins.append(n), set_(n))]
+
         counts = {"lp64": 3, "ilp64": 2}
+        controls = _lapack.blas_controls or fake_controls(counts)
+        before = [get() for get, _ in controls]
+        monkeypatch.setattr(_lapack, "blas_controls", [logged(*controls[0]), *controls[1:]])
+        in_stage, second_called = threading.Event(), threading.Event()
+        real_workers, real_stage = _lapack.workers, _lapack.fit_pinned
 
-        def control(name):
-            return [lambda: counts[name], lambda n: counts.__setitem__(name, n)]
+        def first_waits():
+            if not in_stage.is_set():
+                in_stage.set()
+                second_called.wait(timeout=60)
+                time.sleep(0.05)
+            return real_workers()
 
-        monkeypatch.setattr(_lapack, "blas_controls", [control("lp64"), control("ilp64")])
-        pin = _lapack.one_blas_thread
-        entered, release = threading.Event(), threading.Event()
+        def stage(fit, segments):
+            if in_stage.is_set():
+                second_called.set()
+            return real_stage(fit, segments)
 
-        def overlapping():
-            with pin():
-                entered.set()
-                release.wait(timeout=60)
+        monkeypatch.setattr(_lapack, "workers", first_waits)
+        monkeypatch.setattr(_lapack, "fit_pinned", stage)
+        saved, errors = {}, []
 
-        other = threading.Thread(target=overlapping)
-        with pin():
-            with pin():
-                assert counts == {"lp64": 1, "ilp64": 1}
-            assert counts == {"lp64": 1, "ilp64": 1}
-            other.start()
-            assert entered.wait(timeout=60)
-        assert counts == {"lp64": 1, "ilp64": 1}
-        release.set()
-        other.join(timeout=60)
-        assert not other.is_alive()
-        assert counts == {"lp64": 3, "ilp64": 2}
+        def fit(name):
+            try:
+                path = tmp_path / f"{name}.json"
+                save_model(fit_segmented(train, self.config), str(path))
+                saved[name] = path.read_bytes()
+            except Exception as err:  # reported by the assertions below
+                errors.append(err)
 
-        # Many threads entering and leaving at once, switching often: one
-        # that ever finds more than one thread set inside the pin has seen
-        # another's exit restore the counts under it.
+        threads = [threading.Thread(target=fit, args=(name,)) for name in ("first", "second")]
+        threads[0].start()
+        assert in_stage.wait(timeout=60)
+        threads[1].start()
+        for t in threads:
+            t.join(timeout=120)
+        assert not any(t.is_alive() for t in threads) and not errors
+        assert second_called.is_set()
+        assert pins == [1, before[0]] * 2
+        assert [get() for get, _ in controls] == before
+        assert saved["first"] == saved["second"] == serial.read_bytes()
+        monkeypatch.undo()
+        assert blas_threads() == two_blas_threads
+
+        # Many threads running stages at once, switching often: one that
+        # ever finds a count other than 1 inside its stage has seen another
+        # stage's restore under it.
+        counts.update(lp64=3, ilp64=2)
+        monkeypatch.setattr(_lapack, "blas_controls", fake_controls(counts))
         wrong = []
 
+        def check(_):
+            if counts != {"lp64": 1, "ilp64": 1}:
+                wrong.append(dict(counts))
+
         def churn():
-            for _ in range(300):
-                with pin():
-                    if counts != {"lp64": 1, "ilp64": 1}:
-                        wrong.append(dict(counts))
+            for _ in range(100):
+                _lapack.fit_pinned(check, range(3))
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
