@@ -30,12 +30,13 @@ thread.
 from __future__ import annotations
 
 import ctypes
-import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 from scipy.linalg import cython_blas, cython_lapack
+
+from .leaf_models import usable_cpus
 
 _LAPACK_D = "__pyx_t_5scipy_6linalg_13cython_lapack_d *"
 # The LP64 signatures scipy exports (scipy 1.17); the prototypes follow them.
@@ -139,14 +140,10 @@ _stage = threading.Lock()
 
 
 def workers() -> int:
-    """Threads that fit GP leaves: one per CPU this process may run on when
-    both OpenBLAS thread controls were found, so each BLAS call can run on
-    one thread under the pool; otherwise 1."""
-    if not blas_controls:
-        return 1
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """Threads that fit GP leaves: one per CPU this process may run on
+    (leaf_models.usable_cpus) when both OpenBLAS thread controls were found,
+    so each BLAS call can run on one thread under the pool; otherwise 1."""
+    return usable_cpus() if blas_controls else 1
 
 
 def fit_pinned(fit, segments) -> list:

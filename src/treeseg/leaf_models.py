@@ -45,10 +45,13 @@ scaled by 1/lengthscale, one feature at a time, in place, in blocks of
 max(1, _BLOCK_ENTRIES // m) query rows that stay in cache with their one
 scratch buffer, so a query costs O(m d) with no n x m x d temporary. Each entry
 gets the same operations in the same order whatever the block, and each
-row is summed on its own, so no block size changes a bit. Both per-model
-constants are derived from (params, training inputs, alpha) on the first
-prediction and cached, so a fitted and a loaded model predict the same
-bits. Loading does not build the factor either: check_covariance certifies
+row is summed on its own, so no block size changes a bit, and neither does
+the thread a block runs on: a batch of many blocks is split over a
+persistent pool (gp_predict_mean_batch), which needs no BLAS pin because
+the mean makes no BLAS call. Both per-model constants are derived from
+(params, training inputs, alpha) on the first prediction and cached, so a
+fitted and a loaded model predict the same bits. Loading does not build
+the factor either: check_covariance certifies
 in O(m d), from a bound on the rounding in how K is formed, that the
 factorization would succeed, and factorizes only when the bound cannot tell.
 """
@@ -58,6 +61,8 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -723,16 +728,70 @@ def fit_gp(X: np.ndarray, y: np.ndarray, init: KernelParams,
                    converged=converged)
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the platform
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+# A batch is split into k = min(usable_cpus(), blocks // _SHARE_BLOCKS)
+# shares, so it leaves the calling thread only when every share has at least
+# this many blocks. Fixed from measurement: below it, handing a share to
+# another thread costs more than the share (ccpp-gp-small's segments, 1-2
+# blocks a batch, predicted 25% slower with every batch split).
+_SHARE_BLOCKS = 8
+
+_mean_pool = None
+_mean_pool_lock = threading.Lock()
+
+
+def _forget_mean_pool() -> None:
+    """Drop the pool: a forked child has none of its threads, and work
+    queued to it would never run."""
+    global _mean_pool, _mean_pool_lock
+    _mean_pool, _mean_pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_mean_pool)
+
+
+def _mean_executor():
+    """The process's pool of usable_cpus() - 1 threads for shares of the
+    posterior mean, created on first use and kept for the life of the
+    process: one made per call gave back about half of what the split
+    saves."""
+    global _mean_pool
+    with _mean_pool_lock:
+        if _mean_pool is None:
+            from concurrent.futures import ThreadPoolExecutor  # ~7 ms cold; not on import
+
+            _mean_pool = ThreadPoolExecutor(max(1, usable_cpus() - 1),
+                                            thread_name_prefix="treeseg-mean")
+        return _mean_pool
+
+
 def gp_predict_mean_batch(model: GPModel, X: np.ndarray) -> np.ndarray:
     """Posterior mean for each query row: k(x, X_train) . alpha + y_mean.
 
     The linear term is x . (linear_variance X^T alpha). The RBF term is
     built against the model's m scaled training columns in blocks of
     max(1, _BLOCK_ENTRIES // m) query rows, in a block and a scratch buffer
-    allocated once per call (_unit_rbf_into), then scaled by rbf_variance
-    alpha and summed one row at a time. Every entry gets the same operations
-    in the same order whatever the block, and no step mixes rows, so the
-    result for any given row does not depend on the batch it came in.
+    (_unit_rbf_into), then scaled by rbf_variance alpha and summed one row
+    at a time. Every entry gets the same operations in the same order
+    whatever the block, and no step mixes rows, so the result for any given
+    row does not depend on the batch it came in.
+
+    The blocks are cut into k = min(usable_cpus(), blocks // _SHARE_BLOCKS)
+    contiguous shares. With k > 1 the calling thread runs the first share
+    and a persistent pool (_mean_executor) the others, each share in a block
+    and scratch buffer of its own and writing only its own rows of the
+    result; otherwise every block runs on the calling thread, which covers
+    single rows and small batches. The blocks are pure elementwise ufuncs
+    and row sums, which release the GIL and call no BLAS, so no OpenBLAS
+    pin is needed and the thread a block runs on changes no bit.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != model.training_inputs.shape[1]:
@@ -742,13 +801,30 @@ def gp_predict_mean_batch(model: GPModel, X: np.ndarray) -> np.ndarray:
     queries = _scaled_columns(X, model.params)
     n, m = X.shape[0], rbf_columns.shape[1]
     rows = max(1, _BLOCK_ENTRIES // max(m, 1))
-    block = np.empty((min(rows, n), m))
-    scratch = np.empty_like(block)
-    for s in range(0, n, rows):
-        e = min(s + rows, n)
-        K = _unit_rbf_into(block[:e - s], scratch[:e - s], queries[:, s:e], rbf_columns)
-        K *= rbf_weights
-        out[s:e] += K.sum(axis=1)
+
+    def add_rbf(first: int, stop: int) -> None:
+        """Add the RBF term of query rows first:stop to out, block by block."""
+        block = np.empty((min(rows, stop - first), m))
+        scratch = np.empty_like(block)
+        for s in range(first, stop, rows):
+            e = min(s + rows, stop)
+            K = _unit_rbf_into(block[:e - s], scratch[:e - s], queries[:, s:e], rbf_columns)
+            K *= rbf_weights
+            out[s:e] += K.sum(axis=1)
+
+    blocks = -(-n // rows)
+    shares = min(usable_cpus(), blocks // _SHARE_BLOCKS) if blocks >= 2 * _SHARE_BLOCKS else 1
+    if shares == 1:
+        add_rbf(0, n)
+    else:
+        cuts = [min(n, blocks * j // shares * rows) for j in range(shares + 1)]
+        pool = _mean_executor()
+        futures = [pool.submit(add_rbf, a, b) for a, b in zip(cuts[1:-1], cuts[2:])]
+        try:
+            add_rbf(0, cuts[1])
+        finally:
+            for future in futures:
+                future.result()
     out += model.y_mean
     return out
 

@@ -307,21 +307,30 @@ def _features_of(data) -> np.ndarray:
 def predict_with_segments(model: SegmentedModel, data) -> tuple[np.ndarray, np.ndarray]:
     """Predictions and segment ids for every row, each row routed once.
 
-    Rows are grouped by segment; each prediction is elementwise equal to
-    calling predict on its row (same reductions, batch-size invariant).
+    Rows are grouped by segment with one stable sort of their ids, so each
+    segment gets its rows in row order, and each segment's model predicts
+    its rows in one call, on the calling thread; a GP segment may split a
+    large batch over threads itself (leaf_models.gp_predict_mean_batch).
+    Each prediction is elementwise equal to calling predict on its row
+    (same reductions, batch-size invariant).
     """
     X = _features_of(data)
     if X.shape[1] != model.n_features:
         raise PipelineError(f"expected {model.n_features} feature columns, got {X.shape[1]}")
     out = np.empty(X.shape[0], dtype=np.float64)
     ids = cart.assign_leaf_batch(model.tree, X)
-    for segment_id in np.unique(ids):
-        sel = np.nonzero(ids == segment_id)[0]
+    order = np.argsort(ids, kind="stable")
+    grouped = ids[order]
+    # Where each segment's run of rows in `order` starts.
+    starts = [0, *(np.flatnonzero(grouped[1:] != grouped[:-1]) + 1).tolist()] if ids.size else []
+    for start, stop in zip(starts, starts[1:] + [ids.size]):
+        sel = order[start:stop]
+        segment_id = int(grouped[start])
         block = X[sel]
-        scaler = model.scalers[int(segment_id)]
+        scaler = model.scalers[segment_id]
         if scaler is not None:
             block = scaler.transform(block)
-        out[sel] = model.leaf_models[int(segment_id)].predict(block)
+        out[sel] = model.leaf_models[segment_id].predict(block)
     return out, ids
 
 

@@ -1,4 +1,5 @@
-"""scipy is loaded only where a GP leaf is fit or its covariance factorized.
+"""scipy is loaded only where a GP leaf is fit or its covariance factorized,
+and concurrent.futures only where a thread pool is first used.
 
 The test process has loaded scipy already, so the checks run in a fresh
 interpreter.
@@ -20,12 +21,15 @@ GP_CONFIG = FitConfig(leaf_size=100, leaf_method="gp", gp_max_iters=5)
 FRESH = textwrap.dedent("""\
     import ctypes
     import sys
+    import threading
     import numpy as np
     import treeseg, treeseg.cli
-    from treeseg import cli, pipeline
+    from treeseg import cli, leaf_models, pipeline
     from treeseg.data import Dataset
     from treeseg.persistence import load_model, save_model
     from treeseg.pipeline import FitConfig, fit_segmented, predict_batch
+    # The posterior mean's thread pool is made on first use, not on import.
+    assert "concurrent.futures" not in sys.modules
 
     work = sys.argv[1]
     X, y = np.load(f"{work}/X.npy"), np.load(f"{work}/y.npy")
@@ -46,6 +50,11 @@ FRESH = textwrap.dedent("""\
         assert cli.main(["predict", "--model", path, "--input", f"{work}/score.csv",
                          "--output", f"{work}/{method}-scores.csv"]) == 0
         assert cli.main(["profile", "--model", path, "--all"]) == 0
+    # A GP batch split over the mean pool, with 2 usable CPUs on any machine.
+    leaf_models.usable_cpus = lambda: 2
+    gp_model, tiled = load_model(f"{work}/gp.json"), np.tile(X, (100, 1))
+    assert np.array_equal(predict_batch(gp_model, tiled), np.tile(predict_batch(gp_model, X), 100))
+    assert any(t.name.startswith("treeseg-mean") for t in threading.enumerate())
     loaded_scipy = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
     assert not loaded_scipy, loaded_scipy[:5]
 

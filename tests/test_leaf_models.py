@@ -6,10 +6,16 @@ for the gradient, and a direct normal-equations ridge solve for the linear
 degeneracy. None of them share code with the production implementation.
 """
 import ctypes
+import functools
 import json
 import math
 import os
+import signal
+import sys
+import threading
+import time
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -911,6 +917,131 @@ class TestMeanPath:
             if isinstance(model, GPModel):
                 assert np.array_equal(gp_predict_mean_batch(model, queries),
                                       gp_predict_mean_batch(loaded.leaf_models[sid], queries))
+
+
+@functools.lru_cache(maxsize=None)
+def large_leaf() -> GPModel:
+    """A GP leaf over leaf_models._STORE_MAX_ROWS rows, fit at its start."""
+    rng = np.random.default_rng(29)
+    X = rng.normal(size=(leaf_models._STORE_MAX_ROWS + 76, 4))
+    y = np.sin(X[:, 0]) + X[:, 1] * X[:, 2] + rng.normal(size=X.shape[0]) * 0.1
+    return fit_gp(X, y, KernelParams(0.5, 1.2, 1.4, 0.05), max_iters=0)
+
+
+def mean_threads(monkeypatch) -> list:
+    """Record the thread of every block of the posterior mean."""
+    threads = []
+    unit_rbf_into = leaf_models._unit_rbf_into
+
+    def record(*args):
+        threads.append(threading.current_thread())
+        return unit_rbf_into(*args)
+
+    monkeypatch.setattr(leaf_models, "_unit_rbf_into", record)
+    return threads
+
+
+class TestMeanPool:
+    """A batch of at least 2 * _SHARE_BLOCKS blocks splits over the mean pool
+    when the process may use more than one CPU; the usable CPU count is
+    patched, so the pool runs on any machine. Every result must have the
+    bits of one share and of one row at a time."""
+
+    @staticmethod
+    def one_share(model, queries, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(leaf_models, "usable_cpus", lambda: 1)
+            threads = mean_threads(patch)
+            pred = gp_predict_mean_batch(model, queries)
+        assert set(threads) <= {threading.current_thread()}
+        return pred
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("blocks, split", [
+        (0, False),
+        (2 * leaf_models._SHARE_BLOCKS - 1, False),
+        (2 * leaf_models._SHARE_BLOCKS, True),
+        (3 * leaf_models._SHARE_BLOCKS + 5, True),
+    ], ids=["empty", "under", "over", "three-shares"])
+    def test_split_keeps_one_share_and_one_row_bits(self, monkeypatch, rng, cpus, blocks,
+                                                    split):
+        model = large_leaf()
+        rows = block_rows(model.training_inputs.shape[0])
+        # The last block is short: n is no multiple of the block rows.
+        n = max(0, blocks * rows - rows // 2)
+        queries = rng.normal(size=(n, 4)) * 1.5
+        expected = self.one_share(model, queries, monkeypatch)
+        monkeypatch.setattr(leaf_models, "usable_cpus", lambda: cpus)
+        threads = mean_threads(monkeypatch)
+        pred = gp_predict_mean_batch(model, queries)
+        assert pred.shape == (n,) and np.array_equal(pred, expected)
+        assert len(threads) == blocks
+        here = threading.current_thread()
+        assert any(t is not here for t in threads) == split
+        assert here in threads or not n  # the calling thread runs a share too
+        ones = [gp_predict_mean_batch(model, q[None, :])[0] for q in queries]
+        assert np.array_equal(pred, np.array(ones).reshape(n))
+
+    def test_threads_predicting_at_once_get_the_same_bits(self, monkeypatch, rng):
+        # Six callers on two CPUs' worth of pool, with a 1 us switch interval,
+        # each splitting its batches over the one shared pool.
+        model = large_leaf()
+        batches = [rng.normal(size=(n, 4)) for n in (700, 1000)]
+        expected = [self.one_share(model, q, monkeypatch) for q in batches]
+        monkeypatch.setattr(leaf_models, "usable_cpus", lambda: 3)
+        errors = []
+
+        def caller():
+            try:
+                for _ in range(5):
+                    for queries, want in zip(batches, expected):
+                        assert np.array_equal(gp_predict_mean_batch(model, queries), want)
+            except BaseException as exc:  # reported by the test thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=caller) for _ in range(6)]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert not errors, errors[0]
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork")
+    def test_forked_child_predicts_with_a_pool_of_its_own(self, monkeypatch, rng, tmp_path):
+        # The child inherits the parent's pool object but none of its
+        # threads; work queued to that pool would never run.
+        model = large_leaf()
+        monkeypatch.setattr(leaf_models, "usable_cpus", lambda: 2)
+        queries = rng.normal(size=(900, 4))
+        threads = mean_threads(monkeypatch)
+        parent = gp_predict_mean_batch(model, queries)
+        assert any(t is not threading.current_thread() for t in threads)
+        path = tmp_path / "child.npy"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork with threads running
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                np.save(path, gp_predict_mean_batch(model, queries))
+                code = 0
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 60
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child did not finish its prediction in 60 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+        assert np.load(path).tobytes() == parent.tobytes()
 
 
 class TestCholeskyFactorLifecycle:

@@ -262,6 +262,34 @@ class TestPredict:
             predict(model, np.zeros(5))
 
 
+    def test_large_gp_segments_split_over_the_mean_pool_with_the_same_bits(self, rng,
+                                                                          monkeypatch):
+        # Segments over leaf_models._STORE_MAX_ROWS rows, about 750 queries
+        # each: 30 blocks a segment, split in two or three shares when the
+        # process may use 2 or 3 CPUs (patched, so any machine runs it).
+        train = piecewise_linear(rng, n=2600)
+        model = fit_segmented(train, FitConfig(leaf_size=leaf_models._STORE_MAX_ROWS + 1,
+                                               leaf_method="gp", gp_max_iters=0))
+        assert len(model.leaf_models) == 2
+        assert all(isinstance(m, GPModel) for m in model.leaf_models.values())
+        queries = rng.uniform(-2, 2, size=(1500, 2))
+        monkeypatch.setattr(leaf_models, "usable_cpus", lambda: 1)
+        one_share = predict_batch(model, queries)
+        singles = np.array([predict(model, q) for q in queries])
+        assert np.array_equal(one_share, singles)
+        threads = []
+        unit_rbf_into = leaf_models._unit_rbf_into
+        monkeypatch.setattr(leaf_models, "_unit_rbf_into",
+                            lambda *a: threads.append(threading.current_thread())
+                            or unit_rbf_into(*a))
+        for cpus in (2, 3):
+            monkeypatch.setattr(leaf_models, "usable_cpus", lambda: cpus)
+            threads.clear()
+            assert np.array_equal(predict_batch(model, queries), one_share)
+            assert threading.current_thread() in threads
+            assert any(t is not threading.current_thread() for t in threads)
+
+
 class TestDeterminism:
     def test_refit_is_bit_identical(self, rng):
         train = piecewise_linear(rng, n=250)
