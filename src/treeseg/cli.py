@@ -193,8 +193,9 @@ def cmd_predict(args: argparse.Namespace) -> int:
     with open(args.output, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(report.header + ["prediction", "segment_id"])
-        for row, pred, seg in zip(report.rows, predictions, segment_ids):
-            writer.writerow(row + [repr(float(pred)), int(seg)])
+        # csv writes a float as its repr, so the cells are those of repr(float).
+        writer.writerows([*row, pred, seg] for row, pred, seg in
+                         zip(report.rows, predictions.tolist(), segment_ids.tolist()))
     print(f"{len(report.rows)} predictions written to {args.output}")
     return 0
 

@@ -470,7 +470,9 @@ class Scaler:
     """Per-feature mean/std estimated on training data only.
 
     A zero-variance feature is passed through unchanged (its std is treated
-    as 1 when transforming). The response is never scaled.
+    as 1 when transforming). The response is never scaled. `safe_std`, the
+    std with each 0 replaced by 1, is derived once at construction; it is
+    not a field, so documents and comparisons never see it.
     """
 
     mean: np.ndarray
@@ -479,10 +481,10 @@ class Scaler:
     def __post_init__(self):
         mean = np.asarray(self.mean, dtype=np.float64)
         std = np.asarray(self.std, dtype=np.float64)
-        mean.setflags(write=False)
-        std.setflags(write=False)
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "std", std)
+        safe_std = np.where(std == 0.0, 1.0, std)
+        for name, value in (("mean", mean), ("std", std), ("safe_std", safe_std)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
 
     @classmethod
     def fit(cls, features: np.ndarray) -> "Scaler":
@@ -492,7 +494,17 @@ class Scaler:
         return cls(mean=feats.mean(axis=0), std=feats.std(axis=0))
 
     def transform(self, features: np.ndarray) -> np.ndarray:
-        feats = np.asarray(features, dtype=np.float64)
-        safe_std = np.where(self.std == 0.0, 1.0, self.std)
-        return (feats - self.mean) / safe_std
+        return standardize(np.asarray(features, dtype=np.float64), self.mean, self.safe_std)
+
+
+def standardize(features: np.ndarray, mean: np.ndarray, safe_std: np.ndarray) -> np.ndarray:
+    """(features - mean) / safe_std, the one rule for standardized inputs.
+
+    `mean` and `safe_std` are one scaler's d-vectors or, row by row, the
+    scalers of a batch's rows, so either form gives each entry the same two
+    operations.
+    """
+    z = features - mean
+    z /= safe_std
+    return z
 

@@ -102,8 +102,18 @@ class LinearModel:
     used_fallback: bool = False
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=np.float64)
-        return (X * self.weights).sum(axis=1) + self.intercept
+        return affine(np.asarray(X, dtype=np.float64), self.weights, self.intercept)
+
+
+def affine(X: np.ndarray, weights: np.ndarray, offset) -> np.ndarray:
+    """(X * weights).sum(axis=1) + offset, the one rule for a linear leaf.
+
+    `weights` and `offset` are one model's d-vector and intercept or, row by
+    row, the models of a batch's rows. Each row of X * weights is summed on
+    its own, so for a C-contiguous X a row's result does not depend on the
+    rows beside it.
+    """
+    return (X * weights).sum(axis=1) + offset
 
 
 def _design(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -3,6 +3,9 @@ import os
 import numpy as np
 import pytest
 
+from treeseg import cart
+from treeseg.leaf_models import LinearModel
+
 DATA_DIR = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "data"))
 
 
@@ -27,3 +30,24 @@ def require_dataset(name: str) -> str:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def segment_by_segment(model, X) -> np.ndarray:
+    """Reference scoring: each row of X alone through its own segment's
+    scaler and model, with the scaler's and the linear model's arithmetic
+    written out as it was when segments were scored one at a time:
+    (x - mean) / std, a zero std read as 1, then (z * w).sum(axis=1) + b.
+    Constant and GP segments call their model's predict on the row."""
+    X = np.asarray(X, dtype=np.float64)
+    ids = cart.assign_leaf_batch(model.tree, X)
+    out = np.empty(X.shape[0])
+    for i, s in enumerate(ids.tolist()):
+        row = X[i:i + 1].copy()
+        leaf, scaler = model.leaf_models[s], model.scalers[s]
+        if scaler is not None:
+            row = (row - scaler.mean) / np.where(scaler.std == 0.0, 1.0, scaler.std)
+        if isinstance(leaf, LinearModel):
+            out[i] = ((row * leaf.weights).sum(axis=1) + leaf.intercept)[0]
+        else:
+            out[i] = leaf.predict(row)[0]
+    return out

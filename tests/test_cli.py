@@ -35,6 +35,20 @@ def run(argv):
 BOM = b"\xef\xbb\xbf"
 
 
+def assert_scored_bytes(out_path, expect_path, header, rows, model, features):
+    """The scored CSV at out_path is byte for byte the one written row by
+    row from repr(float(prediction)) and int(segment) to expect_path."""
+    predictions = predict_batch(model, features)
+    segments = cart.assign_leaf_batch(model.tree, features)
+    with open(expect_path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header + ["prediction", "segment_id"])
+        for row, pred, seg in zip(rows, predictions, segments):
+            writer.writerow(row + [repr(float(pred)), int(seg)])
+    with open(out_path, "rb") as got, open(expect_path, "rb") as want:
+        assert got.read() == want.read()
+
+
 class TestFit:
     def test_happy_path_outputs(self, data_csv, tmp_path, capsys):
         out = str(tmp_path / "run1")
@@ -445,9 +459,10 @@ class TestPredict:
         assert ids == real(load_model(model_path).tree, features).tolist()
 
     def test_rows_echoed_in_step_with_features(self, tmp_path):
-        # Blank lines, a quoted field holding a comma and a level unseen at
-        # fit time: every non-blank input row comes back, in order, followed
-        # by the prediction and segment of its own features.
+        # Blank lines, quoted fields holding a comma, a categorical cell
+        # holding a comma and a quote, and levels unseen at fit time: every
+        # non-blank input row comes back, in order, followed by the
+        # prediction and segment of its own features.
         data_path = str(tmp_path / "cat.csv")
         with open(data_path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
@@ -469,7 +484,7 @@ class TestPredict:
         with open(in_path, "w", newline="", encoding="utf-8") as fh:
             fh.write('size,note,x\r\nsmall,"left, edge",0.25\r\n\r\n'
                      'large,plain,1.5\r\nmedium,"new, level",0.75\r\n   \r\n'
-                     'large,,1.875\r\n')
+                     'large,,1.875\r\n"odd, ""quoted""",x,0.5\r\n')
         out_path = str(tmp_path / "scored.csv")
         assert run(["predict", "--model", model_path,
                     "--input", in_path, "--output", out_path]) == 0
@@ -477,20 +492,12 @@ class TestPredict:
         with open(in_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         header, rows = rows[0], [r for r in rows[1:] if r and r[0].strip()]
-        assert [r[1] for r in rows] == ["left, edge", "plain", "new, level", ""]
-        levels = {"large": [1.0, 0.0], "small": [0.0, 1.0], "medium": [0.0, 0.0]}
-        features = np.array([levels[r[0]] + [float(r[2])] for r in rows])
-        model = load_model(model_path)
-        predictions = predict_batch(model, features)
-        segments = cart.assign_leaf_batch(model.tree, features)
-        expect_path = str(tmp_path / "expected.csv")
-        with open(expect_path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header + ["prediction", "segment_id"])
-            for row, pred, seg in zip(rows, predictions, segments):
-                writer.writerow(row + [repr(float(pred)), int(seg)])
-        with open(out_path, "rb") as got, open(expect_path, "rb") as want:
-            assert got.read() == want.read()
+        assert [r[1] for r in rows] == ["left, edge", "plain", "new, level", "", "x"]
+        assert rows[-1][0] == 'odd, "quoted"'
+        levels = {"large": [1.0, 0.0], "small": [0.0, 1.0]}
+        features = np.array([levels.get(r[0], [0.0, 0.0]) + [float(r[2])] for r in rows])
+        assert_scored_bytes(out_path, str(tmp_path / "expected.csv"), header, rows,
+                            load_model(model_path), features)
 
     def test_input_with_target_column_accepted(self, data_csv, tmp_path):
         model_path = self.fit_once(data_csv, tmp_path)
@@ -547,6 +554,8 @@ class TestPredict:
         with open(out_path, newline="", encoding="utf-8") as fh:
             rows = list(csv.reader(fh))
         assert rows == [["a", "b", "c", "prediction", "segment_id"]]
+        assert_scored_bytes(out_path, str(tmp_path / "expected.csv"), ["a", "b", "c"], [],
+                            load_model(model_path), np.empty((0, 3)))
 
     @pytest.mark.parametrize("recipe", [
         {"columns": [{"name": "a"}], "levels": []},

@@ -1,5 +1,6 @@
 import ast
 import csv
+import dataclasses
 import os
 import pathlib
 import tempfile
@@ -506,6 +507,10 @@ class TestScaler:
         Z = scaler.transform(X)
         assert np.all(Z[:, 0] == 0.0)  # centered, not divided
         assert np.isfinite(Z).all()
+        # The safe std is derived once, read-only, and is not a field.
+        assert scaler.safe_std.tolist() == [1.0, scaler.std[1]]
+        assert not scaler.safe_std.flags.writeable
+        assert "safe_std" not in {f.name for f in dataclasses.fields(Scaler)}
 
     def test_row_invariance(self, rng):
         X = rng.normal(size=(30, 3))

@@ -1,8 +1,9 @@
 """Property tests of the fitted model's bitwise contract on small random data.
 
 Single-row and batch predictions agree bit for bit however the rows are
-split into batches; a saved model loads and saves again to the same bytes;
-a refit on the same inputs gives the same bits.
+split into batches, and with each row scored alone by its own segment's
+model; a saved model loads and saves again to the same bytes; a refit on
+the same inputs gives the same bits.
 """
 
 import json
@@ -16,6 +17,7 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from conftest import segment_by_segment  # noqa: E402
 from treeseg.data import Dataset  # noqa: E402
 from treeseg.persistence import load_model, model_document, save_model  # noqa: E402
 from treeseg.pipeline import (FitConfig, OutlierConfig, fit_segmented,  # noqa: E402
@@ -25,14 +27,18 @@ from treeseg.pipeline import (FitConfig, OutlierConfig, fit_segmented,  # noqa: 
 _TIED = st.sampled_from([-1.5, 0.0, 0.25, 1.0, 3.0])
 _REAL = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
 _VALUES = _TIED | _REAL
+# Query cells may also be NaN or infinite: a constant segment still gives its mean.
+_QUERY_VALUES = _VALUES | st.sampled_from([np.nan, np.inf, -np.inf])
 
 
 @st.composite
-def fits(draw):
+def fits(draw, max_d=3):
     """A small training set and a config that fits on it."""
     n = draw(st.integers(6, 40))
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, max_d))
     X = draw(arrays(np.float64, (n, d), elements=_VALUES))
+    if draw(st.booleans()):
+        X[:, draw(st.integers(0, d - 1))] = draw(_VALUES)  # a zero-variance feature
     y = draw(arrays(np.float64, n, elements=_VALUES))
     config = FitConfig(
         leaf_size=draw(st.integers(1, n // 2)),
@@ -83,6 +89,49 @@ def test_single_row_and_batch_predictions_agree_under_any_split(case):
     assert bits(np.concatenate(pieces)) == bits(whole)
     singles = [predict(model, row) for row in queries]
     assert bits(singles) == bits(whole)
+
+
+def with_fallbacks(model, path, constant, unscaled):
+    """`model` saved to `path` and loaded, with the segments in `constant`
+    turned into constant fallbacks and the linear segments in `unscaled`
+    stripped of their scalers, as a model document may hold them."""
+    doc = model_document(model)
+    for s in constant:
+        doc["leaf_models"][str(s)] = {"type": "constant", "mean": s - 0.5}
+        doc["scalers"][str(s)] = None
+        doc["fit_report"][str(s)] = {"status": "fallback", "method": "constant",
+                                     "reason": "test"}
+    for s in unscaled - constant:
+        if doc["leaf_models"][str(s)]["type"] == "linear":
+            doc["scalers"][str(s)] = None
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    return load_model(path)
+
+
+@_SETTINGS
+@given(fits(max_d=9), st.data())
+def test_gathered_scoring_equals_each_row_through_its_own_segment(case, data):
+    # d up to 9 crosses numpy's 8-wide unroll in the row sum.
+    train, config = case
+    model = fit_segmented(train, config)
+    segments = st.sets(st.sampled_from(sorted(model.leaf_models)))
+    # Finite queries only for GP fits: where a GP row's linear and RBF terms
+    # are both NaN, the sign of the NaN it returns depends on the batch size.
+    values = _VALUES if config.leaf_method == "gp" else _QUERY_VALUES
+    extra = data.draw(arrays(np.float64, (data.draw(st.integers(0, 12)), train.n_features),
+                             elements=values))
+    queries = np.vstack([train.features, extra])
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = with_fallbacks(model, os.path.join(tmp, "model.json"),
+                                data.draw(segments), data.draw(segments))
+    for m in (model, loaded):
+        with np.errstate(all="ignore"):
+            want = segment_by_segment(m, queries)
+            assert bits(predict_batch(m, queries)) == bits(want)
+            assert bits([predict(m, q) for q in queries]) == bits(want)
+            assert bits(predict_batch(m, queries[-1:])) == bits(want[-1:])
+            assert predict_batch(m, queries[:0]).shape == (0,)
 
 
 @_SETTINGS

@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import segment_by_segment
 from treeseg import _lapack, cart, leaf_models, pipeline
 from treeseg.data import Dataset
 from treeseg.leaf_models import (ConstantModel, GPModel, KernelParams, LeafFitError,
@@ -288,6 +290,79 @@ class TestPredict:
             assert np.array_equal(predict_batch(model, queries), one_share)
             assert threading.current_thread() in threads
             assert any(t is not threading.current_thread() for t in threads)
+
+
+def linear_with_a_fallback(rng, d=9):
+    """A linear model on d features whose segment 0 is a constant fallback,
+    set by hand before the model first predicts."""
+    X = rng.uniform(-2.0, 2.0, size=(400, d))
+    X[:, d // 2] = 0.75  # a zero-variance feature
+    y = np.where(X[:, 0] <= 0.0, X @ np.arange(1.0, d + 1), 3.0 - X.sum(axis=1))
+    model = fit_segmented(make_dataset(X, y + rng.normal(size=400) * 0.1),
+                          FitConfig(leaf_size=80, leaf_method="linear"))
+    model.leaf_models[0], model.scalers[0] = ConstantModel(mean=-2.5), None
+    return model
+
+
+class TestGatheredScoring:
+    def test_batch_of_several_row_blocks_equals_each_row_alone(self, rng):
+        model = linear_with_a_fallback(rng)
+        step = pipeline._GATHER_ENTRIES // 9
+        queries = rng.uniform(-2.5, 2.5, size=(3 * step + 7, 9))
+        queries[::97, 3] = np.nan
+        queries[5::101, 1] = np.inf
+        queries[7::103, 0] = -np.inf
+        with np.errstate(all="ignore"):
+            want = segment_by_segment(model, queries)
+            # A Fortran-ordered matrix too: each block's product is C-contiguous.
+            for X in (queries, np.asfortranarray(queries)):
+                assert predict_batch(model, X).tobytes() == want.tobytes()
+        # The fallback's rows, non-finite ones among them, get its mean.
+        fallback = cart.assign_leaf_batch(model.tree, queries) == 0
+        assert (fallback & ~np.isfinite(queries).all(axis=1)).any()
+        assert (want[fallback] == -2.5).all()
+
+    def test_gp_model_goes_straight_to_the_segment_loop(self, rng, monkeypatch):
+        model = fit_segmented(piecewise_linear(rng, n=200),
+                              FitConfig(leaf_size=50, leaf_method="gp", gp_max_iters=0))
+        queries = rng.uniform(-2, 2, size=(40, 2))
+        calls = []
+        by_segment = pipeline._predict_by_segment
+        monkeypatch.setattr(pipeline, "_predict_by_segment",
+                            lambda m, X, ids: calls.append((X, ids)) or by_segment(m, X, ids))
+        preds, ids = predict_with_segments(model, queries)
+        # The whole matrix and its routing, not a gathered copy of GP rows.
+        assert len(calls) == 1 and calls[0][0] is queries and calls[0][1] is ids
+        assert preds.tobytes() == segment_by_segment(model, queries).tobytes()
+
+    def test_six_threads_make_the_first_prediction_at_once(self, rng):
+        model = linear_with_a_fallback(rng)
+        queries = rng.uniform(-2.5, 2.5, size=(500, 9))
+        want = segment_by_segment(model, queries)
+        errors = []
+
+        def caller(fresh, barrier):
+            try:
+                barrier.wait()
+                assert predict_batch(fresh, queries).tobytes() == want.tobytes()
+            except BaseException as exc:  # reported by the test thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(5):
+                # A copy has no scoring table yet: six threads race to build it.
+                args = (dataclasses.replace(model), threading.Barrier(6, timeout=60))
+                callers = [threading.Thread(target=caller, args=args) for _ in range(6)]
+                for t in callers:
+                    t.start()
+                for t in callers:
+                    t.join(timeout=120)
+                assert not any(t.is_alive() for t in callers)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors, errors[0]
 
 
 class TestDeterminism:
